@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError, SolverError, StateError
 from . import driver
 
 
@@ -73,23 +72,12 @@ def _cmd_diff(args) -> int:
     return 1
 
 
+_COMMANDS = {"run": _cmd_run, "analyze": _cmd_analyze, "diff-snapshots": _cmd_diff}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_diff(args)
-    except ConfigurationError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return driver.EXIT_CONFIG
-    except (SolverError, StateError, FloatingPointError) as exc:
-        print(f"error[numerical]: {exc}", file=sys.stderr)
-        return driver.EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return driver.EXIT_IO
+    return driver.exit_code_of(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ are. Vertical grids may differ by an integer refinement ratio, bridged
 by per-element L2 projection matrices.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,17 +53,13 @@ class MmfConfig:
     ssp_order: int = 4
     substeps: int = 10                  # M; coarse step = M * fine step
     coupled: tuple = COUPLED_VARS
-    granularity: str = "element"        # or "point": one SSP per grid column
     perturbation_amplitude: float = 0.3  # K
     perturbation_theta_scale: float = 3.0  # envelope normalization (bubble amplitude)
-    ssp_filter_strength: float = 0.0
     microphysics: bool = True           # Kessler on the SSPs (never the coarse model)
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ConfigurationError("substeps must be >= 1")
-        if self.granularity not in ("element", "point"):
-            raise ConfigurationError(f"unknown SSP granularity {self.granularity!r}")
         bad = set(self.coupled) - set(COUPLED_VARS)
         if bad:
             raise ConfigurationError(f"unsupported coupled variables: {sorted(bad)}")
@@ -116,8 +111,7 @@ class Simulator:
         else:
             new = state.copy()
             if coupling is not None:
-                vec = new.as_vector() + dt * coupling.as_vector()
-                new = PrognosticState.from_vector(vec, new.dim)
+                new.data += dt * coupling.data
 
         np.maximum(new.q_c, 0.0, out=new.q_c)
         np.maximum(new.q_r, 0.0, out=new.q_r)
@@ -139,14 +133,8 @@ class Simulator:
 
 def horizontal_average(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     """Quadrature-weighted horizontal average per vertical level."""
-    cols = mesh.column_view(field)
-    if mesh.dim == 2:
-        w = np.asarray(mesh.lumped_1d[0])
-    else:
-        wy = np.asarray(mesh.lumped_1d[1])
-        wx = np.asarray(mesh.lumped_1d[0])
-        w = (wy[:, None] * wx[None, :]).reshape(-1)
-    return (w @ cols) / w.sum()
+    w = mesh.column_weights
+    return (w @ mesh.column_view(field)) / w.sum()
 
 
 @dataclass(frozen=True)
@@ -210,8 +198,8 @@ def build_vertical_projection(order: int, n_sl: int) -> VerticalProjection:
     Mhat = (coarse_g.T * gw) @ coarse_g
     s2l = np.linalg.solve(Mhat, np.hstack(blocks))
 
-    l2s = np.vstack([_lagrange_eval(rule.points, s * rule.points + offsets[k])
-                     for k in range(n_sl)])
+    l2s = np.concatenate([_lagrange_eval(rule.points, s * rule.points + offsets[k])
+                          for k in range(n_sl)])
     return VerticalProjection(order=order, n_sl=n_sl, s=s, offsets=offsets,
                               s2l=s2l, l2s=l2s)
 
@@ -287,7 +275,7 @@ def feedback_tendency(Q_np1: dict, avg_q_n: dict, dT: float) -> dict:
 @dataclass
 class SspInstance:
     index: int
-    anchor: tuple            # element or grid-column indices in the coarse mesh
+    anchor: tuple            # element indices in the coarse mesh
     columns: np.ndarray      # coarse horizontal column ids covered by the anchor
     weights: np.ndarray      # gather quadrature weights over those columns
     scatter_coeff: np.ndarray  # weights normalized by the global column measure
@@ -297,28 +285,6 @@ class SspInstance:
     def gather_profile(self, lsp_cols: np.ndarray) -> np.ndarray:
         """Weighted x(,y)-average of a coarse column-view field over the anchor."""
         return (self.weights @ lsp_cols[self.columns]) / self.weights.sum()
-
-
-def _state_field(state: PrognosticState, name: str) -> np.ndarray:
-    if name == "u":
-        return state.u[0]
-    return getattr(state, name)
-
-
-def _set_state_field(state: PrognosticState, name: str, values: np.ndarray) -> None:
-    if name == "u":
-        state.u[0] = values
-    else:
-        setattr(state, name, values)
-
-
-def _horizontal_weights(mesh: Mesh):
-    """Per-column quadrature weights matching column_view ordering."""
-    if mesh.dim == 2:
-        return np.asarray(mesh.lumped_1d[0])
-    wy = np.asarray(mesh.lumped_1d[1])
-    wx = np.asarray(mesh.lumped_1d[0])
-    return (wy[:, None] * wx[None, :]).reshape(-1)
 
 
 def _element_column_nodes(mesh: Mesh, anchor: tuple):
@@ -382,56 +348,33 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     ssp_rw = None
     if lsp.sponge_cfg is not None:
         ssp_rw = sponge_profile(ssp_mesh.coords[:, -1], lsp.sponge_cfg)
-    elif lsp.sponge_rw is not None:
-        # no analytic config available; resample the nodal profile
-        ssp_rw = np.interp(ssp_mesh.coords[:, -1], lsp.reference.z1d,
-                           lsp.mesh.column_view(lsp.sponge_rw)[0])
 
-    if cfg.granularity == "element":
-        if mesh.dim == 2:
-            anchors = [(ex,) for ex in range(mesh.elem_counts[0])]
-        else:
-            anchors = [(ex, ey) for ey in range(mesh.elem_counts[1])
-                       for ex in range(mesh.elem_counts[0])]
+    if mesh.dim == 2:
+        anchors = [(ex,) for ex in range(mesh.elem_counts[0])]
     else:
-        anchors = [(i,) for i in range(mesh.ncols)]
+        anchors = [(ex, ey) for ey in range(mesh.elem_counts[1])
+                   for ex in range(mesh.elem_counts[0])]
 
-    glob_w = _horizontal_weights(mesh)
-    lsp_cols = {v: mesh.column_view(_state_field(lsp.state, v)) for v in
-                ("rho_p", "u", "theta_vp", "q_vp", "q_c", "q_r")}
-    w_cols = mesh.column_view(lsp.state.u[-1])
+    lsp_cols = {name: mesh.column_view(lsp.state[name])
+                for name in lsp.state.field_names()}
 
     instances = []
     for idx, anchor in enumerate(anchors):
-        if cfg.granularity == "element":
-            cols, wloc = _element_column_nodes(mesh, anchor)
-            # periodic wrap can list a column twice; merge duplicates
-            cols, inv = np.unique(cols, return_inverse=True)
-            w_merged = np.zeros(cols.size)
-            np.add.at(w_merged, inv, wloc)
-            wloc = w_merged
-        else:
-            cols = np.array([anchor[0]])
-            wloc = np.array([1.0])
-            scatter = np.array([1.0])
-        if cfg.granularity == "element":
-            scatter = wloc / glob_w[cols]
+        cols, wloc = _element_column_nodes(mesh, anchor)
+        # periodic wrap can list a column twice; merge duplicates
+        cols, inv = np.unique(cols, return_inverse=True)
+        w_merged = np.zeros(cols.size)
+        np.add.at(w_merged, inv, wloc)
+        wloc = w_merged
+        scatter = wloc / mesh.column_weights[cols]
 
+        # the slab starts from the anchor's mean coarse column (the coarse
+        # v of a 3D run has no slab counterpart)
         st = PrognosticState.zeros(ssp_mesh)
-        nx_s = ssp_mesh.npts_1d[0]
-
-        def to_fine(prof_l):
-            prof_s = project_column_L_to_S(prof_l, proj, ne_z_l)
-            return np.repeat(prof_s, nx_s)
-
-        gather = lambda cv: (wloc @ cv[cols]) / wloc.sum()
-        st.rho_p = to_fine(gather(lsp_cols["rho_p"]))
-        st.u[0] = to_fine(gather(lsp_cols["u"]))
-        st.u[1] = to_fine(gather(w_cols))
-        st.theta_vp = to_fine(gather(lsp_cols["theta_vp"]))
-        st.q_vp = to_fine(gather(lsp_cols["q_vp"]))
-        st.q_c = to_fine(gather(lsp_cols["q_c"]))
-        st.q_r = to_fine(gather(lsp_cols["q_r"]))
+        for name in st.field_names():
+            prof = project_column_L_to_S((wloc @ lsp_cols[name][cols]) / wloc.sum(),
+                                         proj, ne_z_l)
+            st[name] = _broadcast_profile(ssp_mesh, prof)
         st.u[1][ssp_mesh.bottom_nodes] = 0.0
         st.u[1][ssp_mesh.top_nodes] = 0.0
 
@@ -448,7 +391,6 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                         constants=lsp.constants, sponge_rw=ssp_rw,
                         sponge_cfg=lsp.sponge_cfg,
                         delta=lsp.delta, gmres=lsp.gmres,
-                        filter_strength=cfg.ssp_filter_strength,
                         kessler=(kessler if cfg.microphysics else None),
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)
@@ -461,18 +403,9 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
 # ---------------------------------------------------------------------------
 # the staggered coarse/fine step
 
-def _cols_to_field(mesh: Mesh, cols: np.ndarray) -> np.ndarray:
-    """Inverse of Mesh.column_view for one field."""
-    nz = mesh.npts_1d[-1]
-    if mesh.dim == 2:
-        return cols.T.reshape(-1)
-    ny, nx = mesh.npts_1d[1], mesh.npts_1d[0]
-    return np.moveaxis(cols.reshape(ny, nx, nz), 2, 0).reshape(-1)
-
-
 def _broadcast_profile(mesh: Mesh, profile: np.ndarray) -> np.ndarray:
     """Horizontally uniform field from a vertical profile (fine mesh)."""
-    return np.repeat(profile, int(np.prod(mesh.npts_1d[:-1])))
+    return np.repeat(profile, mesh.ncols)
 
 
 def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
@@ -501,14 +434,13 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     coupled = cfg.coupled
     ne_z_l = lsp.mesh.elem_counts[-1]
 
-    lsp_cols = {v: lsp.mesh.column_view(_state_field(lsp.state, v)) for v in coupled}
+    lsp_cols = {v: lsp.mesh.column_view(lsp.state[v]) for v in coupled}
 
     avg_native = []
     F_prof = []
     diagnostics = []
     for inst in instances:
-        av = {v: horizontal_average(inst.sim.mesh, _state_field(inst.sim.state, v))
-              for v in coupled}
+        av = {v: horizontal_average(inst.sim.mesh, inst.sim.state[v]) for v in coupled}
         av_L = {v: project_column_S_to_L(av[v], inst.projection, ne_z_l)
                 for v in coupled}
         Q = {v: inst.gather_profile(lsp_cols[v]) for v in coupled}
@@ -524,11 +456,11 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
         buf = np.zeros((lsp.mesh.ncols, nz_l))
         for inst, fp in zip(instances, F_prof):
             buf[inst.columns] += inst.scatter_coeff[:, None] * fp[v][None, :]
-        _set_state_field(F_state, v, _cols_to_field(lsp.mesh, buf))
+        F_state[v] = lsp.mesh.field_from_columns(buf)
 
     new_lsp_state, lsp_precip = lsp.step(dT, coupling=F_state)
 
-    new_cols = {v: lsp.mesh.column_view(_state_field(new_lsp_state, v)) for v in coupled}
+    new_cols = {v: lsp.mesh.column_view(new_lsp_state[v]) for v in coupled}
 
     def advance_instance(args):
         inst, av = args
@@ -538,7 +470,7 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
         f_prof = feedback_tendency(Q_new_fine, av, dT)
         f_state = PrognosticState.zeros(inst.sim.mesh)
         for v in coupled:
-            _set_state_field(f_state, v, _broadcast_profile(inst.sim.mesh, f_prof[v]))
+            f_state[v] = _broadcast_profile(inst.sim.mesh, f_prof[v])
         st = inst.sim.state
         precip = None
         for _ in range(M):

@@ -246,8 +246,7 @@ def _check_finite(state: PrognosticState, where: str):
 def write_snapshot(state: PrognosticState, mesh: Mesh, t: float, path) -> None:
     """Text header + raw little-endian float64 data, checksums in .meta."""
     names = state.field_names()
-    arrays = [state.rho_p] + [state.u[d] for d in range(state.dim)] \
-        + [state.theta_vp, state.q_vp, state.q_c, state.q_r]
+    arrays = np.ascontiguousarray(state.data, dtype="<f8")
     header = "\n".join([
         _SNAPSHOT_MAGIC,
         f"time {_fmt(t)}",
@@ -260,16 +259,14 @@ def write_snapshot(state: PrognosticState, mesh: Mesh, t: float, path) -> None:
         "data float64 little-endian",
         "end-header",
     ]) + "\n"
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in arrays)
+    payload = arrays.tobytes()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(payload)
     meta = [f"file {os.path.basename(os.fspath(path))}",
             f"sha256 {hashlib.sha256(header.encode('ascii') + payload).hexdigest()}"]
     for name, a in zip(names, arrays):
-        digest = hashlib.sha256(
-            np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+        digest = hashlib.sha256(a.tobytes()).hexdigest()
         meta.append(f"field {name} sha256 {digest}")
     with open(os.fspath(path) + ".meta", "w", encoding="ascii") as fh:
         fh.write("\n".join(meta) + "\n")
@@ -358,14 +355,14 @@ def _snapshot_name(step: int) -> str:
     return f"snapshot_{step:06d}.dat"
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a configured run; returns the process exit code."""
+def exit_code_of(fn, *args) -> int:
+    """Call fn(*args) and return its exit code, mapping package errors.
+
+    Configuration errors exit 2, numerical failures 3 and IO errors 4,
+    each with a one-line message on stderr.
+    """
     try:
-        out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        if cfg.mode == "analyze":
-            return _run_analyze(cfg, out_dir)
-        return _run_sim(cfg, out_dir)
+        return fn(*args)
     except ConfigurationError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -375,6 +372,19 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute a configured run; returns the process exit code."""
+    return exit_code_of(_run, cfg)
+
+
+def _run(cfg: RunConfig) -> int:
+    out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    if cfg.mode == "analyze":
+        return _run_analyze(cfg, out_dir)
+    return _run_sim(cfg, out_dir)
 
 
 def _run_analyze(cfg: RunConfig, out_dir: str) -> int:

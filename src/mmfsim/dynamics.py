@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc
 
 from .errors import ConfigurationError, StateError
-from .grid import Mesh, build_lgl_rule
+from .grid import Mesh, boyd_vandeven_transfer, build_lgl_rule
 from .operators import PrognosticState, get_ops
 
 __all__ = [
@@ -333,11 +332,9 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
     p_prime = p - reference.p0
 
     # one batched weak-gradient call: velocity, scalars, pressure
-    stack = np.vstack([state.u, state.theta_vp, state.q_vp, state.q_c, state.q_r,
-                       p_prime[None, :]])
-    grads = ops.grad(stack)                       # (dim+5, dim, npts)
-    gu = grads[:dim]
-    g_thp, g_qvp, g_qc, g_qr, g_pp = grads[dim], grads[dim + 1], grads[dim + 2], grads[dim + 3], grads[dim + 4]
+    grads = ops.grad(np.concatenate((state.data[1:], p_prime[None, :])))
+    gu = grads[:dim]                              # grads is (dim+5, dim, npts)
+    g_thp, g_qvp, g_qc, g_qr, g_pp = grads[dim:]
 
     def advect(g):
         acc = state.u[0] * g[0]
@@ -362,8 +359,7 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
     d_qr = -advect(g_qr)
 
     if constants.nu != 0.0:
-        lap = ops.laplacian(np.vstack([state.u, state.theta_vp, state.q_vp,
-                                       state.q_c, state.q_r]))
+        lap = ops.laplacian(state.data[1:])
         du += constants.nu * lap[:dim]
         d_th += constants.nu * lap[dim]
         d_qv += constants.nu * lap[dim + 1]
@@ -379,76 +375,22 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
 # ---------------------------------------------------------------------------
 # Boyd-Vandeven filter
 
-_FILTER_ORDER = 12
-
-
-def boyd_vandeven_transfer(eta):
-    """Erf-log low-pass transfer of order 12 on [0, 1]; 1 at 0, 0 at 1."""
-    eta = np.asarray(eta, dtype=float)
-    xbar = np.abs(eta) - 0.5
-    sq = 4.0 * xbar * xbar
-    inner = np.where((sq > 0.0) & (sq < 1.0), sq, 0.5)
-    chi = np.sqrt(-np.log1p(-inner) / inner)
-    chi = np.where(np.abs(xbar) < 1e-300, 1.0, chi)
-    sigma = 0.5 * erfc(2.0 * np.sqrt(_FILTER_ORDER) * xbar * chi)
-    sigma = np.where(np.abs(eta) >= 1.0, 0.0, sigma)
-    sigma = np.where(eta == 0.0, 1.0, sigma)
-    return sigma
-
-
-_FILTER_CACHE: dict = {}
-
-
-def _filter_matrices(mesh: Mesh, strength: float):
-    key = (id(mesh), float(strength))
-    mats = _FILTER_CACHE.get(key)
-    if mats is not None:
-        return mats
-    out = []
-    for rule in mesh.rules:
-        N = rule.order
-        # Vandermonde of Legendre modes at the LGL nodes
-        V = np.polynomial.legendre.legvander(rule.points, N)
-        sig = boyd_vandeven_transfer(np.arange(N + 1) / N)
-        t = (1.0 - strength) + strength * sig
-        out.append(V @ np.diag(t) @ np.linalg.inv(V))
-    mats = tuple(out)
-    _FILTER_CACHE[key] = mats
-    return mats
-
-
 def filter_field(mesh: Mesh, field: np.ndarray, strength: float) -> np.ndarray:
     """Per-element modal Boyd-Vandeven filter blended by `strength`.
 
-    Transforms each element to Legendre modal space per direction,
-    scales mode k by (1-mu) + mu sigma(k/N), transforms back, and
-    restores continuity with a mass-weighted DSS. Mode 0 is untouched,
-    so constants and element integrals are preserved exactly.
+    Applies the mesh's projected 1D filters (`Mesh.modal_filter_1d`)
+    along every direction: per element, mode k is scaled by
+    (1-mu) + mu sigma(k/N), and continuity is restored by a mass-weighted
+    average. Mode 0 is untouched, so constants and integrals are
+    preserved exactly. `field` may stack several fields on a leading axis.
     """
     if strength == 0.0:
-        return field.copy() if field.ndim == 1 else field.copy()
+        return field.copy()
     if not 0.0 <= strength <= 1.0:
         raise ConfigurationError(f"filter strength must lie in [0, 1], got {strength}")
-    ops = get_ops(mesh)
-    F = _filter_matrices(mesh, strength)
-    fe = ops._gather(field)
-    if mesh.dim == 2:
-        fe = np.einsum("ij,...kj->...ki", F[0], fe)
-        fe = np.einsum("km,...mi->...ki", F[1], fe)
-    else:
-        fe = np.einsum("ij,...kmj->...kmi", F[0], fe)
-        fe = np.einsum("mn,...kni->...kmi", F[1], fe)
-        fe = np.einsum("kl,...lmi->...kmi", F[2], fe)
-    return ops._project(fe)
+    return get_ops(mesh).tensor(mesh.modal_filter_1d(strength), field)
 
 
 def apply_filter(state: PrognosticState, strength: float, mesh: Mesh) -> PrognosticState:
     """Filter every prognostic field; identity when strength is zero."""
-    if strength == 0.0:
-        return state.copy()
-    vec = np.vstack([state.rho_p[None, :], state.u, state.theta_vp[None, :],
-                     state.q_vp[None, :], state.q_c[None, :], state.q_r[None, :]])
-    out = filter_field(mesh, vec, strength)
-    dim = mesh.dim
-    return PrognosticState(rho_p=out[0], u=out[1:1 + dim].copy(), theta_vp=out[1 + dim],
-                           q_vp=out[2 + dim], q_c=out[3 + dim], q_r=out[4 + dim])
+    return PrognosticState.from_vector(filter_field(mesh, state.data, strength), mesh.dim)

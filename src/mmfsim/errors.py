@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, numerical failures (bad state, solver breakdown, NaN) with 3,
-and IO errors with 4.
+`driver.exit_code_of` maps these onto process exit codes: configuration
+problems exit with 2, numerical failures (bad state, solver breakdown,
+NaN) with 3, and IO errors with 4.
 """
 
 

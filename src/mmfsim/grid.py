@@ -1,19 +1,29 @@
-"""Spectral-element grids: LGL rules, structured box meshes, DSS assembly.
+"""Spectral-element grids: LGL rules, structured box meshes, 1D operators.
 
 The discretization lives on structured tensor-product meshes of affine
 quadrilateral (2D) or hexahedral (3D) elements. Each element carries
 (N+1)^dim Legendre-Gauss-Lobatto (LGL) nodes; interpolation and
 quadrature are collocated there (inexact integration), which lumps the
 mass matrix. Fields are flat global nodal vectors ordered
-lexicographically (x fastest, then y, then z); `dss_sum` and
-`scatter_to_elements` move data between the element-local and global
-views. All reductions run in a fixed order so results are independent of
-any worker count.
+lexicographically (x fastest, then y, then z).
+
+Because the elements are equal affine boxes and the mass is lumped,
+every assembled operator (weak derivative, weak Laplacian, projected
+modal filter) factors into one assembled 1D matrix per direction,
+M_d^-1 sum_e R_e^T B R_e with B the weighted element matrix. `Mesh`
+builds those matrices once, on first use, and keeps them with the mesh.
+`dss_sum` and `scatter_to_elements` move data between the element-local
+and global views; they remain the general assembly tool and the test
+oracle for the 1D operators. All reductions run in a fixed order so
+results are independent of any worker count.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import erfc
 
 from .errors import ConfigurationError
 
@@ -22,6 +32,7 @@ __all__ = [
     "Mesh",
     "build_lgl_rule",
     "build_box_mesh",
+    "boyd_vandeven_transfer",
     "dss_sum",
     "scatter_to_elements",
 ]
@@ -83,6 +94,23 @@ def build_lgl_rule(N: int) -> LglRule:
     return LglRule(order=N, points=x, weights=w, diff_matrix=D)
 
 
+_FILTER_ORDER = 12
+
+
+def boyd_vandeven_transfer(eta):
+    """Erf-log low-pass transfer of order 12 on [0, 1]; 1 at 0, 0 at 1."""
+    eta = np.asarray(eta, dtype=float)
+    xbar = np.abs(eta) - 0.5
+    sq = 4.0 * xbar * xbar
+    inner = np.where((sq > 0.0) & (sq < 1.0), sq, 0.5)
+    chi = np.sqrt(-np.log1p(-inner) / inner)
+    chi = np.where(np.abs(xbar) < 1e-300, 1.0, chi)
+    sigma = 0.5 * erfc(2.0 * np.sqrt(_FILTER_ORDER) * xbar * chi)
+    sigma = np.where(np.abs(eta) >= 1.0, 0.0, sigma)
+    sigma = np.where(eta == 0.0, 1.0, sigma)
+    return sigma
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Structured affine tensor-product spectral-element mesh.
@@ -121,12 +149,99 @@ class Mesh:
         # copy so callers can mutate columns without aliasing the input
         return np.moveaxis(g, 0, -1).copy().reshape(-1, self.npts_1d[-1])
 
+    def field_from_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Inverse of column_view: (..., ncols, nz) -> new (..., npts) array."""
+        # columns are the horizontal index, which runs fastest in the field
+        return np.swapaxes(cols, -1, -2).reshape(cols.shape[:-2] + (self.npts,))
+
+    @cached_property
+    def column_weights(self) -> np.ndarray:
+        """Horizontal quadrature weight of each column, column_view order."""
+        w = self.lumped_1d[0]
+        if self.dim == 3:
+            w = np.multiply.outer(self.lumped_1d[1], w).reshape(-1)
+        return w
+
     @property
     def ncols(self) -> int:
         n = 1
         for k in self.npts_1d[:-1]:
             n *= k
         return n
+
+    # -- assembled operators; built on first use and kept with the mesh --
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Lumped global mass, m^dim per node: the product of the 1D masses."""
+        return np.multiply.outer(self.lumped_1d[-1], self.column_weights).reshape(-1)
+
+    def _assemble_1d(self, d: int, local: np.ndarray):
+        """M_d^-1 sum_e R_e^T local R_e along direction d, as CSR.
+
+        `local` is the (N+1, N+1) element matrix, already weighted by the
+        element's quadrature masses h/2 w; duplicates at shared (and
+        periodically wrapped) nodes are summed in a fixed order.
+        """
+        N = self.orders[d]
+        g, n = _index_1d(self.elem_counts[d], N, (self.periodic + (False,))[d])
+        rows = np.repeat(g, N + 1, axis=1).ravel()
+        cols = np.tile(g, (1, N + 1)).ravel()
+        vals = np.tile(local.ravel(), g.shape[0])
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        A.data *= np.repeat(1.0 / self.lumped_1d[d], np.diff(A.indptr))
+        return A
+
+    def _elem_weights(self, d: int) -> np.ndarray:
+        return (0.5 * self.extents[d] / self.elem_counts[d]) * self.rules[d].weights
+
+    @cached_property
+    def weak_derivative_1d(self) -> tuple:
+        """Per direction, the weak first derivative M_d^-1 A_d (CSR)."""
+        return tuple(
+            self._assemble_1d(d, self._elem_weights(d)[:, None]
+                              * (self.metric[d] * self.rules[d].diff_matrix))
+            for d in range(self.dim))
+
+    @cached_property
+    def weak_laplacian_1d(self) -> tuple:
+        """Per direction, the weak second derivative -M_d^-1 K_d (CSR).
+
+        Integration by parts with no boundary flux: the sum over
+        directions is symmetric negative semi-definite in the mass
+        inner product.
+        """
+        out = []
+        for d in range(self.dim):
+            D = self.rules[d].diff_matrix
+            K = self.metric[d] ** 2 * (D.T @ (self._elem_weights(d)[:, None] * D))
+            out.append(self._assemble_1d(d, -K))
+        return tuple(out)
+
+    @cached_property
+    def _filters(self) -> dict:
+        return {}
+
+    def modal_filter_1d(self, strength: float) -> tuple:
+        """Per direction, the projected modal filter M_d^-1 sum_e R_e^T W F_d R_e.
+
+        F_d transforms an element to Legendre modal space, scales mode k
+        by (1 - mu) + mu sigma(k/N) (Boyd-Vandeven sigma, mu the
+        strength) and transforms back. Mode 0 is untouched, so constants
+        and integrals are preserved.
+        """
+        key = float(strength)
+        mats = self._filters.get(key)
+        if mats is None:
+            out = []
+            for d, rule in enumerate(self.rules):
+                N = rule.order
+                V = np.polynomial.legendre.legvander(rule.points, N)
+                sig = boyd_vandeven_transfer(np.arange(N + 1) / N)
+                F = V @ np.diag((1.0 - key) + key * sig) @ np.linalg.inv(V)
+                out.append(self._assemble_1d(d, self._elem_weights(d)[:, None] * F))
+            mats = self._filters[key] = tuple(out)
+        return mats
 
 
 def _index_1d(ne, N, is_periodic):

@@ -237,15 +237,7 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     precip = _kessler_batch(z, masses, rho, theta_v, q_v, q_c, q_r,
                             reference.rho0_surf, dt, params, constants)
 
-    def back(cols):
-        # column_view returns a copy; undo the (ncols, nz) -> flat reordering
-        if mesh.dim == 2:
-            g = cols.T
-        else:
-            ny, nx = mesh.npts_1d[1], mesh.npts_1d[0]
-            g = np.moveaxis(cols.reshape(ny, nx, nz), 2, 0)
-        return g.reshape(-1)
-
+    back = mesh.field_from_columns
     out = state.copy()
     out.theta_vp = back(theta_v) - reference.theta_v0
     out.q_vp = back(q_v) - reference.q_v0

@@ -1,19 +1,21 @@
-"""Discrete operators on spectral-element meshes.
+"""Discrete operators on spectral-element meshes, and the prognostic state.
 
-Everything is matrix-free: element-local tensor contractions with the
-1D differentiation matrices, followed by DSS and division by the lumped
-(diagonal) mass. The weak gradient/divergence are the collocation
-derivatives projected back onto the continuous space; the Laplacian is
-the usual integration-by-parts form with no boundary flux (periodic
-laterally, no-flux top/bottom), which makes it symmetric negative
-semi-definite in the mass inner product.
+On the structured affine meshes every weak operator factors into one
+assembled 1D matrix per direction (see `Mesh.weak_derivative_1d`,
+`Mesh.weak_laplacian_1d`, `Mesh.modal_filter_1d`); `SemOps` applies
+those matrices along the grid axes. The weak gradient/divergence are
+the collocation derivatives projected back onto the continuous space;
+the Laplacian is the usual integration-by-parts form with no boundary
+flux (periodic laterally, no-flux top/bottom), which makes it symmetric
+negative semi-definite in the mass inner product.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mesh, dss_sum, scatter_to_elements
+from .grid import Mesh
 
 __all__ = [
     "PrognosticState",
@@ -28,56 +30,79 @@ __all__ = [
 ]
 
 
-@dataclass
+class _Rows:
+    """Named row view of `PrognosticState.data`; assignment writes in place."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __get__(self, state, owner=None):
+        return self if state is None else state.data[self.rows]
+
+    def __set__(self, state, value):
+        state.data[self.rows] = value
+
+
 class PrognosticState:
     """Nodal prognostic vector q = (rho', u, theta_v', q_v', q_c, q_r).
 
-    `u` holds the velocity components as rows (u[0] is x, u[-1] is
-    vertical w), each of length mesh.npts. Thermodynamic and moisture
-    fields are perturbations from the reference except q_c and q_r,
-    which are full mixing ratios.
+    One (5+dim, npts) array `data` holds the fields as rows in this
+    order, which is also the snapshot order; the names below are views
+    of its rows, and assigning to a name writes into them. `u` holds the
+    velocity components (u[0] is x, u[-1] is vertical w). Thermodynamic
+    and moisture fields are perturbations from the reference except q_c
+    and q_r, which are full mixing ratios.
     """
 
-    rho_p: np.ndarray     # kg/m3
-    u: np.ndarray         # (dim, npts) m/s
-    theta_vp: np.ndarray  # K
-    q_vp: np.ndarray      # kg/kg
-    q_c: np.ndarray       # kg/kg
-    q_r: np.ndarray       # kg/kg
+    rho_p = _Rows(0)               # kg/m3
+    u = _Rows(slice(1, -4))        # (dim, npts) m/s
+    theta_vp = _Rows(-4)           # K
+    q_vp = _Rows(-3)               # kg/kg
+    q_c = _Rows(-2)                # kg/kg
+    q_r = _Rows(-1)                # kg/kg
+
+    def __init__(self, rho_p, u, theta_vp, q_vp, q_c, q_r):
+        u = np.asarray(u, dtype=float)
+        self.data = np.empty((5 + u.shape[0], u.shape[1]))
+        self.rho_p, self.u, self.theta_vp = rho_p, u, theta_vp
+        self.q_vp, self.q_c, self.q_r = q_vp, q_c, q_r
 
     @property
     def dim(self):
-        return self.u.shape[0]
+        return self.data.shape[0] - 5
 
     @property
     def nfields(self):
-        return 5 + self.dim
+        return self.data.shape[0]
 
     def copy(self):
-        return PrognosticState(self.rho_p.copy(), self.u.copy(), self.theta_vp.copy(),
-                               self.q_vp.copy(), self.q_c.copy(), self.q_r.copy())
+        return PrognosticState.from_vector(self.data.copy(), self.dim)
 
     def as_vector(self) -> np.ndarray:
-        """Flatten to a single vector, field blocks in snapshot order."""
-        return np.concatenate([self.rho_p, *self.u, self.theta_vp,
-                               self.q_vp, self.q_c, self.q_r])
+        """The fields as one flat vector (a view), blocks in snapshot order."""
+        return self.data.reshape(-1)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, dim: int) -> "PrognosticState":
-        n = vec.size // (5 + dim)
-        blocks = vec.reshape(5 + dim, n).copy()
-        return cls(rho_p=blocks[0], u=blocks[1:1 + dim], theta_vp=blocks[1 + dim],
-                   q_vp=blocks[2 + dim], q_c=blocks[3 + dim], q_r=blocks[4 + dim])
+        """View a flat vector of field blocks as a state; does not copy."""
+        state = cls.__new__(cls)
+        state.data = np.asarray(vec, dtype=float).reshape(5 + dim, -1)
+        return state
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "PrognosticState":
-        n = mesh.npts
-        return cls(np.zeros(n), np.zeros((mesh.dim, n)), np.zeros(n),
-                   np.zeros(n), np.zeros(n), np.zeros(n))
+        return cls.from_vector(np.zeros((5 + mesh.dim) * mesh.npts), mesh.dim)
 
     def field_names(self):
         vel = ("u", "w") if self.dim == 2 else ("u", "v", "w")
         return ("rho_p",) + vel + ("theta_vp", "q_vp", "q_c", "q_r")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """One field row by its snapshot name ("u" is the x component)."""
+        return self.data[self.field_names().index(name)]
+
+    def __setitem__(self, name: str, values) -> None:
+        self.data[self.field_names().index(name)] = values
 
 
 @dataclass(frozen=True)
@@ -88,123 +113,67 @@ class DiagonalMass:
 
 
 class SemOps:
-    """Cached element-kernel context for one mesh.
+    """Weak operators of one mesh, applied one direction at a time.
 
-    Holds the local quadrature weights, differentiation matrices and the
-    inverse lumped mass so repeated RHS evaluations avoid rebuilding
-    them. All public methods take and return flat global fields.
+    The 1D matrices live on the mesh, so this object is cheap to make.
+    All public methods take and return flat global fields; a leading
+    axis stacks several fields into one call.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.dim = mesh.dim
-        self.D = tuple(r.diff_matrix for r in mesh.rules)
-        self._DT = tuple(np.ascontiguousarray(d.T) for d in self.D)
-        self.metric = mesh.metric
-        w = [r.weights for r in mesh.rules]
-        if mesh.dim == 2:
-            self.wj = mesh.jac * (w[1][:, None] * w[0][None, :])        # (Nz+1, Nx+1)
-            self.loc_shape = (mesh.rules[1].order + 1, mesh.rules[0].order + 1)
-        else:
-            self.wj = mesh.jac * (w[2][:, None, None] * w[1][None, :, None] * w[0][None, None, :])
-            self.loc_shape = tuple(mesh.rules[d].order + 1 for d in (2, 1, 0))
-        self.mass = dss_sum(mesh, np.broadcast_to(self.wj.ravel(), (mesh.nelem, self.wj.size)))
-        self.inv_mass = 1.0 / self.mass
 
-    # -- element-local derivative kernels (reference space) --
+    def along(self, A, f, d):
+        """Apply the 1D matrix A along direction d (0=x, ..., dim-1=z)."""
+        n = A.shape[0]
+        # (fields x slower directions, n, faster directions); bring n to the
+        # front so A acts as csr @ dense, which copies only when needed
+        g = f.reshape(-1, n, math.prod(self.mesh.npts_1d[:d]))
+        out = A @ g.transpose(1, 0, 2).reshape(n, -1)
+        return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
 
-    def _gather(self, f):
-        if f.ndim == 1:
-            return scatter_to_elements(self.mesh, f).reshape((self.mesh.nelem,) + self.loc_shape)
-        nf = f.shape[0]
-        return scatter_to_elements(self.mesh, f).reshape((nf, self.mesh.nelem) + self.loc_shape)
-
-    def _dref(self, fe, axis):
-        """d/dxi along a physical direction index (0=x, 1=y, 2=z in 3D).
-
-        The x derivative contracts the last local axis, the axis-1
-        direction the second-to-last, and 3D z the third-to-last (via a
-        reshape so everything is a batched matmul).
-        """
-        if axis == 0:
-            return np.matmul(fe, self._DT[0])
-        if self.dim == 3 and axis == 2:
-            shp = fe.shape
-            flat = fe.reshape(shp[:-3] + (shp[-3], shp[-2] * shp[-1]))
-            return np.matmul(self.D[2], flat).reshape(shp)
-        return np.matmul(self.D[axis], fe)
-
-    def _dref_t(self, fe, axis):
-        """Transpose-derivative contraction (for the weak Laplacian)."""
-        if axis == 0:
-            return np.matmul(fe, self.D[0])
-        if self.dim == 3 and axis == 2:
-            shp = fe.shape
-            flat = fe.reshape(shp[:-3] + (shp[-3], shp[-2] * shp[-1]))
-            return np.matmul(self._DT[2], flat).reshape(shp)
-        return np.matmul(self._DT[axis], fe)
-
-    def _project(self, local):
-        """wJ-weighted DSS followed by the inverse lumped mass."""
-        if local.ndim == self.dim + 1:
-            flat = (local * self.wj).reshape(self.mesh.nelem, -1)
-            return dss_sum(self.mesh, flat) * self.inv_mass
-        nf = local.shape[0]
-        flat = (local * self.wj).reshape(nf, self.mesh.nelem, -1)
-        return dss_sum(self.mesh, flat) * self.inv_mass
-
-    # -- global operators --
+    def tensor(self, mats, f):
+        """Tensor-product operator: mats[d] applied along each direction d."""
+        for d in range(self.dim):
+            f = self.along(mats[d], f, d)
+        return f
 
     def grad(self, f):
         """Weak gradient; (npts,) -> (dim, npts), (nf, npts) -> (nf, dim, npts)."""
-        fe = self._gather(f)
-        comps = [self._project(self.metric[d] * self._dref(fe, d)) for d in range(self.dim)]
-        axis = 0 if f.ndim == 1 else 1
-        return np.stack(comps, axis=axis)
+        D = self.mesh.weak_derivative_1d
+        return np.stack([self.along(D[d], f, d) for d in range(self.dim)],
+                        axis=f.ndim - 1)
 
     def div(self, vec):
         """Weak divergence of a (dim, npts) vector field."""
-        acc = None
-        for d in range(self.dim):
-            fe = self._gather(vec[d])
-            t = self.metric[d] * self._dref(fe, d)
-            acc = t if acc is None else acc + t
-        return self._project(acc)
+        D = self.mesh.weak_derivative_1d
+        acc = self.along(D[0], vec[0], 0)
+        for d in range(1, self.dim):
+            acc += self.along(D[d], vec[d], d)
+        return acc
 
     def laplacian(self, f):
         """Weak Laplacian of (npts,) or stacked (nf, npts) fields."""
-        fe = self._gather(f)
-        acc = None
-        for d in range(self.dim):
-            dref = self._dref(fe, d)
-            t = (self.metric[d] ** 2) * self._dref_t(self.wj * dref, d)
-            acc = t if acc is None else acc + t
-        if f.ndim == 1:
-            flat = acc.reshape(self.mesh.nelem, -1)
-        else:
-            flat = acc.reshape(f.shape[0], self.mesh.nelem, -1)
-        return -dss_sum(self.mesh, flat) * self.inv_mass
-
-
-_OPS_CACHE: dict = {}
+        L = self.mesh.weak_laplacian_1d
+        acc = self.along(L[0], f, 0)
+        for d in range(1, self.dim):
+            acc += self.along(L[d], f, d)
+        return acc
 
 
 def get_ops(mesh: Mesh) -> SemOps:
-    ops = _OPS_CACHE.get(id(mesh))
-    if ops is None or ops.mesh is not mesh:
-        ops = SemOps(mesh)
-        _OPS_CACHE[id(mesh)] = ops
-    return ops
+    return SemOps(mesh)
 
 
 def build_mass(mesh: Mesh) -> DiagonalMass:
-    """Lumped mass: DSS of the local w*J products (diagonal by collocation)."""
-    return DiagonalMass(entries=get_ops(mesh).mass.copy())
+    """Lumped mass, diagonal by collocation: the product of the 1D lumped masses."""
+    return DiagonalMass(entries=mesh.mass.copy())
 
 
 def integrate(mesh: Mesh, nodal_field: np.ndarray) -> float:
     """Quadrature of a nodal field over the domain, sum_e sum_q w J f."""
-    return float(np.dot(get_ops(mesh).mass, nodal_field))
+    return float(np.dot(mesh.mass, nodal_field))
 
 
 def weak_gradient(mesh: Mesh, scalar_field: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -266,3 +268,18 @@ def test_mmf_precip_keys():
     assert set(precip) == {0, 1}      # SSPs report; the dry coarse model does not
     assert -1 not in precip
     assert np.all(precip[1] >= 0.0)
+
+
+def test_operator_caches_die_with_their_mesh():
+    snd = isothermal_sounding(z_top=14e3)
+    mesh = build_box_mesh((20e3, 12e3), (2, 3), (4, 4), periodicity=(True,))
+    sim = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C),
+                    state=PrognosticState.zeros(mesh), filter_strength=0.2,
+                    sounding=snd)
+    sim.state.theta_vp[:] = 0.01 * np.sin(mesh.coords[:, 0] / 2e3)
+    sim.state, _ = sim.step(1.0)
+    assert mesh.weak_derivative_1d and mesh.modal_filter_1d(0.2)
+    alive = weakref.ref(mesh)
+    del sim, mesh
+    gc.collect()
+    assert alive() is None

@@ -114,3 +114,19 @@ def test_mesh_rejects_mismatched_inputs():
         build_box_mesh((1.0, 1.0), (2,), (2, 2))
     with pytest.raises(ConfigurationError):
         build_box_mesh((1.0, -1.0), (2, 2), (2, 2))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_box_mesh((2.0, 1.0), (3, 2), (4, 3), periodicity=(True,)),
+    build_box_mesh((1.0, 2.0, 1.5), (2, 3, 2), (2, 3, 4), periodicity=(True, False)),
+])
+def test_field_from_columns_inverts_column_view(mesh):
+    f = np.random.default_rng(5).standard_normal(mesh.npts)
+    assert np.array_equal(mesh.field_from_columns(mesh.column_view(f)), f)
+    stacked = np.stack([mesh.column_view(f), mesh.column_view(2.0 * f)])
+    assert np.array_equal(mesh.field_from_columns(stacked), np.stack([f, 2.0 * f]))
+    # column weights follow the column order and cover the horizontal area
+    area = np.prod(mesh.extents[:-1])
+    assert abs(mesh.column_weights.sum() - area) < 1e-13 * area
+    bottom_mass = mesh.column_view(mesh.mass)[:, 0]
+    assert np.allclose(bottom_mass / mesh.lumped_1d[-1][0], mesh.column_weights, rtol=1e-14)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mmfsim.grid import build_box_mesh
+from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
+from mmfsim.grid import build_box_mesh, dss_sum, scatter_to_elements
 from mmfsim.operators import (PrognosticState, build_mass, get_ops, integrate,
                               laplacian_diffusion, weak_divergence,
                               weak_gradient)
@@ -119,3 +120,95 @@ def test_state_field_names_track_dim():
     assert st2.field_names() == ("rho_p", "u", "w", "theta_vp", "q_vp", "q_c", "q_r")
     st3 = PrognosticState.zeros(build_box_mesh((1.0, 1.0, 1.0), (1, 1, 1), (2, 2, 2)))
     assert "v" in st3.field_names() and st3.nfields == 8
+
+
+def test_state_fields_are_rows_of_one_array():
+    st = PrognosticState.zeros(build_box_mesh((1.0, 1.0), (1, 1), (2, 2)))
+    st.theta_vp = 1.5
+    st["u"] = 2.0
+    st.u[-1][:] = 3.0
+    assert np.all(st.as_vector().reshape(7, -1)[3] == 1.5)
+    assert np.all(st.data[1] == 2.0) and np.all(st["w"] == 3.0)
+    # from_vector views its input; copy does not
+    back = PrognosticState.from_vector(st.as_vector(), 2)
+    back.q_r[:] = 4.0
+    assert np.all(st.q_r == 4.0)
+    assert not np.shares_memory(st.copy().data, st.data)
+
+
+# -- the 1D operators against the element-assembled maths they replace --
+
+def _along_local(M, fe, d):
+    """Apply M along the element-local axis of direction d (x is last)."""
+    ax = fe.ndim - 1 - d
+    return np.moveaxis(np.tensordot(M, fe, axes=(1, ax)), 0, ax)
+
+
+def _element_reference(mesh, strength):
+    """grad/div/laplacian/filter by gather, LGL diff_matrix, w J, DSS."""
+    loc = tuple(r.order + 1 for r in mesh.rules[::-1])
+    wj = mesh.jac * np.ones(loc)
+    for d, rule in enumerate(mesh.rules):
+        wj = wj * rule.weights.reshape([-1 if k == mesh.dim - 1 - d else 1
+                                        for k in range(mesh.dim)])
+    mass = dss_sum(mesh, np.broadcast_to(wj.ravel(), (mesh.nelem, wj.size)))
+    D = [r.diff_matrix for r in mesh.rules]
+    rng = range(mesh.dim)
+
+    def gather(f):
+        return scatter_to_elements(mesh, f).reshape((mesh.nelem,) + loc)
+
+    def project(le):
+        return dss_sum(mesh, (le * wj).reshape(mesh.nelem, -1)) / mass
+
+    def grad(f):
+        fe = gather(f)
+        return np.stack([project(mesh.metric[d] * _along_local(D[d], fe, d)) for d in rng])
+
+    def div(v):
+        return project(sum(mesh.metric[d] * _along_local(D[d], gather(v[d]), d) for d in rng))
+
+    def laplacian(f):
+        fe = gather(f)
+        acc = sum(mesh.metric[d] ** 2 * _along_local(D[d].T, wj * _along_local(D[d], fe, d), d)
+                  for d in rng)
+        return -dss_sum(mesh, acc.reshape(mesh.nelem, -1)) / mass
+
+    def modal_filter(f):
+        fe = gather(f)
+        for d, rule in enumerate(mesh.rules):
+            N = rule.order
+            V = np.polynomial.legendre.legvander(rule.points, N)
+            t = (1.0 - strength) + strength * boyd_vandeven_transfer(np.arange(N + 1) / N)
+            fe = _along_local(V @ np.diag(t) @ np.linalg.inv(V), fe, d)
+        return project(fe)
+
+    return grad, div, laplacian, modal_filter
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("mesh_name", ["unit_mesh_2d", "unit_mesh_3d", "mixed_3d", "small_mesh"])
+def test_1d_operators_match_element_assembly(mesh_name, request):
+    if mesh_name == "mixed_3d":
+        mesh = build_box_mesh((1.0, 2.0, 1.5), (3, 2, 2), (2, 4, 3),
+                              periodicity=(True, False))
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    grad, div, laplacian, modal_filter = _element_reference(mesh, 0.3)
+    ops = get_ops(mesh)
+    f = np.random.default_rng(8).standard_normal((2, mesh.npts))
+    vec = np.random.default_rng(9).standard_normal((mesh.dim, mesh.npts))
+    stacked_grad = ops.grad(f)
+    stacked_lap = ops.laplacian(f)
+    stacked_filt = filter_field(mesh, f, 0.3)
+    for k in range(2):
+        assert _rel(ops.grad(f[k]), grad(f[k])) < 1e-13
+        assert _rel(stacked_grad[k], grad(f[k])) < 1e-13
+        assert _rel(ops.laplacian(f[k]), laplacian(f[k])) < 1e-13
+        assert _rel(stacked_lap[k], laplacian(f[k])) < 1e-13
+        assert _rel(filter_field(mesh, f[k], 0.3), modal_filter(f[k])) < 1e-13
+        assert _rel(stacked_filt[k], modal_filter(f[k])) < 1e-13
+    assert _rel(ops.div(vec), div(vec)) < 1e-13
