@@ -22,7 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--mode", choices=("standard", "mmf"),
                       help="override run.mode")
     runp.add_argument("--workers", type=int,
-                      help="thread pool size for embedded grids")
+                      help="accepted for compatibility, no effect: embedded "
+                           "grids step serially in instance order")
     runp.add_argument("--seed", type=int, help="override run.seed")
     runp.add_argument("--output-dir", help="override run.output_dir")
 

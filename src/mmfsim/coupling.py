@@ -9,6 +9,9 @@ held fixed over its M substeps. Only horizontal velocity, theta_v',
 q_v', q_c and q_r are coupled; density and vertical velocity never
 are. Vertical grids may differ by an integer refinement ratio, bridged
 by per-element L2 projection matrices.
+The exchange treats all instances and variables as one stacked
+(instance, variable, level) array, gathered and scattered through the
+coarse mesh's element-column weights; the SSPs then step serially.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -132,7 +135,8 @@ class Simulator:
 # horizontal averaging and vertical projection
 
 def horizontal_average(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    """Quadrature-weighted horizontal average per vertical level."""
+    """Quadrature-weighted horizontal average per vertical level of
+    (..., npts) fields, as (..., nz)."""
     w = mesh.column_weights
     return (w @ mesh.column_view(field)) / w.sum()
 
@@ -187,7 +191,6 @@ def build_vertical_projection(order: int, n_sl: int) -> VerticalProjection:
     # exact integrals: Gauss-Legendre with enough points for degree 2N
     gx, gw = np.polynomial.legendre.leggauss(order + 2)
     psi_g = _lagrange_eval(rule.points, gx)               # fine basis at quad pts
-    Mhat = np.zeros((Np, Np))
     blocks = []
     for k in range(n_sl):
         coarse_at = _lagrange_eval(rule.points, s * gx + offsets[k])
@@ -212,20 +215,14 @@ def _broken(profile: np.ndarray, ne: int, order: int) -> np.ndarray:
 
 
 def _assemble(elem_vals: np.ndarray, ne: int, order: int) -> np.ndarray:
-    """Average element-wise values back onto shared nodes."""
+    """Average element-wise values (..., ne, N+1) back onto shared nodes."""
     N = order
-    npts = ne * N + 1
-    idx = (np.arange(ne)[:, None] * N + np.arange(N + 1)[None, :]).reshape(-1)
-    out = np.zeros(elem_vals.shape[:-2] + (npts,))
-    cnt = np.zeros(npts)
-    np.add.at(cnt, idx, 1.0)
-    flat = elem_vals.reshape(elem_vals.shape[:-2] + (-1,))
-    if flat.ndim == 1:
-        np.add.at(out, idx, flat)
-    else:
-        for row in range(flat.shape[0]):
-            np.add.at(out[row], idx, flat[row])
-    return out / cnt
+    out = np.empty(elem_vals.shape[:-2] + (ne * N + 1,))
+    out[..., :-1] = elem_vals[..., :-1].reshape(out.shape[:-1] + (ne * N,))
+    out[..., -1] = elem_vals[..., -1, -1]
+    # each interior element boundary also carries the value from below
+    out[..., N:-1:N] = 0.5 * (elem_vals[..., :-1, -1] + out[..., N:-1:N])
+    return out
 
 
 def project_column_S_to_L(ssp_profile: np.ndarray, proj: VerticalProjection,
@@ -259,14 +256,18 @@ def project_column_L_to_S(lsp_profile: np.ndarray, proj: VerticalProjection,
 # ---------------------------------------------------------------------------
 # relaxation tendencies
 
-def forcing_tendency(Q_n: dict, avg_q_n: dict, dT: float) -> dict:
-    """F = (<q^n> - Q^n)/dT per coupled variable, on the coarse levels."""
-    return {v: (avg_q_n[v] - Q_n[v]) / dT for v in Q_n}
+def forcing_tendency(Q_n, avg_q_n, dT: float):
+    """F = (<q^n> - Q^n)/dT on the coarse levels (arrays, or dicts of them)."""
+    if isinstance(Q_n, dict):
+        return {v: forcing_tendency(Q_n[v], avg_q_n[v], dT) for v in Q_n}
+    return (avg_q_n - Q_n) / dT
 
 
-def feedback_tendency(Q_np1: dict, avg_q_n: dict, dT: float) -> dict:
-    """f = (Q^{n+1} - <q^n>)/dT per coupled variable, on the fine levels."""
-    return {v: (Q_np1[v] - avg_q_n[v]) / dT for v in Q_np1}
+def feedback_tendency(Q_np1, avg_q_n, dT: float):
+    """f = (Q^{n+1} - <q^n>)/dT on the fine levels (arrays, or dicts of them)."""
+    if isinstance(Q_np1, dict):
+        return {v: feedback_tendency(Q_np1[v], avg_q_n[v], dT) for v in Q_np1}
+    return (Q_np1 - avg_q_n) / dT
 
 
 # ---------------------------------------------------------------------------
@@ -276,38 +277,21 @@ def feedback_tendency(Q_np1: dict, avg_q_n: dict, dT: float) -> dict:
 class SspInstance:
     index: int
     anchor: tuple            # element indices in the coarse mesh
-    columns: np.ndarray      # coarse horizontal column ids covered by the anchor
-    weights: np.ndarray      # gather quadrature weights over those columns
-    scatter_coeff: np.ndarray  # weights normalized by the global column measure
+    weights: np.ndarray      # (ncols,) coarse column weights of the anchor's columns
     projection: VerticalProjection
     sim: Simulator
 
-    def gather_profile(self, lsp_cols: np.ndarray) -> np.ndarray:
-        """Weighted x(,y)-average of a coarse column-view field over the anchor."""
-        return (self.weights @ lsp_cols[self.columns]) / self.weights.sum()
+
+def _rows(state: PrognosticState, names) -> list:
+    """Row indices of the named fields in state.data."""
+    return [state.field_names().index(n) for n in names]
 
 
-def _element_column_nodes(mesh: Mesh, anchor: tuple):
-    """Column ids and local quadrature weights of one element column."""
-    N = mesh.orders[0]
-    nx = mesh.npts_1d[0]
-    rule_x = mesh.rules[0]
-    hx = mesh.extents[0] / mesh.elem_counts[0]
-    ex = anchor[0]
-    ix = (ex * N + np.arange(N + 1)) % nx
-    wxl = 0.5 * hx * rule_x.weights
-    if mesh.dim == 2:
-        return ix, wxl
-    Ny = mesh.orders[1]
-    ny = mesh.npts_1d[1]
-    rule_y = mesh.rules[1]
-    hy = mesh.extents[1] / mesh.elem_counts[1]
-    ey = anchor[1]
-    iy = (ey * Ny + np.arange(Ny + 1)) % ny
-    wyl = 0.5 * hy * rule_y.weights
-    cols = (iy[:, None] * nx + ix[None, :]).reshape(-1)
-    w = (wyl[:, None] * wxl[None, :]).reshape(-1)
-    return cols, w
+def _gather(mesh: Mesh, weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Weighted means of (nvar, npts) coarse fields over the element
+    columns of (ninst, ncols) weights, as (ninst, nvar, nz)."""
+    return np.einsum("ic,vcz->ivz", weights / weights.sum(axis=1, keepdims=True),
+                     mesh.column_view(fields))
 
 
 def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
@@ -339,42 +323,29 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         (cfg.ssp_elems_x, cfg.ssp_elems_z),
         (cfg.ssp_order, cfg.ssp_order),
         periodicity=(True,))
-    min_lsp_wavelength = mesh.extents[0] / max(mesh.npts_1d[0] // 2, 1)
-    if cfg.ssp_length < min_lsp_wavelength:
-        import warnings
-        warnings.warn("fine domain is shorter than the smallest coarse-resolvable "
-                      "wavelength; coupling may alias", stacklevel=2)
     ssp_ref = build_reference(lsp.sounding, ssp_mesh, lsp.constants)
     ssp_rw = None
     if lsp.sponge_cfg is not None:
         ssp_rw = sponge_profile(ssp_mesh.coords[:, -1], lsp.sponge_cfg)
 
+    # anchor k is row k of the element-column weights
     if mesh.dim == 2:
         anchors = [(ex,) for ex in range(mesh.elem_counts[0])]
     else:
         anchors = [(ex, ey) for ey in range(mesh.elem_counts[1])
                    for ex in range(mesh.elem_counts[0])]
+    W = mesh.element_column_weights
 
-    lsp_cols = {name: mesh.column_view(lsp.state[name])
-                for name in lsp.state.field_names()}
+    # every slab starts from its anchor's mean coarse column (the coarse
+    # v of a 3D run has no slab counterpart)
+    names = PrognosticState.zeros(ssp_mesh).field_names()
+    prof = project_column_L_to_S(_gather(mesh, W, lsp.state.data[_rows(lsp.state, names)]),
+                                 proj, ne_z_l)
+    init = np.repeat(prof, ssp_mesh.ncols, axis=-1)
 
     instances = []
     for idx, anchor in enumerate(anchors):
-        cols, wloc = _element_column_nodes(mesh, anchor)
-        # periodic wrap can list a column twice; merge duplicates
-        cols, inv = np.unique(cols, return_inverse=True)
-        w_merged = np.zeros(cols.size)
-        np.add.at(w_merged, inv, wloc)
-        wloc = w_merged
-        scatter = wloc / mesh.column_weights[cols]
-
-        # the slab starts from the anchor's mean coarse column (the coarse
-        # v of a 3D run has no slab counterpart)
-        st = PrognosticState.zeros(ssp_mesh)
-        for name in st.field_names():
-            prof = project_column_L_to_S((wloc @ lsp_cols[name][cols]) / wloc.sum(),
-                                         proj, ne_z_l)
-            st[name] = _broadcast_profile(ssp_mesh, prof)
+        st = PrognosticState.from_vector(init[idx], ssp_mesh.dim)
         st.u[1][ssp_mesh.bottom_nodes] = 0.0
         st.u[1][ssp_mesh.top_nodes] = 0.0
 
@@ -394,8 +365,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                         kessler=(kessler if cfg.microphysics else None),
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)
-        instances.append(SspInstance(index=idx, anchor=anchor, columns=cols,
-                                     weights=wloc, scatter_coeff=scatter,
+        instances.append(SspInstance(index=idx, anchor=anchor, weights=W[idx],
                                      projection=proj, sim=sim))
     return instances
 
@@ -403,22 +373,17 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
 # ---------------------------------------------------------------------------
 # the staggered coarse/fine step
 
-def _broadcast_profile(mesh: Mesh, profile: np.ndarray) -> np.ndarray:
-    """Horizontally uniform field from a vertical profile (fine mesh)."""
-    return np.repeat(profile, mesh.ncols)
-
-
 def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
-             cfg: MmfConfig = None, executor=None):
+             cfg: MmfConfig = None):
     """Advance the coupled system by one coarse step of size dT.
 
     Sequence: (1) horizontally average each fine state and restrict to
     the coarse levels, (2) advance the coarse model with the forcing
     F = (<q> - Q)/dT, (3) interpolate the updated coarse columns back
     and form the feedback f = (Q_new - <q>)/dT per instance, (4) run M
-    fine substeps per instance with f frozen. Nothing commits until
-    every simulator has finished its step, so failures leave all
-    states at time t.
+    fine substeps per instance with f frozen, instance after instance.
+    Nothing commits until every simulator has finished its step, so
+    failures leave all states at time t.
 
     Returns (diagnostics, precip) where diagnostics holds per
     (instance, level, variable) the pre-step coupling residual
@@ -432,58 +397,42 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
         M = cfg.substeps
     dt_f = dT / M
     coupled = cfg.coupled
-    ne_z_l = lsp.mesh.elem_counts[-1]
+    mesh = lsp.mesh
+    ne_z_l = mesh.elem_counts[-1]
+    fine_mesh = instances[0].sim.mesh
+    proj = instances[0].projection
+    W = np.stack([inst.weights for inst in instances])
+    rows_l = _rows(lsp.state, coupled)
+    rows_s = _rows(instances[0].sim.state, coupled)
 
-    lsp_cols = {v: lsp.mesh.column_view(lsp.state[v]) for v in coupled}
+    avg = horizontal_average(
+        fine_mesh, np.stack([inst.sim.state.data[rows_s] for inst in instances]))
+    avg_l = project_column_S_to_L(avg, proj, ne_z_l)
+    Q = _gather(mesh, W, lsp.state.data[rows_l])
+    resid, abs_q = np.abs(Q - avg_l), np.abs(Q)
+    diagnostics = [(inst.index, v, resid[i, j], abs_q[i, j])
+                   for i, inst in enumerate(instances) for j, v in enumerate(coupled)]
 
-    avg_native = []
-    F_prof = []
-    diagnostics = []
-    for inst in instances:
-        av = {v: horizontal_average(inst.sim.mesh, inst.sim.state[v]) for v in coupled}
-        av_L = {v: project_column_S_to_L(av[v], inst.projection, ne_z_l)
-                for v in coupled}
-        Q = {v: inst.gather_profile(lsp_cols[v]) for v in coupled}
-        avg_native.append(av)
-        F_prof.append(forcing_tendency(Q, av_L, dT))
-        for v in coupled:
-            diagnostics.append((inst.index, v, np.abs(Q[v] - av_L[v]), np.abs(Q[v])))
-
-    # assemble the forcing field on the coarse mesh
-    F_state = PrognosticState.zeros(lsp.mesh)
-    nz_l = lsp.mesh.npts_1d[-1]
-    for v in coupled:
-        buf = np.zeros((lsp.mesh.ncols, nz_l))
-        for inst, fp in zip(instances, F_prof):
-            buf[inst.columns] += inst.scatter_coeff[:, None] * fp[v][None, :]
-        F_state[v] = lsp.mesh.field_from_columns(buf)
-
+    F_state = PrognosticState.zeros(mesh)
+    F_state.data[rows_l] = mesh.field_from_columns(
+        np.einsum("ic,ivz->vcz", W / mesh.column_weights,
+                  forcing_tendency(Q, avg_l, dT)))
     new_lsp_state, lsp_precip = lsp.step(dT, coupling=F_state)
 
-    new_cols = {v: lsp.mesh.column_view(new_lsp_state[v]) for v in coupled}
+    Q_new = project_column_L_to_S(_gather(mesh, W, new_lsp_state.data[rows_l]),
+                                  proj, ne_z_l)
+    f = np.zeros((len(instances),) + instances[0].sim.state.data.shape)
+    f[:, rows_s] = np.repeat(feedback_tendency(Q_new, avg, dT), fine_mesh.ncols, axis=-1)
 
-    def advance_instance(args):
-        inst, av = args
-        Q_new_fine = {v: project_column_L_to_S(inst.gather_profile(new_cols[v]),
-                                               inst.projection, ne_z_l)
-                      for v in coupled}
-        f_prof = feedback_tendency(Q_new_fine, av, dT)
-        f_state = PrognosticState.zeros(inst.sim.mesh)
-        for v in coupled:
-            f_state[v] = _broadcast_profile(inst.sim.mesh, f_prof[v])
-        st = inst.sim.state
-        precip = None
+    results = []
+    for inst, f_inst in zip(instances, f):
+        f_state = PrognosticState.from_vector(f_inst, fine_mesh.dim)
+        st, precip = inst.sim.state, None
         for _ in range(M):
             st, pr = inst.sim.step(dt_f, coupling=f_state, state=st)
             if pr is not None:
                 precip = pr if precip is None else precip + pr
-        return st, precip
-
-    work = list(zip(instances, avg_native))
-    if executor is None:
-        results = [advance_instance(a) for a in work]
-    else:
-        results = list(executor.map(advance_instance, work))
+        results.append((st, precip))
 
     # commit phase: every simulator advanced, in instance order
     lsp.state = new_lsp_state

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,7 +50,7 @@ class RunConfig:
     preset: str = "desk"              # desk | full
     tier: str = "coarse"              # fine | coarse, standard mode only
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                  # accepted, no effect: embedded grids step serially
     duration: Optional[float] = None  # s, overrides the case default
     snapshot_interval: float = 0.0    # s, 0 = final snapshot only
     output_dir: str = "out"
@@ -237,7 +236,7 @@ def _total_water(state: PrognosticState, reference, mesh: Mesh) -> float:
 
 def _check_finite(state: PrognosticState, where: str):
     if not np.all(np.isfinite(state.as_vector())):
-        raise StateError(f"non-finite state after {where}")
+        raise StateError(f"non-finite state {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +428,9 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
     precip_csv = _CsvWriter(os.path.join(out_dir, "precip.csv"),
                             "time,instance,column,accum_mm")
     resid_csv = None
-    executor = None
     if setup.is_mmf:
         resid_csv = _CsvWriter(os.path.join(out_dir, "coupling_residuals.csv"),
                                "time,instance,variable,level,abs_residual,abs_q")
-        if cfg.workers > 1:
-            executor = ThreadPoolExecutor(max_workers=cfg.workers)
 
     # accumulated surface precipitation, mm: keyed -1 for the outer grid,
     # instance index for embedded grids
@@ -471,8 +467,7 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         for k in range(1, n_steps + 1):
             if setup.is_mmf:
                 diag, precip = mmf_step(sim, setup.instances, dt,
-                                        cfg=setup.mmf_config,
-                                        executor=executor)
+                                        cfg=setup.mmf_config)
                 residual_max = {}
                 for inst_idx, var, resid, absq in diag:
                     residual_max[var] = max(residual_max.get(var, 0.0),
@@ -489,7 +484,10 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
                 if precip is not None:
                     accum[-1] += precip
             t = k * dt
-            _check_finite(sim.state, f"step {k}")
+            _check_finite(sim.state, f"after step {k}")
+            for inst in setup.instances or ():
+                _check_finite(inst.sim.state,
+                              f"in embedded grid {inst.index} after step {k}")
             record_diag(t, residual_max)
             if snap_every > 0.0 and _on_tick(t, snap_every, dt):
                 write_snapshot(sim.state, mesh, t,
@@ -510,8 +508,6 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         precip_csv.close()
         if resid_csv is not None:
             resid_csv.close()
-        if executor is not None:
-            executor.shutdown()
 
 
 def _on_tick(t: float, interval: float, dt: float) -> bool:

@@ -133,21 +133,20 @@ class Mesh:
     npts: int
     nelem: int
     npts_1d: tuple            # global points per direction
-    lumped_1d: tuple = field(repr=False, default=None)  # 1D lumped masses, m
-    multiplicity: np.ndarray = field(repr=False, default=None)
     bottom_nodes: np.ndarray = field(repr=False, default=None)
     top_nodes: np.ndarray = field(repr=False, default=None)
 
     def grid_view(self, f: np.ndarray) -> np.ndarray:
-        """Reshape a global field to (nz, nx) or (nz, ny, nx)."""
-        return f.reshape(self.npts_1d[::-1])
+        """Reshape (..., npts) fields to (..., nz, nx) or (..., nz, ny, nx)."""
+        return f.reshape(f.shape[:-1] + self.npts_1d[::-1])
 
     def column_view(self, f: np.ndarray) -> np.ndarray:
-        """Copy a global field to (ncols, nz), one row per vertical column."""
+        """Copy (..., npts) fields to (..., ncols, nz), one row per column."""
         g = self.grid_view(f)
         # move z to the last axis and flatten the horizontal axes; always a
         # copy so callers can mutate columns without aliasing the input
-        return np.moveaxis(g, 0, -1).copy().reshape(-1, self.npts_1d[-1])
+        return np.moveaxis(g, -self.dim, -1).copy().reshape(
+            f.shape[:-1] + (self.ncols, self.npts_1d[-1]))
 
     def field_from_columns(self, cols: np.ndarray) -> np.ndarray:
         """Inverse of column_view: (..., ncols, nz) -> new (..., npts) array."""
@@ -161,6 +160,32 @@ class Mesh:
         if self.dim == 3:
             w = np.multiply.outer(self.lumped_1d[1], w).reshape(-1)
         return w
+
+    def _element_weights_1d(self, d: int) -> np.ndarray:
+        """(elements, points) along direction d: each element's weights
+        h/2 w on its global 1D nodes, periodic duplicates summed."""
+        g, n = _index_1d(self.elem_counts[d], self.orders[d], (self.periodic + (False,))[d])
+        W = np.zeros((g.shape[0], n))
+        np.add.at(W, (np.arange(g.shape[0])[:, None], g), self._elem_weights(d))
+        return W
+
+    @cached_property
+    def lumped_1d(self) -> tuple:
+        """Per direction, the assembled 1D lumped mass, m."""
+        return tuple(self._element_weights_1d(d).sum(axis=0) for d in range(self.dim))
+
+    @cached_property
+    def element_column_weights(self) -> np.ndarray:
+        """(lateral elements, ncols): row ex (2D) or ex + nex*ey (3D) holds
+        that element's horizontal quadrature weights on the columns it
+        covers; the rows sum to `column_weights`."""
+        W = [self._element_weights_1d(d) for d in range(self.dim - 1)]
+        return W[0] if self.dim == 2 else np.kron(W[1], W[0])
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Number of element-local copies of each global node."""
+        return dss_sum(self, np.ones(self.l2g.shape))
 
     @property
     def ncols(self) -> int:
@@ -340,20 +365,11 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
 
     npts = int(np.prod(n1d))
 
-    # 1D lumped masses (h/2 * w assembled along each direction)
-    lumped = []
-    for d in range(dim):
-        m = np.zeros(n1d[d])
-        contrib = (h[d] / 2.0) * rules[d].weights
-        for e in range(elem_counts[d]):
-            np.add.at(m, gmaps[d][e], contrib)
-        lumped.append(m)
-
     horiz = int(np.prod(n1d[:-1]))
     bottom = np.arange(horiz, dtype=np.int64)
     top = np.arange(horiz, dtype=np.int64) + horiz * (n1d[-1] - 1)
 
-    mesh = Mesh(
+    return Mesh(
         dim=dim,
         extents=extents,
         elem_counts=elem_counts,
@@ -367,14 +383,9 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
         npts=npts,
         nelem=nelem,
         npts_1d=tuple(n1d),
-        lumped_1d=tuple(lumped),
-        multiplicity=None,
         bottom_nodes=bottom,
         top_nodes=top,
     )
-    mult = dss_sum(mesh, np.ones((nelem, l2g.shape[1])))
-    object.__setattr__(mesh, "multiplicity", mult)
-    return mesh
 
 
 def dss_sum(mesh: Mesh, element_local_values: np.ndarray) -> np.ndarray:

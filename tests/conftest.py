@@ -34,3 +34,19 @@ def small_mesh():
 @pytest.fixture(scope="session")
 def small_reference(small_mesh):
     return build_reference(isothermal_sounding(), small_mesh, DEFAULT_CONSTANTS)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Echo the captured "ACCEPT NN ..." verdict lines of the acceptance
+    gate, so a log of a captured run keeps the scoreboard; under -s they
+    were printed inline and nothing was captured."""
+    lines = []
+    for key in ("passed", "failed"):
+        for rep in terminalreporter.stats.get(key, ()):
+            if rep.when == "call":
+                lines += [ln for ln in rep.capstdout.splitlines()
+                          if ln.startswith("ACCEPT ")]
+    if lines:
+        terminalreporter.section("acceptance scoreboard")
+        for ln in sorted(lines):
+            terminalreporter.write_line(ln)

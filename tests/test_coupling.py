@@ -1,6 +1,5 @@
 import gc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,11 +188,10 @@ def test_spawn_geometry_and_uniformity():
         cols = m.column_view(inst.sim.state.theta_vp)
         assert np.max(np.abs(cols - cols[0][None, :])) == 0.0
         assert np.all(inst.sim.state.u[-1][m.bottom_nodes] == 0.0)
-    # anchors tile the coarse mesh without overlap
-    all_cols = np.sort(np.concatenate([i.columns for i in instances]))
-    interior, counts = np.unique(all_cols, return_counts=True)
-    assert interior.size == lsp.mesh.ncols  # shared element edges show up twice
-    assert counts.max() == 2 and counts.min() >= 1
+    # anchors tile the coarse mesh: their column weights add up to the
+    # coarse quadrature weight of every column
+    total = np.sum([i.weights for i in instances], axis=0)
+    assert np.allclose(total, lsp.mesh.column_weights, rtol=1e-14, atol=0.0)
 
 
 def test_spawn_noise_needs_an_anomaly():
@@ -247,17 +245,156 @@ def test_pure_relaxation_converges_in_one_step():
             assert np.max(resid) < 1e-13
 
 
-def test_executor_results_identical():
-    lsp_a, cfg_a, inst_a = make_mmf(amplitude=0.3, seed=3, warm=1.0)
-    lsp_b, cfg_b, inst_b = make_mmf(amplitude=0.3, seed=3, warm=1.0)
+def element_columns(mesh, anchor):
+    """Column ids and quadrature weights of one element column, periodic
+    duplicates merged."""
+    ids, wts = [], []
+    for d, e in enumerate(anchor):
+        N = mesh.orders[d]
+        ids.append((e * N + np.arange(N + 1)) % mesh.npts_1d[d])
+        wts.append(0.5 * mesh.extents[d] / mesh.elem_counts[d] * mesh.rules[d].weights)
+    if len(anchor) == 1:
+        cols, w = ids[0], wts[0]
+    else:
+        cols = (ids[1][:, None] * mesh.npts_1d[0] + ids[0][None, :]).ravel()
+        w = np.outer(wts[1], wts[0]).ravel()
+    cols, inv = np.unique(cols, return_inverse=True)
+    merged = np.zeros(cols.size)
+    np.add.at(merged, inv, w)
+    return cols, merged
+
+
+def reference_mmf_step(lsp, instances, dT, cfg):
+    """The coupled step one instance and one variable at a time: element
+    column ids and weights, per-variable horizontal averages and vertical
+    transfers, and an np.add.at scatter of the forcing."""
+    mesh, M, coupled = lsp.mesh, cfg.substeps, cfg.coupled
+    ne_z = mesh.elem_counts[-1]
+    anchors = [element_columns(mesh, inst.anchor) for inst in instances]
+
+    def gather(cols, w, state, v):
+        return (w @ mesh.column_view(state[v])[cols]) / w.sum()
+
+    diags, avgs = [], []
+    bufs = {v: np.zeros((mesh.ncols, mesh.npts_1d[-1])) for v in coupled}
+    for inst, (cols, w) in zip(instances, anchors):
+        proj = inst.projection
+        av = {v: horizontal_average(inst.sim.mesh, inst.sim.state[v]) for v in coupled}
+        avgs.append(av)
+        for v in coupled:
+            av_l = project_column_S_to_L(av[v], proj, ne_z)
+            Q = gather(cols, w, lsp.state, v)
+            diags.append((inst.index, v, np.abs(Q - av_l), np.abs(Q)))
+            np.add.at(bufs[v], cols, (w / mesh.column_weights[cols])[:, None]
+                      * ((av_l - Q) / dT)[None, :])
+    F = PrognosticState.zeros(mesh)
+    for v in coupled:
+        F[v] = mesh.field_from_columns(bufs[v])
+    new_lsp, _ = lsp.step(dT, coupling=F)
+
+    new_states = []
+    for inst, (cols, w), av in zip(instances, anchors, avgs):
+        fine = inst.sim.mesh
+        f = PrognosticState.zeros(fine)
+        for v in coupled:
+            Q_new = project_column_L_to_S(gather(cols, w, new_lsp, v),
+                                          inst.projection, ne_z)
+            f[v] = np.repeat((Q_new - av[v]) / dT, fine.ncols)
+        st = inst.sim.state
+        for _ in range(M):
+            st, _ = inst.sim.step(dT / M, coupling=f, state=st)
+        new_states.append(st)
+    lsp.state = new_lsp
+    for inst, st in zip(instances, new_states):
+        inst.sim.state = st
+    return diags
+
+
+def noisy_mmf(dim):
+    """Coupled setup with dynamics off and every state filled with
+    noise: make_mmf in 2D, a 3D coarse box with 2 x 2 periodic lateral
+    elements otherwise."""
+    if dim == 2:
+        lsp, cfg, instances = make_mmf(amplitude=0.3, seed=3, warm=1.0,
+                                       dynamics=False)
+    else:
+        snd = isothermal_sounding(z_top=14e3)
+        mesh = build_box_mesh((20e3, 16e3, 12e3), (2, 2, 3), (4, 3, 4),
+                              periodicity=(True, True))
+        lsp = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C),
+                        state=PrognosticState.zeros(mesh), sounding=snd,
+                        dynamics_enabled=False)
+        cfg = MmfConfig(ssp_length=5e3, ssp_elems_x=3, ssp_elems_z=6,
+                        ssp_order=4, substeps=2, microphysics=False)
+        instances = spawn_ssp_instances(lsp, cfg, seed=3)
+    rng = np.random.default_rng(dim)
+    for sim in [lsp] + [inst.sim for inst in instances]:
+        sim.state.data[:] = rng.uniform(0.0, 1e-3, sim.state.data.shape)
+    return lsp, cfg, instances
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_exchange_matches_per_variable_reference(dim):
+    lsp_a, cfg, inst_a = noisy_mmf(dim)
+    lsp_b, _, inst_b = noisy_mmf(dim)
+    assert len(inst_a) == (2 if dim == 2 else 4)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
     for _ in range(2):
-        mmf_step(lsp_a, inst_a, 2.0, cfg=cfg_a)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        for _ in range(2):
-            mmf_step(lsp_b, inst_b, 2.0, cfg=cfg_b, executor=pool)
-    assert np.array_equal(lsp_a.state.as_vector(), lsp_b.state.as_vector())
+        diag_a, _ = mmf_step(lsp_a, inst_a, 2.0, cfg=cfg)
+        diag_b = reference_mmf_step(lsp_b, inst_b, 2.0, cfg)
+        assert [d[:2] for d in diag_a] == [d[:2] for d in diag_b]
+        for (_, _, ra, qa), (_, _, rb, qb) in zip(diag_a, diag_b):
+            assert close(qa, qb)
+            assert np.max(np.abs(ra - rb)) <= 1e-14 * np.max(qb)
+    assert close(lsp_a.state.data, lsp_b.state.data)
     for ia, ib in zip(inst_a, inst_b):
-        assert np.array_equal(ia.sim.state.as_vector(), ib.sim.state.as_vector())
+        assert close(ia.sim.state.data, ib.sim.state.data)
+
+
+def test_vertical_transfer_stacked_matches_rows():
+    proj = build_vertical_projection(4, 3)
+    ne = 2
+    rng = np.random.default_rng(21)
+    fine = rng.standard_normal((3, 5, ne * 3 * 4 + 1))
+    coarse = rng.standard_normal((3, 5, ne * 4 + 1))
+    down = project_column_S_to_L(fine, proj, ne)
+    up = project_column_L_to_S(coarse, proj, ne)
+    for i in range(3):
+        for j in range(5):
+            assert np.array_equal(down[i, j], project_column_S_to_L(fine[i, j], proj, ne))
+            assert np.array_equal(up[i, j], project_column_L_to_S(coarse[i, j], proj, ne))
+
+
+def shared_node_average(elem_vals, ne, order):
+    """Element-wise (ne, N+1) values averaged onto shared nodes by
+    counting the element copies of each node."""
+    idx = (np.arange(ne)[:, None] * order + np.arange(order + 1)).ravel()
+    out, cnt = np.zeros(ne * order + 1), np.zeros(ne * order + 1)
+    np.add.at(out, idx, elem_vals.ravel())
+    np.add.at(cnt, idx, 1.0)
+    return out / cnt
+
+
+def test_vertical_transfer_averages_shared_nodes():
+    # random (non-polynomial) columns give each side of an element
+    # boundary its own value; the transfers return their mean
+    N, K, ne = 3, 2, 3
+    proj = build_vertical_projection(N, K)
+    rng = np.random.default_rng(22)
+    fine = rng.standard_normal(ne * K * N + 1)
+    coarse = rng.standard_normal(ne * N + 1)
+    down = [proj.s2l @ np.concatenate([fine[(e * K + k) * N:(e * K + k + 1) * N + 1]
+                                       for k in range(K)]) for e in range(ne)]
+    up = [(proj.l2s @ coarse[e * N:(e + 1) * N + 1]).reshape(K, N + 1)
+          for e in range(ne)]
+    assert np.allclose(project_column_S_to_L(fine, proj, ne),
+                       shared_node_average(np.array(down), ne, N), rtol=1e-14, atol=1e-14)
+    assert np.allclose(project_column_L_to_S(coarse, proj, ne),
+                       shared_node_average(np.concatenate(up), ne * K, N),
+                       rtol=1e-14, atol=1e-14)
 
 
 def test_mmf_precip_keys():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mmfsim import driver
 from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                            OUTPUT_DIR_ENV, RunConfig, averaged_profiles,
                            compute_kinetic_energy, diff_snapshots,
@@ -276,3 +277,19 @@ def test_numerical_failure_truncates_outputs(tmp_path, capsys):
     assert "error[numerical]" in capsys.readouterr().err
     diag = (tmp_path / "out" / "diagnostics.csv").read_text()
     assert "# truncated:" in diag.splitlines()[-1]
+
+
+def test_nonfinite_embedded_grid_is_named(tmp_path, monkeypatch, capsys):
+    # a NaN in one embedded grid fails the step that made it, naming the
+    # instance, before the coarse model can take it in
+    real_step = driver.mmf_step
+
+    def poisoned(lsp, instances, *args, **kwargs):
+        out = real_step(lsp, instances, *args, **kwargs)
+        instances[1].sim.state.theta_vp[0] = np.nan
+        return out
+
+    monkeypatch.setattr(driver, "mmf_step", poisoned)
+    cfg = run_cfg(tmp_path, mode="mmf", duration=4.0)
+    assert run(cfg) == EXIT_NUMERICAL
+    assert "non-finite state in embedded grid 1 after step 1" in capsys.readouterr().err

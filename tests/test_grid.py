@@ -125,8 +125,28 @@ def test_field_from_columns_inverts_column_view(mesh):
     assert np.array_equal(mesh.field_from_columns(mesh.column_view(f)), f)
     stacked = np.stack([mesh.column_view(f), mesh.column_view(2.0 * f)])
     assert np.array_equal(mesh.field_from_columns(stacked), np.stack([f, 2.0 * f]))
+    assert np.array_equal(mesh.column_view(np.stack([f, 2.0 * f])), stacked)
     # column weights follow the column order and cover the horizontal area
     area = np.prod(mesh.extents[:-1])
     assert abs(mesh.column_weights.sum() - area) < 1e-13 * area
     bottom_mass = mesh.column_view(mesh.mass)[:, 0]
     assert np.allclose(bottom_mass / mesh.lumped_1d[-1][0], mesh.column_weights, rtol=1e-14)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_box_mesh((2.0, 1.0), (3, 2), (4, 3), periodicity=(True,)),
+    build_box_mesh((1.0, 2.0, 1.5), (2, 3, 2), (2, 3, 4), periodicity=(True, False)),
+    build_box_mesh((1.0, 1.0, 1.0), (1, 2, 2), (3, 2, 2), periodicity=(True, True)),
+])
+def test_element_column_weights(mesh):
+    W = mesh.element_column_weights
+    nlat = int(np.prod(mesh.elem_counts[:-1]))
+    assert W.shape == (nlat, mesh.ncols)
+    assert np.allclose(W.sum(axis=0), mesh.column_weights, rtol=1e-14, atol=0.0)
+    # row k is the bottom element k; its bottom-level global nodes are
+    # the ids of the columns it covers
+    area = np.prod(mesh.extents[:-1]) / nlat
+    for k in range(nlat):
+        support = np.unique(mesh.l2g[k][mesh.l2g[k] < mesh.ncols])
+        assert np.array_equal(np.flatnonzero(W[k]), support)
+        assert abs(W[k].sum() - area) < 1e-14 * area
