@@ -264,7 +264,7 @@ def build_case(case_id: str, tier: str = "coarse", *,
     ``sounding`` may be None (analytic default), a path, or a Sounding.
     ``overrides`` accepts: duration, dt, nu, filter_strength, amplitude,
     substeps, sponge (SpongeConfig), bubble (BubbleSpec), microphysics
-    (bool), extents, elems, ssp_elems_x, ssp_elems_z, ssp_length.
+    (bool), ssp_elems_x, ssp_elems_z, ssp_length.
     Unknown keys are rejected.
     """
     if case_id not in CASE_IDS:
@@ -281,17 +281,12 @@ def build_case(case_id: str, tier: str = "coarse", *,
     ov = dict(overrides or {})
     allowed = {"duration", "dt", "nu", "filter_strength", "amplitude",
                "substeps", "sponge", "bubble", "microphysics",
-               "extents", "elems", "ssp_elems_x", "ssp_elems_z",
-               "ssp_length"}
+               "ssp_elems_x", "ssp_elems_z", "ssp_length"}
     unknown = set(ov) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown override(s): {sorted(unknown)}; allowed: {sorted(allowed)}")
 
-    extents = tuple(ov.get("extents", dims.extents))
-    elems = tuple(ov.get("elems", dims.elems))
-    if len(extents) != len(elems):
-        raise ConfigurationError("extents and elems dimensionality differ")
     dt = float(ov.get("dt", dims.dt))
     duration = float(ov.get("duration", dims.duration))
     nu = float(ov.get("nu", _NU))
@@ -302,12 +297,12 @@ def build_case(case_id: str, tier: str = "coarse", *,
 
     snd = _resolve_sounding(sounding)
     constants = DEFAULT_CONSTANTS.with_nu(nu)
-    dim = len(extents)
-    mesh = build_box_mesh(extents, elems, (_ORDER,) * dim,
+    dim = len(dims.extents)
+    mesh = build_box_mesh(dims.extents, dims.elems, (_ORDER,) * dim,
                           periodicity=(True,) * (dim - 1))
     reference = build_reference(snd, mesh, constants)
 
-    z_top = extents[-1]
+    z_top = dims.extents[-1]
     sponge = ov.get("sponge",
                     SpongeConfig(z_top - _SPONGE_THICKNESS, z_top,
                                  _SPONGE_RMAX))
@@ -315,10 +310,8 @@ def build_case(case_id: str, tier: str = "coarse", *,
 
     state = PrognosticState.zeros(mesh)
     state.theta_vp = bubble_theta(mesh.coords, bubble)
-    ncols = mesh.npts // mesh.npts_1d[-1]
-    state.u[0] = np.repeat(reference.u0_1d, ncols)
-    if dim == 3:
-        state.u[1] = np.repeat(reference.v0_1d, ncols)
+    # the sounding wind on the lateral components; the vertical starts at rest
+    state.u[:-1] = mesh.field_from_profile(np.stack((reference.u0_1d, reference.v0_1d))[:dim - 1])
 
     kessler = KesslerParams() if microphysics else None
     # in the split-grid tier the coarse model carries no microphysics of

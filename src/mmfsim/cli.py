@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import driver
@@ -41,24 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = driver.read_config(args.config)
-    if args.preset is not None:
-        cfg.preset = args.preset
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
-    return driver.run(cfg)
+    # replace() re-runs RunConfig's validation on the overridden values
+    given = {k: getattr(args, k) for k in ("preset", "mode", "workers", "seed", "output_dir")
+             if getattr(args, k) is not None}
+    return driver.run(dataclasses.replace(driver.read_config(args.config), **given))
 
 
 def _cmd_analyze(args) -> int:
-    cfg = driver.read_config(args.config)
-    cfg.mode = "analyze"
-    return driver.run(cfg)
+    return driver.run(dataclasses.replace(driver.read_config(args.config), mode="analyze"))
 
 
 def _cmd_diff(args) -> int:

@@ -14,7 +14,7 @@ The exchange treats all instances and variables as one stacked
 coarse mesh's element-column weights; the SSPs then step serially.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import ConfigurationError, StateError
 from .grid import Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
-from .timeint import GmresConfig, ImexOperatorSplit, linear_operator, step_ark2
+from .timeint import ImexOperatorSplit, linear_operator, step_ark2
 
 __all__ = [
     "COUPLED_VARS",
@@ -83,8 +83,6 @@ class Simulator:
     constants: PhysConstants = DEFAULT_CONSTANTS
     sponge_rw: Optional[np.ndarray] = None
     sponge_cfg: Optional[SpongeConfig] = None
-    delta: int = 1
-    gmres: GmresConfig = dc_field(default_factory=GmresConfig)
     filter_strength: float = 0.0
     kessler: Optional[KesslerParams] = None
     dynamics_enabled: bool = True
@@ -109,8 +107,8 @@ class Simulator:
                                          self.constants, sponge_rw=self.sponge_rw),
                 lin=lambda q: linear_operator(q, self.reference, self.mesh,
                                               self.constants, sponge_rw=self.sponge_rw),
-                delta=self.delta, coupling=coupling)
-            new = step_ark2(state, dt, split, self.gmres)
+                coupling=coupling)
+            new = step_ark2(state, dt, split)
         else:
             new = state.copy()
             if coupling is not None:
@@ -341,7 +339,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     names = PrognosticState.zeros(ssp_mesh).field_names()
     prof = project_column_L_to_S(_gather(mesh, W, lsp.state.data[_rows(lsp.state, names)]),
                                  proj, ne_z_l)
-    init = np.repeat(prof, ssp_mesh.ncols, axis=-1)
+    init = ssp_mesh.field_from_profile(prof)
 
     instances = []
     for idx, anchor in enumerate(anchors):
@@ -361,7 +359,6 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         sim = Simulator(mesh=ssp_mesh, reference=ssp_ref, state=st,
                         constants=lsp.constants, sponge_rw=ssp_rw,
                         sponge_cfg=lsp.sponge_cfg,
-                        delta=lsp.delta, gmres=lsp.gmres,
                         kessler=(kessler if cfg.microphysics else None),
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)
@@ -422,7 +419,7 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     Q_new = project_column_L_to_S(_gather(mesh, W, new_lsp_state.data[rows_l]),
                                   proj, ne_z_l)
     f = np.zeros((len(instances),) + instances[0].sim.state.data.shape)
-    f[:, rows_s] = np.repeat(feedback_tendency(Q_new, avg, dT), fine_mesh.ncols, axis=-1)
+    f[:, rows_s] = fine_mesh.field_from_profile(feedback_tendency(Q_new, avg, dT))
 
     results = []
     for inst, f_inst in zip(instances, f):

@@ -134,17 +134,16 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key.startswith("cost."):
-            ck = key[5:]
-            if ck not in _COST_KEYS:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            cost_values[ck] = int(val) if ck in _COST_INTS else float(val)
-            continue
-        if key not in _KEYMAP:
+        if key.startswith("cost.") and key[5:] in _COST_KEYS:
+            target, attr = cost_values, key[5:]
+            typ = int if attr in _COST_INTS else float
+        elif key in _KEYMAP:
+            target = values
+            attr, typ = _KEYMAP[key]
+        else:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        attr, typ = _KEYMAP[key]
         try:
-            values[attr] = _parse_bool(val) if typ is bool else typ(val)
+            target[attr] = _parse_bool(val) if typ is bool else typ(val)
         except ValueError as exc:
             raise ConfigurationError(f"line {lineno}: {exc}") from None
     if cost_values:
@@ -279,24 +278,29 @@ def read_snapshot(path) -> dict:
     pos = blob.find(mark)
     if not blob.startswith(_SNAPSHOT_MAGIC.encode("ascii")) or pos < 0:
         raise ConfigurationError(f"{path}: not a snapshot file")
-    info = {}
-    for line in blob[:pos].decode("ascii").splitlines()[1:]:
-        key, _, rest = line.partition(" ")
-        info[key] = rest
-    npts = int(info["npts"])
-    names = info["fields"].split()
+    try:
+        info = {}
+        for line in blob[:pos].decode("ascii").splitlines()[1:]:
+            key, _, rest = line.partition(" ")
+            info[key] = rest
+        out = {
+            "time": float(info["time"]),
+            "dim": int(info["dim"]),
+            "extents": tuple(float(v) for v in info["extents"].split()),
+            "elems": tuple(int(v) for v in info["elems"].split()),
+            "orders": tuple(int(v) for v in info["orders"].split()),
+            "npts": int(info["npts"]),
+            "fields": {},
+        }
+        names = info["fields"].split()
+        if not names:
+            raise ValueError("no fields")
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed header ({exc!r})") from None
+    npts = out["npts"]
     data = np.frombuffer(blob[pos + len(mark):], dtype="<f8")
     if data.size != npts * len(names):
         raise ConfigurationError(f"{path}: truncated payload")
-    out = {
-        "time": float(info["time"]),
-        "dim": int(info["dim"]),
-        "extents": tuple(float(v) for v in info["extents"].split()),
-        "elems": tuple(int(v) for v in info["elems"].split()),
-        "orders": tuple(int(v) for v in info["orders"].split()),
-        "npts": npts,
-        "fields": {},
-    }
     for k, name in enumerate(names):
         out["fields"][name] = data[k * npts:(k + 1) * npts].copy()
     return out
@@ -322,10 +326,8 @@ def averaged_profiles(states: Sequence[PrognosticState], mesh: Mesh) -> dict:
         raise ConfigurationError("averaged_profiles needs at least one state")
     u_mean = np.mean([st.u[0] for st in states], axis=0)
     th_mean = np.mean([st.theta_vp for st in states], axis=0)
-    nz = mesh.npts_1d[-1]
-    ncols = mesh.npts // nz
     return {
-        "z": mesh.coords[:, -1].reshape(nz, ncols)[:, 0],
+        "z": mesh.coords_1d[-1],
         "u": horizontal_average(mesh, u_mean),
         "theta_vp": horizontal_average(mesh, th_mean),
     }

@@ -8,6 +8,10 @@ gradient, buoyancy with water loading, viscosity, Rayleigh damping of
 vertical velocity near the model top), builds the reference state from
 a sounding, and applies the Boyd-Vandeven modal filter.
 
+The reference depends on z only: it is computed once on the mesh's
+vertical nodes with the mesh's 1D vertical operators and then broadcast
+to every node (`Mesh.field_from_profile`).
+
 Microphysical sources are deliberately absent from S(q); they are
 applied as an operator-split update by the microphysics module.
 """
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, StateError
-from .grid import Mesh, boyd_vandeven_transfer, build_lgl_rule
+from .grid import Mesh, boyd_vandeven_transfer
 from .operators import PrognosticState, get_ops
 
 __all__ = [
@@ -166,61 +170,35 @@ class ReferenceState:
     theta_v0: np.ndarray   # K
     q_v0: np.ndarray       # kg/kg
     p0: np.ndarray         # Pa
-    exner0: np.ndarray
     dtheta_v0_dz: np.ndarray
     dq_v0_dz: np.ndarray
-    z1d: np.ndarray        # vertical node coordinates, m
     u0_1d: np.ndarray      # sounding wind at the vertical nodes, m/s
     v0_1d: np.ndarray
-    rho0_1d: np.ndarray
     p0_1d: np.ndarray
-    theta_v0_1d: np.ndarray
-    q_v0_1d: np.ndarray
     p_surf: float
     rho0_surf: float
 
 
-def _weak_ddz_1d(vals, ne, N, h, rule):
-    """Weak (mass-averaged) vertical derivative on a 1D LGL element line."""
-    num = np.zeros(vals.size)
-    den = np.zeros(vals.size)
-    scale = 2.0 / h
-    for e in range(ne):
-        idx = slice(e * N, e * N + N + 1)
-        num[idx] += rule.weights * (scale * (rule.diff_matrix @ vals[idx]))
-        den[idx] += rule.weights
-    return num / den
-
-
-def _cumulative_integral_1d(vals, ne, N, h, rule):
-    """Antiderivative (zero at z=0) of a nodal profile, element by element.
-
-    Each element's nodal values define a degree-N Legendre fit that is
-    integrated exactly; continuity fixes the constant per element.
-    """
-    from numpy.polynomial import legendre as L
-
-    out = np.empty(vals.size)
-    start = 0.0
-    xi = rule.points
-    for e in range(ne):
-        idx = slice(e * N, e * N + N + 1)
-        coef = L.legfit(xi, vals[idx], N)
-        anti = L.legint(coef)
-        base = L.legval(-1.0, anti)
-        out[idx] = start + 0.5 * h * (L.legval(xi, anti) - base)
-        start = out[idx][-1]
-    return out
+def _antiderivative_matrix(rule) -> np.ndarray:
+    """A[i, j] = integral of the j-th LGL Lagrange basis function from -1
+    to node i, exact because the basis has degree N."""
+    L = np.polynomial.legendre
+    # columns: Legendre coefficients of each Lagrange basis function
+    basis = np.linalg.inv(L.legvander(rule.points, rule.order))
+    return L.legvander(rule.points, rule.order + 1) @ L.legint(basis, lbnd=-1.0, axis=0)
 
 
 def build_reference(sounding: Sounding, mesh: Mesh,
                     constants: PhysConstants = DEFAULT_CONSTANTS) -> ReferenceState:
     """Interpolate the sounding and integrate hydrostatic balance.
 
-    theta_v0 and q_v0 come from monotone piecewise-cubic interpolation;
-    the Exner pressure solves d(pi)/dz = -g/(c_p theta_v0) by exact
-    per-element polynomial integration, and rho0 follows from the
-    equation of state so the discrete balance is consistent to rounding.
+    theta_v0 and q_v0 come from monotone piecewise-cubic interpolation at
+    the mesh's vertical nodes. The Exner pressure solves
+    d(pi)/dz = -g/(c_p theta_v0), integrating the nodal interpolant
+    exactly with one element antiderivative matrix and a running sum of
+    element totals; rho0 follows from the equation of state so the
+    discrete balance is consistent to rounding. The vertical gradients
+    use the mesh's weak vertical derivative.
     """
     Lz = mesh.extents[-1]
     if sounding.z[0] > 0.0 or sounding.z[-1] < Lz:
@@ -228,53 +206,31 @@ def build_reference(sounding: Sounding, mesh: Mesh,
             f"sounding covers [{sounding.z[0]}, {sounding.z[-1]}] m but the domain "
             f"needs [0, {Lz}] m (extrapolation is not allowed)")
 
-    ne = mesh.elem_counts[-1]
-    N = mesh.orders[-1]
-    rule = mesh.rules[-1]
-    h = Lz / ne
-    nz = mesh.npts_1d[-1]
-    z1d = np.empty(nz)
-    for e in range(ne):
-        z1d[e * N:e * N + N + 1] = h * (e + 0.5 * (rule.points + 1.0))
-
-    th = PchipInterpolator(sounding.z, sounding.theta)(z1d)
-    qv = PchipInterpolator(sounding.z, sounding.qv)(z1d)
-    u0 = PchipInterpolator(sounding.z, sounding.u)(z1d)
-    v0 = PchipInterpolator(sounding.z, sounding.v)(z1d)
+    columns = np.stack((sounding.theta, sounding.qv, sounding.u, sounding.v), axis=-1)
+    th, qv, u0, v0 = PchipInterpolator(sounding.z, columns)(mesh.coords_1d[-1]).T
     theta_v = th * (1.0 + constants.eps * qv)
 
+    # per element (the overlapping (N+1)-node windows of the column), the
+    # integral from its bottom to its nodes 1..N; element totals sum upward
+    N, ne = mesh.orders[-1], mesh.elem_counts[-1]
     integrand = -constants.g / (constants.c_p * theta_v)
+    elems = np.lib.stride_tricks.sliding_window_view(integrand, N + 1)[::N]
+    partial = (0.5 * Lz / ne) * elems @ _antiderivative_matrix(mesh.rules[-1])[1:].T
+    below = np.concatenate(([0.0], np.cumsum(partial[:-1, -1])))
     pi_surf = (sounding.p_surf / constants.p00) ** (constants.R_d / constants.c_p)
-    pi = pi_surf + _cumulative_integral_1d(integrand, ne, N, h, rule)
+    pi = pi_surf + np.concatenate(([0.0], (below[:, None] + partial).ravel()))
     if np.any(pi <= 0.0):
         raise ConfigurationError("hydrostatic Exner pressure fell to zero inside the domain")
     p0 = constants.p00 * pi ** (constants.c_p / constants.R_d)
     rho0 = constants.p00 * pi ** (constants.c_v / constants.R_d) / (constants.R_d * theta_v)
 
-    dth = _weak_ddz_1d(theta_v, ne, N, h, rule)
-    dqv = _weak_ddz_1d(qv, ne, N, h, rule)
-
-    ncols = int(np.prod(mesh.npts_1d[:-1]))
-
-    def to_nodes(profile):
-        # x runs fastest in the global ordering, z slowest
-        return np.repeat(profile, ncols)
-
+    dth, dqv = (mesh.weak_derivative_1d[-1] @ np.stack((theta_v, qv), axis=-1)).T
+    rho0_n, theta_v_n, qv_n, p0_n, dth_n, dqv_n = mesh.field_from_profile(
+        np.stack((rho0, theta_v, qv, p0, dth, dqv)))
     return ReferenceState(
-        rho0=to_nodes(rho0),
-        theta_v0=to_nodes(theta_v),
-        q_v0=to_nodes(qv),
-        p0=to_nodes(p0),
-        exner0=to_nodes(pi),
-        dtheta_v0_dz=to_nodes(dth),
-        dq_v0_dz=to_nodes(dqv),
-        z1d=z1d,
-        u0_1d=u0,
-        v0_1d=v0,
-        rho0_1d=rho0,
-        p0_1d=p0,
-        theta_v0_1d=theta_v,
-        q_v0_1d=qv,
+        rho0=rho0_n, theta_v0=theta_v_n, q_v0=qv_n, p0=p0_n,
+        dtheta_v0_dz=dth_n, dq_v0_dz=dqv_n,
+        u0_1d=u0, v0_1d=v0, p0_1d=p0,
         p_surf=float(sounding.p_surf),
         rho0_surf=float(rho0[0]),
     )

@@ -7,15 +7,19 @@ quadrature are collocated there (inexact integration), which lumps the
 mass matrix. Fields are flat global nodal vectors ordered
 lexicographically (x fastest, then y, then z).
 
-Because the elements are equal affine boxes and the mass is lumped,
-every assembled operator (weak derivative, weak Laplacian, projected
-modal filter) factors into one assembled 1D matrix per direction,
-M_d^-1 sum_e R_e^T B R_e with B the weighted element matrix. `Mesh`
-builds those matrices once, on first use, and keeps them with the mesh.
-`dss_sum` and `scatter_to_elements` move data between the element-local
-and global views; they remain the general assembly tool and the test
-oracle for the 1D operators. All reductions run in a fixed order so
-results are independent of any worker count.
+A mesh is built from per-direction 1D data: node coordinates and an
+(element, local node) -> global index map per direction, whose tensor
+products give the mesh's coordinates and element-to-global map in one
+broadcast for any dimension. Because the elements are equal affine boxes
+and the mass is lumped, every assembled operator (weak derivative, weak
+Laplacian, projected modal filter) factors into one assembled 1D matrix
+per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
+matrix. `Mesh` builds those matrices once, on first use, and keeps them
+with the mesh; it alone knows the field layout (`column_view`,
+`field_from_profile`, ...). `dss_sum` and `scatter_to_elements` move data
+between the element-local and global views; they remain the general
+assembly tool and the test oracle for the 1D operators. All reductions
+run in a fixed order so results are independent of any worker count.
 """
 
 from dataclasses import dataclass, field
@@ -127,6 +131,7 @@ class Mesh:
     periodic: tuple           # lateral periodicity flags, length dim-1
     rules: tuple              # LglRule per direction
     coords: np.ndarray        # (npts, dim) node coordinates, m
+    coords_1d: tuple          # global 1D node coordinates per direction, m
     l2g: np.ndarray           # (nelem, nloc) int64
     jac: float                # constant affine Jacobian determinant, m^dim
     metric: tuple             # d(xi)/dx = 2/h per direction, 1/m
@@ -152,6 +157,11 @@ class Mesh:
         """Inverse of column_view: (..., ncols, nz) -> new (..., npts) array."""
         # columns are the horizontal index, which runs fastest in the field
         return np.swapaxes(cols, -1, -2).reshape(cols.shape[:-2] + (self.npts,))
+
+    def field_from_profile(self, profile: np.ndarray) -> np.ndarray:
+        """Broadcast (..., nz) vertical profiles to new (..., npts) fields."""
+        # z is the slowest index of the field, so each level is one block
+        return np.repeat(profile, self.ncols, axis=-1)
 
     @cached_property
     def column_weights(self) -> np.ndarray:
@@ -280,17 +290,11 @@ def _index_1d(ne, N, is_periodic):
     return g, n
 
 
-def _coords_1d(ext, ne, N, xi, is_periodic):
-    h = ext / ne
-    n = ne * N if is_periodic else ne * N + 1
-    c = np.empty(n)
-    for e in range(ne):
-        loc = h * (e + 0.5 * (xi + 1.0))
-        if is_periodic and e == ne - 1:
-            c[e * N:e * N + N] = loc[:N]
-        else:
-            c[e * N:e * N + N + 1] = loc
-    return c
+def _coords_1d(ext, ne, xi, is_periodic):
+    """Global 1D node coordinates of ne equal elements with LGL points xi."""
+    loc = (ext / ne) * (np.arange(ne)[:, None] + 0.5 * (xi + 1.0))
+    left = loc[:, :-1].ravel()
+    return left if is_periodic else np.append(left, loc[-1, -1])
 
 
 def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
@@ -321,47 +325,27 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
 
     rules = tuple(build_lgl_rule(N) for N in orders)
     per_all = periodic + (False,)
-
-    gmaps, n1d, c1d = [], [], []
-    for d in range(dim):
-        g, n = _index_1d(elem_counts[d], orders[d], per_all[d])
-        gmaps.append(g)
-        n1d.append(n)
-        c1d.append(_coords_1d(extents[d], elem_counts[d], orders[d], rules[d].points, per_all[d]))
-
+    c1d = tuple(_coords_1d(extents[d], elem_counts[d], rules[d].points, per_all[d])
+                for d in range(dim))
+    n1d = tuple(c.size for c in c1d)
     h = [extents[d] / elem_counts[d] for d in range(dim)]
     jac = float(np.prod([hv / 2.0 for hv in h]))
     metric = tuple(2.0 / hv for hv in h)
 
-    # direction-major composition; global index I = ix + nx*(iy + ny*iz)
+    # element id and local node both run x fastest, z slowest; the global
+    # index is I = ix + nx*(iy + ny*iz), so each direction adds its 1D map
+    # times its stride along its own element axis and local-node axis
+    l2g = np.zeros((1,) * (2 * dim), dtype=np.int64)
+    stride = 1
+    for d in range(dim):
+        g, _ = _index_1d(elem_counts[d], orders[d], per_all[d])
+        shape = [1] * (2 * dim)
+        shape[dim - 1 - d], shape[2 * dim - 1 - d] = g.shape
+        l2g = l2g + stride * g.reshape(shape)
+        stride *= n1d[d]
     nelem = int(np.prod(elem_counts))
-    if dim == 2:
-        # element id e = ex + nex*ez
-        l2g = np.empty((nelem, (orders[0] + 1) * (orders[1] + 1)), dtype=np.int64)
-        for ez in range(elem_counts[1]):
-            gz = gmaps[1][ez]                      # (Nz+1,)
-            for ex in range(elem_counts[0]):
-                gx = gmaps[0][ex]                  # (Nx+1,)
-                gg = gx[None, :] + n1d[0] * gz[:, None]
-                l2g[ex + elem_counts[0] * ez] = gg.ravel()
-        coords = np.column_stack([np.tile(c1d[0], n1d[1]), np.repeat(c1d[1], n1d[0])])
-    else:
-        nloc = (orders[0] + 1) * (orders[1] + 1) * (orders[2] + 1)
-        l2g = np.empty((nelem, nloc), dtype=np.int64)
-        for ez in range(elem_counts[2]):
-            gz = gmaps[2][ez]
-            for ey in range(elem_counts[1]):
-                gy = gmaps[1][ey]
-                for ex in range(elem_counts[0]):
-                    gx = gmaps[0][ex]
-                    gg = (gx[None, None, :]
-                          + n1d[0] * (gy[None, :, None] + n1d[1] * gz[:, None, None]))
-                    e = ex + elem_counts[0] * (ey + elem_counts[1] * ez)
-                    l2g[e] = gg.ravel()
-        xx = np.tile(c1d[0], n1d[1] * n1d[2])
-        yy = np.tile(np.repeat(c1d[1], n1d[0]), n1d[2])
-        zz = np.repeat(c1d[2], n1d[0] * n1d[1])
-        coords = np.column_stack([xx, yy, zz])
+    l2g = l2g.reshape(nelem, -1)
+    coords = np.stack(np.meshgrid(*c1d[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, dim)
 
     npts = int(np.prod(n1d))
 
@@ -377,12 +361,13 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
         periodic=periodic,
         rules=rules,
         coords=coords,
+        coords_1d=c1d,
         l2g=l2g,
         jac=jac,
         metric=metric,
         npts=npts,
         nelem=nelem,
-        npts_1d=tuple(n1d),
+        npts_1d=n1d,
         bottom_nodes=bottom,
         top_nodes=top,
     )

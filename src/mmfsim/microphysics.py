@@ -165,7 +165,7 @@ def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants):
     return np.minimum(np.minimum(ern, np.maximum(q_r, 0.0)), deficit)
 
 
-def _kessler_batch(z, masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, constants):
+def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, constants):
     """Run the full process chain on (ncols, nlev) arrays, in place."""
     if min(float(np.min(q_c)), float(np.min(q_r))) < -1e-12:
         raise StateError("negative cloud or rain mixing ratio on entry to microphysics")
@@ -209,7 +209,7 @@ def kessler_column_step(column: ColumnView, dt, params: KesslerParams,
                         constants: PhysConstants = DEFAULT_CONSTANTS):
     """Advance one column by dt; returns (column, surface rain in mm)."""
     precip = _kessler_batch(
-        column.z[None, :], column.masses[None, :], column.rho[None, :],
+        column.masses[None, :], column.rho[None, :],
         column.theta_v[None, :], column.q_v[None, :], column.q_c[None, :],
         column.q_r[None, :], column.rho_surf, dt, params, constants)
     return column, float(precip[0])
@@ -230,11 +230,9 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     q_v = cv(reference.q_v0 + state.q_vp)
     q_c = cv(state.q_c)
     q_r = cv(state.q_r)
-    nz = mesh.npts_1d[-1]
-    z = np.broadcast_to(reference.z1d, (mesh.ncols, nz))
-    masses = np.broadcast_to(np.asarray(mesh.lumped_1d[-1]), (mesh.ncols, nz))
+    masses = np.broadcast_to(np.asarray(mesh.lumped_1d[-1]), q_c.shape)
 
-    precip = _kessler_batch(z, masses, rho, theta_v, q_v, q_c, q_r,
+    precip = _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r,
                             reference.rho0_surf, dt, params, constants)
 
     back = mesh.field_from_columns

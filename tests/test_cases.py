@@ -172,6 +172,8 @@ def test_case_overrides():
     assert case.simulator.kessler is None
     with pytest.raises(ConfigurationError):
         build_case("squall", overrides={"does_not_exist": 1})
+    with pytest.raises(ConfigurationError):  # the grid comes from the case table
+        build_case("squall", preset="desk", overrides={"elems": (3, 15)})
 
 
 def test_case_id_validation():

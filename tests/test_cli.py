@@ -58,6 +58,21 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert "intensity" in capsys.readouterr().out
 
 
+def test_run_flag_overrides_are_validated(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.duration = 4\n")
+    rc = main(["run", "--config", cfg, "--workers", "0",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_analyze_bad_cost_value(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "run.output_dir = " + str(tmp_path / "a") + "\n"
+                              "cost.n_p = five\n")
+    assert main(["analyze", "--config", cfg]) == 2
+    assert "error[config]: line 2" in capsys.readouterr().err
+
+
 def snapshots_for_diff(tmp_path, bump=0.0):
     mesh = build_box_mesh((1.0, 1.0), (2, 2), (2, 2))
     st = PrognosticState.zeros(mesh)
@@ -97,3 +112,22 @@ def test_diff_snapshots_missing_file(tmp_path, capsys):
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("old, new", [(b"npts ", b"npoints "), (b"time ", b"time x")])
+def test_diff_snapshots_malformed_header(tmp_path, capsys, old, new):
+    a, b = snapshots_for_diff(tmp_path)
+    with open(b, "rb") as fh:
+        blob = fh.read()
+    with open(b, "wb") as fh:
+        fh.write(blob.replace(old, new, 1))
+    assert main(["diff-snapshots", a, b]) == 2
+    assert "malformed header" in capsys.readouterr().err
+
+
+def test_diff_snapshots_without_fields(tmp_path, capsys):
+    empty = tmp_path / "empty.dat"
+    empty.write_bytes(b"mmfsim-snapshot 1\ntime 0\ndim 2\nextents 1 1\nelems 1 1\n"
+                      b"orders 1 1\nfields \nnpts 4\nend-header\n")
+    assert main(["diff-snapshots", str(empty), str(empty)]) == 2
+    assert "malformed header" in capsys.readouterr().err

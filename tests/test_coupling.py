@@ -64,6 +64,17 @@ def test_horizontal_average_recovers_profile(small_mesh):
     assert np.max(np.abs(avg - (2.0 * zc / 24e3 - 1.0))) < 1e-13
 
 
+@pytest.mark.parametrize("mesh_name", ["small_mesh", "unit_mesh_3d"])
+def test_horizontal_average_inverts_field_from_profile(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    nz = mesh.npts_1d[-1]
+    prof = np.stack([np.linspace(-1.0, 2.0, nz), np.cos(np.arange(nz))])
+    f = mesh.field_from_profile(prof)
+    assert f.shape == (2, mesh.npts)
+    assert np.array_equal(mesh.column_view(f), np.repeat(prof[:, None, :], mesh.ncols, axis=1))
+    assert np.allclose(horizontal_average(mesh, f), prof, rtol=1e-14, atol=1e-15)
+
+
 def test_horizontal_average_kills_periodic_modes(small_mesh):
     # a full sine wave across the periodic width integrates to zero
     x = small_mesh.coords[:, 0]

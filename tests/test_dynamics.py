@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmfsim.cases import build_case
 from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
                              boyd_vandeven_transfer, build_reference,
                              density_perturbation_for_theta,
@@ -70,6 +71,56 @@ def test_reference_requires_coverage(small_mesh):
     snd = isothermal_sounding(z_top=10e3)  # domain reaches 24 km
     with pytest.raises(ConfigurationError):
         build_reference(snd, small_mesh, C)
+
+
+def per_element_weak_ddz(vals, ne, N, h, rule):
+    """Weak vertical derivative summed element by element, as
+    `build_reference` computed it before using the mesh's 1D operator."""
+    num = np.zeros(vals.size)
+    den = np.zeros(vals.size)
+    for e in range(ne):
+        idx = slice(e * N, e * N + N + 1)
+        num[idx] += rule.weights * ((2.0 / h) * (rule.diff_matrix @ vals[idx]))
+        den[idx] += rule.weights
+    return num / den
+
+
+def per_element_legendre_integral(vals, ne, N, h, rule):
+    """Antiderivative (zero at z=0) from one Legendre fit per element, as
+    `build_reference` integrated the Exner pressure before."""
+    from numpy.polynomial import legendre as L
+
+    out = np.empty(vals.size)
+    start = 0.0
+    for e in range(ne):
+        idx = slice(e * N, e * N + N + 1)
+        anti = L.legint(L.legfit(rule.points, vals[idx], N))
+        out[idx] = start + 0.5 * h * (L.legval(rule.points, anti) - L.legval(-1.0, anti))
+        start = out[idx][-1]
+    return out
+
+
+def desk_simulators():
+    squall = build_case("squall", "mmf", preset="desk")
+    supercell = build_case("supercell", "coarse", preset="desk")
+    return {"squall_coarse": squall.simulator, "squall_ssp": squall.instances[0].sim,
+            "supercell": supercell.simulator}
+
+
+@pytest.mark.parametrize("name", ["squall_coarse", "squall_ssp", "supercell"])
+def test_reference_matches_per_element_oracles(name):
+    sim = desk_simulators()[name]
+    mesh, ref = sim.mesh, sim.reference
+    ne, N, rule = mesh.elem_counts[-1], mesh.orders[-1], mesh.rules[-1]
+    h = mesh.extents[-1] / ne
+    theta_v, q_v = (mesh.column_view(f)[0] for f in (ref.theta_v0, ref.q_v0))
+    pi = ((ref.p_surf / C.p00) ** (C.R_d / C.c_p)
+          + per_element_legendre_integral(-C.g / (C.c_p * theta_v), ne, N, h, rule))
+    p0 = C.p00 * pi ** (C.c_p / C.R_d)
+    assert np.max(np.abs(ref.p0_1d - p0)) <= 1e-14 * np.max(p0)
+    for got, vals in ((ref.dtheta_v0_dz, theta_v), (ref.dq_v0_dz, q_v)):
+        want = per_element_weak_ddz(vals, ne, N, h, rule)
+        assert np.max(np.abs(mesh.column_view(got) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_density_perturbation_sign(small_reference):

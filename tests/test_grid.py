@@ -150,3 +150,60 @@ def test_element_column_weights(mesh):
         support = np.unique(mesh.l2g[k][mesh.l2g[k] < mesh.ncols])
         assert np.array_equal(np.flatnonzero(W[k]), support)
         assert abs(W[k].sum() - area) < 1e-14 * area
+
+
+def element_loop_l2g_and_coords(mesh):
+    """The element-by-element 2D/3D construction that `build_box_mesh`
+    used before it broadcast the per-direction 1D maps, kept as an oracle."""
+    per_all = mesh.periodic + (False,)
+    gmaps, n1d, c1d = [], [], []
+    for d in range(mesh.dim):
+        ne, N, per = mesh.elem_counts[d], mesh.orders[d], per_all[d]
+        n = ne * N if per else ne * N + 1
+        gmaps.append((np.arange(ne)[:, None] * N + np.arange(N + 1)[None, :]) % n)
+        n1d.append(n)
+        h = mesh.extents[d] / ne
+        c = np.empty(n)
+        for e in range(ne):
+            loc = h * (e + 0.5 * (mesh.rules[d].points + 1.0))
+            if per and e == ne - 1:
+                c[e * N:e * N + N] = loc[:N]
+            else:
+                c[e * N:e * N + N + 1] = loc
+        c1d.append(c)
+    ec = mesh.elem_counts
+    l2g = np.empty(mesh.l2g.shape, dtype=np.int64)
+    if mesh.dim == 2:
+        for ez in range(ec[1]):
+            for ex in range(ec[0]):
+                gg = gmaps[0][ex][None, :] + n1d[0] * gmaps[1][ez][:, None]
+                l2g[ex + ec[0] * ez] = gg.ravel()
+        coords = np.column_stack([np.tile(c1d[0], n1d[1]), np.repeat(c1d[1], n1d[0])])
+    else:
+        for ez in range(ec[2]):
+            for ey in range(ec[1]):
+                for ex in range(ec[0]):
+                    gg = (gmaps[0][ex][None, None, :]
+                          + n1d[0] * (gmaps[1][ey][None, :, None]
+                                      + n1d[1] * gmaps[2][ez][:, None, None]))
+                    l2g[ex + ec[0] * (ey + ec[1] * ez)] = gg.ravel()
+        coords = np.column_stack([np.tile(c1d[0], n1d[1] * n1d[2]),
+                                  np.tile(np.repeat(c1d[1], n1d[0]), n1d[2]),
+                                  np.repeat(c1d[2], n1d[0] * n1d[1])])
+    return l2g, coords, c1d
+
+
+@pytest.mark.parametrize("mesh", [
+    build_box_mesh((1.0, 1.0), (3, 2), (4, 3)),
+    build_box_mesh((50e3, 24e3), (3, 15), (4, 4), periodicity=(True,)),
+    build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2), (3, 3, 3)),
+    build_box_mesh((2.0, 1.0, 3.0), (3, 2, 4), (2, 4, 3), periodicity=(True, False)),
+    build_box_mesh((30e3, 20e3, 24e3), (3, 2, 12), (4, 4, 4), periodicity=(True, True)),
+    build_box_mesh((2.0, 1.0), (1, 3), (5, 2), periodicity=(True,)),
+])
+def test_broadcast_mesh_matches_element_loops(mesh):
+    l2g, coords, c1d = element_loop_l2g_and_coords(mesh)
+    assert mesh.l2g.dtype == np.int64 and np.array_equal(mesh.l2g, l2g)
+    assert mesh.coords.shape == coords.shape and np.array_equal(mesh.coords, coords)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.coords_1d, c1d))
+    assert mesh.npts_1d == tuple(c.size for c in c1d)
