@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, ReferenceState, Sounding,
                        SpongeConfig, apply_filter, build_reference, evaluate_rhs,
                        sponge_profile)
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError, SolverError, StateError
 from .grid import Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
@@ -380,7 +380,9 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     and form the feedback f = (Q_new - <q>)/dT per instance, (4) run M
     fine substeps per instance with f frozen, instance after instance.
     Nothing commits until every simulator has finished its step, so
-    failures leave all states at time t.
+    failures leave all states at time t. A SolverError or StateError
+    is re-raised with "coarse grid: " or "embedded grid i, substep s: "
+    (s counted from 1) in front of its message.
 
     Returns (diagnostics, precip) where diagnostics holds per
     (instance, level, variable) the pre-step coupling residual
@@ -414,7 +416,10 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     F_state.data[rows_l] = mesh.field_from_columns(
         np.einsum("ic,ivz->vcz", W / mesh.column_weights,
                   forcing_tendency(Q, avg_l, dT)))
-    new_lsp_state, lsp_precip = lsp.step(dT, coupling=F_state)
+    try:
+        new_lsp_state, lsp_precip = lsp.step(dT, coupling=F_state)
+    except (SolverError, StateError) as exc:
+        raise exc.prefixed("coarse grid") from exc
 
     Q_new = project_column_L_to_S(_gather(mesh, W, new_lsp_state.data[rows_l]),
                                   proj, ne_z_l)
@@ -425,8 +430,11 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     for inst, f_inst in zip(instances, f):
         f_state = PrognosticState.from_vector(f_inst, fine_mesh.dim)
         st, precip = inst.sim.state, None
-        for _ in range(M):
-            st, pr = inst.sim.step(dt_f, coupling=f_state, state=st)
+        for sub in range(1, M + 1):
+            try:
+                st, pr = inst.sim.step(dt_f, coupling=f_state, state=st)
+            except (SolverError, StateError) as exc:
+                raise exc.prefixed(f"embedded grid {inst.index}, substep {sub}") from exc
             if pr is not None:
                 precip = pr if precip is None else precip + pr
         results.append((st, precip))

@@ -467,9 +467,15 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         record_precip(0.0)
         t = 0.0
         for k in range(1, n_steps + 1):
+            try:
+                if setup.is_mmf:
+                    diag, precip = mmf_step(sim, setup.instances, dt,
+                                            cfg=setup.mmf_config)
+                else:
+                    new_state, precip = sim.step(dt)
+            except (SolverError, StateError) as exc:
+                raise exc.prefixed(f"step {k}") from exc
             if setup.is_mmf:
-                diag, precip = mmf_step(sim, setup.instances, dt,
-                                        cfg=setup.mmf_config)
                 residual_max = {}
                 for inst_idx, var, resid, absq in diag:
                     residual_max[var] = max(residual_max.get(var, 0.0),
@@ -480,7 +486,6 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
                 for key, pr in precip.items():
                     accum[key] += pr
             else:
-                new_state, precip = sim.step(dt)
                 sim.state = new_state
                 residual_max = {}
                 if precip is not None:

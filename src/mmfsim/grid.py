@@ -115,13 +115,14 @@ def boyd_vandeven_transfer(eta):
     return sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured affine tensor-product spectral-element mesh.
 
     Directions are ordered (x, z) in 2D and (x, y, z) in 3D; the vertical
     is always last and never periodic. `l2g` maps (element, local node)
     to global node; local nodes are lexicographic with x fastest.
+    Meshes compare and hash by identity, so one can key a cache.
     """
 
     dim: int

@@ -12,6 +12,13 @@ with no preconditioner. delta=0 degenerates to the purely explicit
 ARK2 explicit table. An optional constant coupling tendency is added
 to the explicit part at every stage (it is defined at step
 granularity, so it is frozen across stages).
+
+The vector arithmetic works in place: Gram-Schmidt updates and stage
+sums are BLAS axpy calls on buffers this module owns, so an Arnoldi
+iteration allocates nothing of state size. Results that S, L or a GMRES
+operator return are scaled and accumulated in place unless they share
+memory with their input, in which case they are copied first; the
+caller's state is never written.
 """
 
 import math
@@ -19,6 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+# numpy and scipy each bundle an OpenBLAS with its own thread pool; the
+# solver's vector operations all go through scipy's, because alternating
+# between the two pools leaves one pool's threads spinning against the
+# other's and made multithreaded runs about ten times slower
+from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .errors import ConfigurationError, SolverError
 from .grid import Mesh
@@ -105,13 +117,24 @@ def stability_function(tableau: Ark2Tableau, z):
 class GmresConfig:
     tol: float = 1e-6        # relative residual target
     restart: int = 30
-    maxiter: int = 300       # total matvec budget across restarts
+    maxiter: int = 300       # Arnoldi matvecs across restarts; the restart
+                             # residuals and the final check are not counted
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ConfigurationError(f"GMRES tolerance must be in (0,1), got {self.tol}")
         if self.restart < 1 or self.maxiter < 1:
             raise ConfigurationError("GMRES restart and maxiter must be >= 1")
+
+
+def _owned(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+    """a itself if it is a writable contiguous float64 array sharing no
+    memory with `inputs`; otherwise a copy that is."""
+    a = np.asarray(a)
+    if (a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable
+            or any(np.may_share_memory(a, v) for v in inputs)):
+        return np.array(a, dtype=np.float64)
+    return a
 
 
 def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -121,10 +144,15 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     Arnoldi with modified Gram-Schmidt, Givens-rotation least squares,
     zero initial guess. Raises SolverError (carrying the final
     residual) if the relative residual has not reached config.tol
-    within config.maxiter total matvecs.
+    within config.maxiter Arnoldi matvecs.
+
+    The array apply_A returns for a basis vector becomes GMRES's work
+    vector and is overwritten in place; a result that shares memory
+    with the Krylov basis, or is not a writable contiguous float64
+    array, is copied first.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(ddot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b)
     target = config.tol * bnorm
@@ -133,8 +161,8 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     matvecs = 0
     resnorm = bnorm
     while matvecs < config.maxiter:
-        r = b - apply_A(x) if matvecs else b.copy()
-        resnorm = float(np.linalg.norm(r))
+        r = b - apply_A(x) if matvecs else b
+        resnorm = math.sqrt(ddot(r, r))
         if resnorm <= target:
             return x
         m = min(config.restart, config.maxiter - matvecs)
@@ -144,17 +172,15 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = resnorm
-        V[0] = r / resnorm
+        np.divide(r, resnorm, out=V[0])
         k_used = 0
         for k in range(m):
-            # copy so an apply_A that returns (a view of) its input
-            # cannot be clobbered by the in-place orthogonalization
-            w = np.array(apply_A(V[k]), dtype=float)
+            w = _owned(apply_A(V[k]), V)
             matvecs += 1
             for j in range(k + 1):
-                H[j, k] = V[j] @ w
-                w -= H[j, k] * V[j]
-            H[k + 1, k] = float(np.linalg.norm(w))
+                H[j, k] = ddot(V[j], w)
+                daxpy(V[j], w, a=-H[j, k])
+            H[k + 1, k] = math.sqrt(ddot(w, w))
             # previously accumulated Givens rotations
             for j in range(k):
                 t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
@@ -171,12 +197,13 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             happy = H[k + 1, k] <= 1e-14 * max(1.0, abs(H[k, k]))
             if resnorm <= target or happy:
                 break
-            V[k + 1] = w / H[k + 1, k]
+            np.divide(w, H[k + 1, k], out=V[k + 1])
         y = np.linalg.solve(np.triu(H[:k_used, :k_used]), g[:k_used])
-        x = x + y @ V[:k_used]
+        dgemv(1.0, V[:k_used].T, y, beta=1.0, y=x, overwrite_y=True)
         if resnorm <= target:
             # trust but verify: the rotated-residual estimate can drift
-            true_res = float(np.linalg.norm(b - apply_A(x)))
+            r = b - apply_A(x)
+            true_res = math.sqrt(ddot(r, r))
             if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
                 return x
             resnorm = true_res
@@ -267,7 +294,7 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     ae, ai, b = tableau.a_explicit, tableau.a_implicit, tableau.b
     gamma = tableau.gamma
     delta = split.delta
-    cvec = split.coupling.as_vector() if split.coupling is not None else 0.0
+    cvec = split.coupling.as_vector() if split.coupling is not None else None
 
     def S(vec):
         return split.s(PrognosticState.from_vector(vec, dim)).as_vector()
@@ -286,7 +313,10 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
         shift = delta * dt * gamma
 
         def apply_A(v):
-            return v - shift * L(v)
+            out = _owned(L(v), v)
+            out *= -shift
+            out += v
+            return out
 
         return gmres_solve(apply_A, rhs, gmres_cfg)
 
@@ -295,24 +325,24 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
         if i > 0:
             rhs = q0.copy()
             for j in range(i):
-                rhs += dt * ae[i, j] * stages_e[j]
+                daxpy(stages_e[j], rhs, a=dt * ae[i, j])
                 if delta:
-                    rhs += dt * delta * ai[i, j] * lin_stages[j]
+                    daxpy(lin_stages[j], rhs, a=dt * delta * ai[i, j])
             qi = solve_stage(rhs)
-        sv = S(qi) + cvec
+        sv = _owned(S(qi), qi)
+        if cvec is not None:
+            daxpy(cvec, sv)
         stages_S.append(sv)
         if i < 2:
             # later stages never reference stage-2 increments
             if delta:
                 lv = L(qi)
                 lin_stages.append(lv)
-                stages_e.append(sv - delta * lv)
+                stages_e.append(sv - lv)
             else:
-                lin_stages.append(0.0)
                 stages_e.append(sv)
 
     out = q0.copy()
     for i in range(3):
-        out += dt * b[i] * stages_S[i]
+        daxpy(stages_S[i], out, a=dt * b[i])
     return PrognosticState.from_vector(out, dim)
-

@@ -10,7 +10,7 @@ from mmfsim.coupling import (COUPLED_VARS, MmfConfig, Simulator,
                              project_column_L_to_S, project_column_S_to_L,
                              spawn_ssp_instances)
 from mmfsim.dynamics import DEFAULT_CONSTANTS, build_reference
-from mmfsim.errors import ConfigurationError
+from mmfsim.errors import ConfigurationError, SolverError, StateError
 from mmfsim.grid import build_box_mesh, build_lgl_rule
 from mmfsim.microphysics import KesslerParams
 from mmfsim.operators import PrognosticState
@@ -416,6 +416,33 @@ def test_mmf_precip_keys():
     assert set(precip) == {0, 1}      # SSPs report; the dry coarse model does not
     assert -1 not in precip
     assert np.all(precip[1] >= 0.0)
+
+
+def test_step_failures_name_their_grid():
+    lsp, cfg, instances = make_mmf(substeps=3)
+    before = lsp.state.data.copy()
+    real_step = instances[1].sim.step
+    calls = []
+
+    def fail_on_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverError("GMRES did not reach tol", residual=0.25)
+        return real_step(*args, **kwargs)
+
+    instances[1].sim.step = fail_on_second
+    with pytest.raises(SolverError) as exc:
+        mmf_step(lsp, instances, 3.0, cfg=cfg)
+    assert str(exc.value) == "embedded grid 1, substep 2: GMRES did not reach tol"
+    assert exc.value.residual == 0.25
+    assert np.array_equal(lsp.state.data, before)     # nothing committed
+
+    def vacuum(*args, **kwargs):
+        raise StateError("negative density")
+
+    lsp.step = vacuum
+    with pytest.raises(StateError, match="^coarse grid: negative density$"):
+        mmf_step(lsp, instances, 3.0, cfg=cfg)
 
 
 def test_operator_caches_die_with_their_mesh():

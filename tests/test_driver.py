@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from mmfsim import driver
+from mmfsim import coupling, driver
 from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                            OUTPUT_DIR_ENV, RunConfig, averaged_profiles,
                            compute_kinetic_energy, diff_snapshots,
@@ -293,3 +294,35 @@ def test_nonfinite_embedded_grid_is_named(tmp_path, monkeypatch, capsys):
     cfg = run_cfg(tmp_path, mode="mmf", duration=4.0)
     assert run(cfg) == EXIT_NUMERICAL
     assert "non-finite state in embedded grid 1 after step 1" in capsys.readouterr().err
+
+
+def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsys):
+    # embedded grid 1 gets a linear operator that returns NaN, so its
+    # first implicit solve cannot converge; the failure must name the
+    # step, the grid and the substep, and every CSV must be marked
+    real_build, real_lin = driver.build_case, coupling.linear_operator
+    marked = []
+
+    def build(*args, **kwargs):
+        setup = real_build(*args, **kwargs)
+        sim = setup.instances[1].sim
+        sim.constants = dataclasses.replace(sim.constants)
+        marked.append(sim.constants)
+        return setup
+
+    def lin(q, reference, mesh, constants=None, sponge_rw=None):
+        out = real_lin(q, reference, mesh, constants, sponge_rw=sponge_rw)
+        if any(constants is c for c in marked):
+            out.data[:] = np.nan
+        return out
+
+    monkeypatch.setattr(driver, "build_case", build)
+    monkeypatch.setattr(coupling, "linear_operator", lin)
+    cfg = run_cfg(tmp_path, mode="mmf", duration=4.0)
+    assert run(cfg) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "step 1: embedded grid 1, substep 1: GMRES did not reach" in err
+    out = tmp_path / "out"
+    for name in ("diagnostics.csv", "precip.csv", "coupling_residuals.csv"):
+        last = (out / name).read_text().splitlines()[-1]
+        assert last.startswith("# truncated: step 1: embedded grid 1, substep 1: GMRES")

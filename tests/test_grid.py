@@ -109,6 +109,15 @@ def test_column_view_orders_bottom_to_top(small_mesh):
     assert np.allclose(x, x[:, :1])  # constant x within a column
 
 
+def test_meshes_compare_and_hash_by_identity():
+    a = build_box_mesh((2.0, 1.0), (3, 2), (4, 3), periodicity=(True,))
+    b = build_box_mesh((2.0, 1.0), (3, 2), (4, 3), periodicity=(True,))
+    assert a != b
+    assert a == a
+    cache = {a: "a", b: "b"}
+    assert cache[a] == "a" and cache[b] == "b"
+
+
 def test_mesh_rejects_mismatched_inputs():
     with pytest.raises(ConfigurationError):
         build_box_mesh((1.0, 1.0), (2,), (2, 2))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mmfsim import timeint
+from mmfsim.cases import build_case
 from mmfsim.errors import ConfigurationError, SolverError
 from mmfsim.operators import PrognosticState
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
@@ -104,6 +106,120 @@ def test_gmres_survives_aliasing_operator():
     assert np.linalg.norm(A @ x - b) < 1e-10
 
 
+def _reference_gmres(apply_A, b, config):
+    """The allocating MGS GMRES this module's in-place solver must reproduce:
+    same iterates, same stopping rule, same true-residual check."""
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    target = config.tol * bnorm
+    x = np.zeros_like(b)
+    matvecs = 0
+    resnorm = bnorm
+    while matvecs < config.maxiter:
+        r = b - apply_A(x) if matvecs else b.copy()
+        resnorm = float(np.linalg.norm(r))
+        if resnorm <= target:
+            return x
+        m = min(config.restart, config.maxiter - matvecs)
+        V = np.empty((m + 1, b.size))
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = resnorm
+        V[0] = r / resnorm
+        k_used = 0
+        for k in range(m):
+            w = np.array(apply_A(V[k]), dtype=float)
+            matvecs += 1
+            for j in range(k + 1):
+                H[j, k] = V[j] @ w
+                w -= H[j, k] * V[j]
+            H[k + 1, k] = float(np.linalg.norm(w))
+            for j in range(k):
+                t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
+                H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
+                H[j, k] = t
+            denom = math.hypot(H[k, k], H[k + 1, k])
+            cs[k] = H[k, k] / denom
+            sn[k] = H[k + 1, k] / denom
+            H[k, k] = denom
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k_used = k + 1
+            resnorm = abs(g[k + 1])
+            happy = H[k + 1, k] <= 1e-14 * max(1.0, abs(H[k, k]))
+            if resnorm <= target or happy:
+                break
+            V[k + 1] = w / H[k + 1, k]
+        y = np.linalg.solve(np.triu(H[:k_used, :k_used]), g[:k_used])
+        x = x + y @ V[:k_used]
+        if resnorm <= target:
+            true_res = float(np.linalg.norm(b - apply_A(x)))
+            if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
+                return x
+            resnorm = true_res
+    raise SolverError("reference GMRES did not converge", residual=resnorm / bnorm)
+
+
+def _assert_matches_reference(apply_A, b, config):
+    counts = []
+    for solve in (gmres_solve, _reference_gmres):
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return apply_A(v)
+
+        counts.append((solve(counted, b, config), calls[0]))
+    (x, n), (x_ref, n_ref) = counts
+    assert n == n_ref
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_gmres_matches_reference_on_random_systems():
+    # the systems of acceptance check 06, tight and default tolerances
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        A = 5.0 * np.eye(50) + 0.3 * rng.standard_normal((50, 50))
+        b = rng.standard_normal(50)
+        for cfg in (GmresConfig(tol=1e-12, restart=50, maxiter=1000), GmresConfig()):
+            _assert_matches_reference(lambda v: A @ v, b, cfg)
+    # restarts and an early exit on the true-residual check
+    A = np.eye(60) + 0.5 * rng.standard_normal((60, 60)) / math.sqrt(60)
+    _assert_matches_reference(lambda v: A @ v, rng.standard_normal(60),
+                              GmresConfig(tol=1e-10, restart=4, maxiter=400))
+
+
+def test_gmres_matches_reference_on_squall_ssp_system(monkeypatch):
+    """Both implicit solves of one desk squall embedded-grid substep."""
+    setup = build_case("squall", "mmf", preset="desk")
+    captured = []
+    real = timeint.gmres_solve
+
+    def capture(apply_A, b, config=GmresConfig()):
+        captured.append((apply_A, np.array(b), config))
+        return real(apply_A, b, config)
+
+    monkeypatch.setattr(timeint, "gmres_solve", capture)
+    setup.instances[0].sim.step(setup.dt / setup.mmf_config.substeps)
+    monkeypatch.undo()
+    assert len(captured) == 2
+    for apply_A, b, cfg in captured:
+        _assert_matches_reference(apply_A, b, cfg)
+
+
+@pytest.mark.parametrize("view", [lambda v: v, lambda v: v[::-1]])
+def test_gmres_operator_returning_a_view_of_its_input(view):
+    """The in-place orthogonalization must not write through an operator
+    result that is (a view of) the Krylov vector it was given."""
+    b = np.random.default_rng(7).standard_normal(25)
+    x = gmres_solve(view, b, GmresConfig(tol=1e-12))
+    assert np.allclose(view(x), b, rtol=0.0, atol=1e-12)
+
+
 def test_gmres_config_validation():
     with pytest.raises(ConfigurationError):
         GmresConfig(tol=0.0)
@@ -175,6 +291,32 @@ def test_constant_coupling_enters_linearly():
                     ImexOperatorSplit(s=zero, lin=zero, delta=0, coupling=forcing))
     # with no dynamics a constant source integrates exactly: q + dt*c
     assert np.max(np.abs(out.as_vector() - (1.0 + dt * 2.5))) < 1e-14
+
+
+def test_step_with_aliasing_split_matches_copying_split():
+    """S and L that return views of their input must neither be written
+    through nor change the step: the result equals, bit for bit, that of
+    a split whose tendencies are fresh copies."""
+    rng = np.random.default_rng(9)
+    n = 40
+    state = PrognosticState.from_vector(rng.standard_normal(7 * n), 2)
+    before = state.data.copy()
+    coupling = PrognosticState.from_vector(rng.standard_normal(7 * n), 2)
+
+    def view(st):
+        return st
+
+    def copied(st):
+        return st.copy()
+
+    out = {}
+    for name, f in (("view", view), ("copy", copied)):
+        for delta in (0, 1):
+            split = ImexOperatorSplit(s=f, lin=f, delta=delta, coupling=coupling)
+            out[name, delta] = step_ark2(state, 0.3, split, TIGHT).data
+            assert np.array_equal(state.data, before)
+    for delta in (0, 1):
+        assert np.array_equal(out["view", delta], out["copy", delta])
 
 
 def test_step_rejects_bad_dt():
