@@ -11,20 +11,18 @@ evolution is checked by properties rather than field-by-field values.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Mesh, build_box_mesh
-from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, ReferenceState,
-                       Sounding, SpongeConfig, build_reference,
-                       equation_of_state, exner_function, read_sounding,
-                       sponge_profile)
+from .grid import build_box_mesh
+from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, Sounding, SpongeConfig,
+                       build_reference, read_sounding, sponge_profile)
 from .microphysics import KesslerParams, saturation_mixing_ratio
 from .operators import PrognosticState
-from .coupling import MmfConfig, Simulator, SspInstance, spawn_ssp_instances
+from .coupling import MmfConfig, Simulator, spawn_ssp_instances
 
 CASE_IDS = ("squall", "supercell")
 TIERS = ("fine", "coarse", "mmf")
@@ -101,13 +99,10 @@ def perturbation_rng(seed: int, instance: int = 0) -> np.random.Generator:
 
 
 def random_theta_perturbation(spec: PerturbationSpec, theta0: np.ndarray,
-                              rng: Optional[np.random.Generator] = None,
                               instance: int = 0) -> np.ndarray:
     """Envelope-shaped noise field over the nodes carrying ``theta0``."""
     theta0 = np.asarray(theta0, dtype=float)
-    if rng is None:
-        rng = perturbation_rng(spec.seed, instance)
-    u = rng.uniform(-1.0, 1.0, size=theta0.shape)
+    u = perturbation_rng(spec.seed, instance).uniform(-1.0, 1.0, size=theta0.shape)
     if spec.theta_scale > 0.0:
         weight = np.clip(theta0 / spec.theta_scale, -1.0, 1.0)
     else:
@@ -289,6 +284,9 @@ def build_case(case_id: str, tier: str = "coarse", *,
 
     dt = float(ov.get("dt", dims.dt))
     duration = float(ov.get("duration", dims.duration))
+    if not (dt > 0.0 and duration > 0.0):
+        raise ConfigurationError(
+            f"dt and duration must be positive, got dt={dt:g}, duration={duration:g}")
     nu = float(ov.get("nu", _NU))
     filt = float(ov.get("filter_strength", dims.filter_strength))
     bubble = ov.get("bubble", dims.bubble)
@@ -334,7 +332,6 @@ def build_case(case_id: str, tier: str = "coarse", *,
         substeps=int(ov.get("substeps", dims.substeps)),
         perturbation_amplitude=amplitude,
         perturbation_theta_scale=bubble.theta_c,
-        microphysics=microphysics,
     )
     instances = spawn_ssp_instances(sim, cfg, seed=seed, kessler=kessler)
     return CaseSetup(case_id=case_id, tier=tier, simulator=sim,

@@ -11,7 +11,6 @@ are lateral only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .errors import ConfigurationError
 
@@ -111,7 +110,7 @@ def flops(inp: CostModelInput, mode: str = "standard") -> float:
 
 
 def boundary_points(inp: CostModelInput, mode: str = "standard") -> float:
-    """Lateral-boundary point count per rank (model, not a plan)."""
+    """Modelled lateral-boundary point count per rank."""
     _check_mode(mode)
     n = inp.order
     nez = inp.l_z / (n * inp.dz)
@@ -196,109 +195,3 @@ def cost_report(inp: CostModelInput) -> CostReport:
         flop_ratio=f_m / f_s, byte_ratio=b_m / b_s,
         intensity_ratio=(f_m / b_m) / (f_s / b_s),
     )
-
-
-@dataclass(frozen=True)
-class RankBlock:
-    """One rank's rectangular element block (half-open index ranges)."""
-
-    rank: int
-    coords: tuple                 # (ix,) or (ix, iy) rank coordinates
-    x_elems: tuple                # (start, stop)
-    y_elems: Optional[tuple]      # None on 2D meshes
-    z_elems: tuple                # always the full vertical extent
-    boundary_points: int          # points this rank sends each step
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    n_rx: int
-    n_ry: int
-    blocks: tuple
-    total_boundary_points: int
-
-
-def _suggest_factors(count: int) -> str:
-    divs = [d for d in range(1, count + 1) if count % d == 0]
-    return ", ".join(str(d) for d in divs)
-
-
-def plan_partition(elem_counts: Sequence[int], order: int,
-                   n_rx: int, n_ry: int = 1,
-                   periodic: Optional[Sequence[bool]] = None) -> PartitionPlan:
-    """Columns-preserving rectangular partition with actual comm counts.
-
-    ``elem_counts`` is (nex, nez) or (nex, ney, nez); the vertical is never
-    split.  Boundary points are counted per element face (n_p per edge in
-    2D, n_p^2 per face in 3D, shared interface nodes counted once per
-    face), and a face only communicates when its neighbour is a different
-    rank, so a single rank communicates nothing even on a periodic mesh.
-    """
-    elem_counts = tuple(int(e) for e in elem_counts)
-    dim = len(elem_counts)
-    if dim not in (2, 3):
-        raise ConfigurationError("elem_counts must have 2 or 3 entries")
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    if n_rx < 1 or n_ry < 1:
-        raise ConfigurationError("rank factors must be >= 1")
-    if dim == 2 and n_ry != 1:
-        raise ConfigurationError("a 2D mesh cannot be partitioned in y")
-    if periodic is None:
-        periodic = (True,) * (dim - 1)
-    periodic = tuple(bool(p) for p in periodic)
-    if len(periodic) != dim - 1:
-        raise ConfigurationError("periodic needs one flag per lateral direction")
-
-    nex = elem_counts[0]
-    ney = elem_counts[1] if dim == 3 else None
-    nez = elem_counts[-1]
-    if nex % n_rx != 0:
-        raise ConfigurationError(
-            f"{nex} x-elements do not divide over {n_rx} ranks; "
-            f"valid factors: {_suggest_factors(nex)}")
-    if dim == 3 and ney % n_ry != 0:
-        raise ConfigurationError(
-            f"{ney} y-elements do not divide over {n_ry} ranks; "
-            f"valid factors: {_suggest_factors(ney)}")
-
-    n_p = order + 1
-    bx = nex // n_rx
-    by = ney // n_ry if dim == 3 else None
-    # points on one face perpendicular to x / to y
-    if dim == 2:
-        face_x = nez * n_p
-        face_y = 0
-    else:
-        face_x = by * nez * n_p ** 2
-        face_y = bx * nez * n_p ** 2
-
-    def comm_faces(idx, nr, is_periodic):
-        faces = 0
-        for side in (-1, +1):
-            nb = idx + side
-            if 0 <= nb < nr:
-                faces += 1          # interior neighbour, always another rank
-            elif is_periodic and nr > 1:
-                faces += 1          # periodic wrap to a different rank
-        return faces
-
-    blocks = []
-    total = 0
-    for iy in range(n_ry):
-        for ix in range(n_rx):
-            pts = comm_faces(ix, n_rx, periodic[0]) * face_x
-            if dim == 3:
-                pts += comm_faces(iy, n_ry, periodic[1]) * face_y
-            rank = ix + n_rx * iy
-            blocks.append(RankBlock(
-                rank=rank,
-                coords=(ix,) if dim == 2 else (ix, iy),
-                x_elems=(ix * bx, (ix + 1) * bx),
-                y_elems=None if dim == 2 else (iy * by, (iy + 1) * by),
-                z_elems=(0, nez),
-                boundary_points=pts,
-            ))
-            total += pts
-    return PartitionPlan(n_rx=n_rx, n_ry=n_ry, blocks=tuple(blocks),
-                         total_boundary_points=total)

@@ -55,19 +55,12 @@ class MmfConfig:
     ssp_elems_z: int = 30
     ssp_order: int = 4
     substeps: int = 10                  # M; coarse step = M * fine step
-    coupled: tuple = COUPLED_VARS
     perturbation_amplitude: float = 0.3  # K
     perturbation_theta_scale: float = 3.0  # envelope normalization (bubble amplitude)
-    microphysics: bool = True           # Kessler on the SSPs (never the coarse model)
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ConfigurationError("substeps must be >= 1")
-        bad = set(self.coupled) - set(COUPLED_VARS)
-        if bad:
-            raise ConfigurationError(f"unsupported coupled variables: {sorted(bad)}")
-        if "rho_p" in self.coupled or "w" in self.coupled:
-            raise ConfigurationError("density and vertical velocity are never coupled")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,8 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     then receives a bubble-envelope-modulated uniform random
     temperature perturbation drawn from a counter RNG keyed by (seed,
     instance index), so results never depend on spawn or execution
-    order.
+    order. The instances run Kessler microphysics with `kessler`, or
+    dry when it is None.
     """
     mesh = lsp.mesh
     if lsp.sounding is None:
@@ -359,7 +353,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         sim = Simulator(mesh=ssp_mesh, reference=ssp_ref, state=st,
                         constants=lsp.constants, sponge_rw=ssp_rw,
                         sponge_cfg=lsp.sponge_cfg,
-                        kessler=(kessler if cfg.microphysics else None),
+                        kessler=kessler,
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)
         instances.append(SspInstance(index=idx, anchor=anchor, weights=W[idx],
@@ -395,14 +389,13 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     if M is None:
         M = cfg.substeps
     dt_f = dT / M
-    coupled = cfg.coupled
     mesh = lsp.mesh
     ne_z_l = mesh.elem_counts[-1]
     fine_mesh = instances[0].sim.mesh
     proj = instances[0].projection
     W = np.stack([inst.weights for inst in instances])
-    rows_l = _rows(lsp.state, coupled)
-    rows_s = _rows(instances[0].sim.state, coupled)
+    rows_l = _rows(lsp.state, COUPLED_VARS)
+    rows_s = _rows(instances[0].sim.state, COUPLED_VARS)
 
     avg = horizontal_average(
         fine_mesh, np.stack([inst.sim.state.data[rows_s] for inst in instances]))
@@ -410,7 +403,7 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     Q = _gather(mesh, W, lsp.state.data[rows_l])
     resid, abs_q = np.abs(Q - avg_l), np.abs(Q)
     diagnostics = [(inst.index, v, resid[i, j], abs_q[i, j])
-                   for i, inst in enumerate(instances) for j, v in enumerate(coupled)]
+                   for i, inst in enumerate(instances) for j, v in enumerate(COUPLED_VARS)]
 
     F_state = PrognosticState.zeros(mesh)
     F_state.data[rows_l] = mesh.field_from_columns(

@@ -12,7 +12,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .grid import Mesh
 from .operators import PrognosticState, integrate
 from .dynamics import SpongeConfig
 from .complexity import CostModelInput, CostReport, cost_report
-from .coupling import COUPLED_VARS, horizontal_average, mmf_step
+from .coupling import COUPLED_VARS, mmf_step
 from .cases import CaseSetup, build_case
 
 OUTPUT_DIR_ENV = "MMFSIM_OUTPUT_DIR"
@@ -241,8 +241,32 @@ def _check_finite(state: PrognosticState, where: str):
 # ---------------------------------------------------------------------------
 # snapshots
 
+def _replace_all(files) -> None:
+    """Write each (path, bytes) pair to a temp file beside its path, then
+    rename every temp file into place; on failure no temp file is left
+    and every path keeps its old contents."""
+    tmps = []
+    try:
+        for path, data in files:
+            tmps.append(f"{path}.tmp")
+            with open(tmps[-1], "wb") as fh:
+                fh.write(data)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
 def write_snapshot(state: PrognosticState, mesh: Mesh, t: float, path) -> None:
-    """Text header + raw little-endian float64 data, checksums in .meta."""
+    """Text header + raw little-endian float64 data, checksums in .meta.
+
+    Both files are written to temp files and renamed into place, so a
+    failed write leaves no partial snapshot behind.
+    """
+    path = os.fspath(path)
     names = state.field_names()
     arrays = np.ascontiguousarray(state.data, dtype="<f8")
     header = "\n".join([
@@ -257,21 +281,22 @@ def write_snapshot(state: PrognosticState, mesh: Mesh, t: float, path) -> None:
         "data float64 little-endian",
         "end-header",
     ]) + "\n"
-    payload = arrays.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
-    meta = [f"file {os.path.basename(os.fspath(path))}",
-            f"sha256 {hashlib.sha256(header.encode('ascii') + payload).hexdigest()}"]
+    blob = header.encode("ascii") + arrays.tobytes()
+    meta = [f"file {os.path.basename(path)}",
+            f"sha256 {hashlib.sha256(blob).hexdigest()}"]
     for name, a in zip(names, arrays):
         digest = hashlib.sha256(a.tobytes()).hexdigest()
         meta.append(f"field {name} sha256 {digest}")
-    with open(os.fspath(path) + ".meta", "w", encoding="ascii") as fh:
-        fh.write("\n".join(meta) + "\n")
+    _replace_all([(path, blob),
+                  (path + ".meta", ("\n".join(meta) + "\n").encode("ascii"))])
 
 
 def read_snapshot(path) -> dict:
-    """Inverse of write_snapshot; returns header fields plus field arrays."""
+    """Inverse of write_snapshot; returns header fields plus field arrays.
+
+    When the `.meta` sidecar exists, the whole file's sha256 must match
+    the one it records; a header or size fault is reported first.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     mark = b"end-header\n"
@@ -298,9 +323,15 @@ def read_snapshot(path) -> dict:
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed header ({exc!r})") from None
     npts = out["npts"]
-    data = np.frombuffer(blob[pos + len(mark):], dtype="<f8")
-    if data.size != npts * len(names):
+    if len(blob) != pos + len(mark) + 8 * npts * len(names):
         raise ConfigurationError(f"{path}: truncated payload")
+    meta_path = os.fspath(path) + ".meta"
+    if os.path.exists(meta_path):
+        with open(meta_path, "rb") as fh:
+            sums = [ln[7:].strip() for ln in fh if ln.startswith(b"sha256 ")]
+        if sums != [hashlib.sha256(blob).hexdigest().encode("ascii")]:
+            raise ConfigurationError(f"{path}: checksum mismatch")
+    data = np.frombuffer(blob[pos + len(mark):], dtype="<f8")
     for k, name in enumerate(names):
         out["fields"][name] = data[k * npts:(k + 1) * npts].copy()
     return out
@@ -318,19 +349,6 @@ def diff_snapshots(path_a, path_b) -> list:
         raise ConfigurationError("snapshots carry different field sets")
     return [(name, float(np.max(np.abs(a["fields"][name] - b["fields"][name]))))
             for name in a["fields"]]
-
-
-def averaged_profiles(states: Sequence[PrognosticState], mesh: Mesh) -> dict:
-    """Time-mean, then horizontal mean per height, for u and theta_v'."""
-    if not states:
-        raise ConfigurationError("averaged_profiles needs at least one state")
-    u_mean = np.mean([st.u[0] for st in states], axis=0)
-    th_mean = np.mean([st.theta_vp for st in states], axis=0)
-    return {
-        "z": mesh.coords_1d[-1],
-        "u": horizontal_average(mesh, u_mean),
-        "theta_vp": horizontal_average(mesh, th_mean),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "apply_filter",
     "filter_field",
     "boyd_vandeven_transfer",
-    "density_perturbation_for_theta",
 ]
 
 
@@ -130,22 +129,12 @@ def write_sounding(snd: Sounding, path) -> None:
 # ---------------------------------------------------------------------------
 # equation of state
 
-def equation_of_state(rho, theta_v=None, T=None, q_v=None,
-                      constants: PhysConstants = DEFAULT_CONSTANTS):
-    """Pressure of moist air from density plus either theta_v or T.
-
-    With T: p = rho R_d T (1 + eps q_v)  (virtual temperature form).
-    With theta_v: the Exner inversion p = p00 (rho R_d theta_v / p00)^(c_p/c_v).
-    """
+def equation_of_state(rho, theta_v, constants: PhysConstants = DEFAULT_CONSTANTS):
+    """Pressure of moist air from density and theta_v, by the Exner
+    inversion p = p00 (rho R_d theta_v / p00)^(c_p/c_v)."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise StateError("non-positive density in equation of state")
-    if (theta_v is None) == (T is None):
-        raise ConfigurationError("give exactly one of theta_v or T")
-    if T is not None:
-        qv = 0.0 if q_v is None else q_v
-        Tv = np.asarray(T) * (1.0 + constants.eps * np.asarray(qv))
-        return rho * constants.R_d * Tv
     return constants.p00 * (rho * constants.R_d * np.asarray(theta_v)
                             / constants.p00) ** (constants.c_p / constants.c_v)
 
@@ -234,14 +223,6 @@ def build_reference(sounding: Sounding, mesh: Mesh,
         p_surf=float(sounding.p_surf),
         rho0_surf=float(rho0[0]),
     )
-
-
-def density_perturbation_for_theta(reference: ReferenceState, theta_p: np.ndarray) -> np.ndarray:
-    """rho' of a pressure-balanced thermal: gas law at unchanged p0.
-
-    Warm anomalies (theta_p > 0) give rho' < 0 and hence upward buoyancy.
-    """
-    return -reference.rho0 * theta_p / (reference.theta_v0 + theta_p)
 
 
 # ---------------------------------------------------------------------------

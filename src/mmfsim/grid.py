@@ -193,11 +193,6 @@ class Mesh:
         W = [self._element_weights_1d(d) for d in range(self.dim - 1)]
         return W[0] if self.dim == 2 else np.kron(W[1], W[0])
 
-    @cached_property
-    def multiplicity(self) -> np.ndarray:
-        """Number of element-local copies of each global node."""
-        return dss_sum(self, np.ones(self.l2g.shape))
-
     @property
     def ncols(self) -> int:
         n = 1

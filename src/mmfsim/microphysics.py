@@ -53,7 +53,7 @@ class KesslerParams:
 class ColumnView:
     """One grid column, bottom to top: full (not perturbation) values."""
 
-    z: np.ndarray        # m, strictly increasing
+    z: np.ndarray        # m, strictly increasing; Kessler never reads heights
     masses: np.ndarray   # vertical lumped quadrature masses, m
     rho: np.ndarray      # kg/m3
     theta_v: np.ndarray  # K

@@ -22,9 +22,6 @@ __all__ = [
     "DiagonalMass",
     "build_mass",
     "integrate",
-    "weak_gradient",
-    "weak_divergence",
-    "laplacian_diffusion",
     "SemOps",
     "get_ops",
 ]
@@ -70,10 +67,6 @@ class PrognosticState:
     @property
     def dim(self):
         return self.data.shape[0] - 5
-
-    @property
-    def nfields(self):
-        return self.data.shape[0]
 
     def copy(self):
         return PrognosticState.from_vector(self.data.copy(), self.dim)
@@ -174,20 +167,3 @@ def build_mass(mesh: Mesh) -> DiagonalMass:
 def integrate(mesh: Mesh, nodal_field: np.ndarray) -> float:
     """Quadrature of a nodal field over the domain, sum_e sum_q w J f."""
     return float(np.dot(mesh.mass, nodal_field))
-
-
-def weak_gradient(mesh: Mesh, scalar_field: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar nodal field, returned as (dim, npts)."""
-    return get_ops(mesh).grad(scalar_field)
-
-
-def weak_divergence(mesh: Mesh, vector_field: np.ndarray) -> np.ndarray:
-    """Divergence of a (dim, npts) nodal vector field."""
-    return get_ops(mesh).div(np.asarray(vector_field))
-
-
-def laplacian_diffusion(mesh: Mesh, field: np.ndarray, nu: float) -> np.ndarray:
-    """nu * weak Laplacian; exact zero when nu == 0."""
-    if nu == 0.0:
-        return np.zeros_like(field)
-    return nu * get_ops(mesh).laplacian(field)

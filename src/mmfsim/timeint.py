@@ -22,7 +22,7 @@ caller's state is never written.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ import numpy as np
 # other's and made multithreaded runs about ten times slower
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
+from .dynamics import DEFAULT_CONSTANTS, PhysConstants
 from .errors import ConfigurationError, SolverError
 from .grid import Mesh
 from .operators import PrognosticState, get_ops
@@ -55,7 +56,6 @@ class Ark2Tableau:
     a_explicit: np.ndarray
     a_implicit: np.ndarray
     b: np.ndarray
-    order: int = 2
 
     def __post_init__(self):
         ae, ai, b = self.a_explicit, self.a_implicit, self.b
@@ -108,6 +108,9 @@ def stability_function(tableau: Ark2Tableau, z):
     for idx, zz in np.ndenumerate(z):
         out[idx] = 1.0 + zz * (tableau.b @ np.linalg.solve(I - zz * tableau.a_implicit, ones))
     return out if out.shape else complex(out)
+
+
+_ARK2 = ark2_tableau()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,8 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 # linearized operator about the reference state
 
 def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
-                    constants=None, sponge_rw=None) -> PrognosticState:
+                    constants: PhysConstants = DEFAULT_CONSTANTS,
+                    sponge_rw=None) -> PrognosticState:
     """Constant-coefficient linearization L of the fast-wave terms.
 
     Rows: continuity -div(rho0 u); momentum -(1/rho0) grad p'_lin with
@@ -227,9 +231,6 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     rain rows are zero; vertical-velocity rows vanish at the
     impermeable boundaries.
     """
-    from .dynamics import DEFAULT_CONSTANTS
-    if constants is None:
-        constants = DEFAULT_CONSTANTS
     ops = get_ops(mesh)
     dim = mesh.dim
     q = state_increment
@@ -277,9 +278,8 @@ class ImexOperatorSplit:
 
 
 def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
-              gmres_cfg: GmresConfig = GmresConfig(),
-              tableau: Ark2Tableau = None) -> PrognosticState:
-    """Advance one step; returns a new state.
+              gmres_cfg: GmresConfig = GmresConfig()) -> PrognosticState:
+    """Advance one step of the `ark2_tableau` pair; returns a new state.
 
     The final update uses the shared weights b on S(q_i) + coupling
     only: the delta L contributions cancel exactly between the
@@ -288,11 +288,9 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if tableau is None:
-        tableau = ark2_tableau()
     dim = state.dim
-    ae, ai, b = tableau.a_explicit, tableau.a_implicit, tableau.b
-    gamma = tableau.gamma
+    ae, ai, b = _ARK2.a_explicit, _ARK2.a_implicit, _ARK2.b
+    gamma = _ARK2.gamma
     delta = split.delta
     cvec = split.coupling.as_vector() if split.coupling is not None else None
 

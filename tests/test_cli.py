@@ -46,6 +46,16 @@ def test_run_bad_config_contents(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["time.dt = 0", "run.duration = -4"])
+def test_run_rejects_nonpositive_time(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.preset = desk\n"
+                              "run.duration = 4\n" + line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "error[config]: dt and duration must be positive" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_analyze_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path,
                     "run.output_dir = " + str(tmp_path / "a") + "\n"
@@ -109,6 +119,17 @@ def test_diff_snapshots_missing_file(tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
+def test_diff_snapshots_checksum_mismatch(tmp_path, capsys):
+    a, b = snapshots_for_diff(tmp_path)
+    with open(b, "r+b") as fh:
+        fh.seek(-1, 2)
+        last = fh.read(1)
+        fh.seek(-1, 2)
+        fh.write(bytes([last[0] ^ 0x01]))
+    assert main(["diff-snapshots", a, b]) == 2
+    assert f"error[config]: {b}: checksum mismatch" in capsys.readouterr().err
+
+
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -123,6 +144,18 @@ def test_diff_snapshots_malformed_header(tmp_path, capsys, old, new):
         fh.write(blob.replace(old, new, 1))
     assert main(["diff-snapshots", a, b]) == 2
     assert "malformed header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [3, 8])
+def test_diff_snapshots_truncated_payload(tmp_path, capsys, cut):
+    """A payload cut mid-value or at a value boundary is a config error."""
+    a, b = snapshots_for_diff(tmp_path)
+    with open(b, "rb") as fh:
+        blob = fh.read()
+    with open(b, "wb") as fh:
+        fh.write(blob[:-cut])
+    assert main(["diff-snapshots", a, b]) == 2
+    assert "truncated payload" in capsys.readouterr().err
 
 
 def test_diff_snapshots_without_fields(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from mmfsim.complexity import (CostModelInput, arithmetic_intensity,
                                boundary_points, comm_bytes, cost_report,
-                               element_counts, flops, plan_partition,
-                               simplified_intensity, step_counts)
+                               element_counts, flops, simplified_intensity,
+                               step_counts)
 from mmfsim.errors import ConfigurationError
 
 
@@ -133,49 +133,3 @@ def test_input_validation():
         unit_case(r_x=0.5)
     with pytest.raises(ConfigurationError):
         unit_case(n_rx=2.0)  # must be an integer
-
-
-def test_partition_single_rank_is_silent():
-    plan = plan_partition((4, 3), order=2, n_rx=1, periodic=(True,))
-    assert plan.total_boundary_points == 0
-    assert plan.blocks[0].boundary_points == 0
-
-
-def test_partition_2d_counts():
-    # 4 x-elements over 2 ranks, 3 z-elements, order 2: one shared
-    # interface, each rank sends one face of 3*3 = 9 points
-    plan = plan_partition((4, 3), order=2, n_rx=2, periodic=(False,))
-    assert [b.boundary_points for b in plan.blocks] == [9, 9]
-    assert plan.total_boundary_points == 18
-    # periodic wrap adds the outer faces
-    wrap = plan_partition((4, 3), order=2, n_rx=2, periodic=(True,))
-    assert [b.boundary_points for b in wrap.blocks] == [18, 18]
-
-
-def test_partition_never_splits_columns():
-    plan = plan_partition((8, 4, 5), order=3, n_rx=4, n_ry=2)
-    assert len(plan.blocks) == 8
-    for b in plan.blocks:
-        assert b.z_elems == (0, 5)
-        assert b.x_elems[1] - b.x_elems[0] == 2
-        assert b.y_elems[1] - b.y_elems[0] == 2
-
-
-def test_partition_3d_face_counts():
-    # by=2, bx=2, nez=5, n_p=4: x face 2*5*16 = 160, y face 2*5*16 = 160;
-    # periodic interior ranks talk across 2 x faces and 2 y faces
-    plan = plan_partition((8, 4, 5), order=3, n_rx=4, n_ry=2,
-                          periodic=(True, True))
-    for b in plan.blocks:
-        assert b.boundary_points == 2 * 160 + 2 * 160
-
-
-def test_partition_rejects_ragged_split():
-    with pytest.raises(ConfigurationError) as exc:
-        plan_partition((5, 3), order=2, n_rx=2)
-    assert "valid factors: 1, 5" in str(exc.value)
-
-
-def test_partition_rejects_y_split_in_2d():
-    with pytest.raises(ConfigurationError):
-        plan_partition((4, 3), order=2, n_rx=2, n_ry=2)

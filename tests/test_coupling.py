@@ -44,7 +44,7 @@ def make_mmf(substeps=2, amplitude=0.0, microphysics=False, seed=0,
                     sounding=snd, dynamics_enabled=dynamics)
     cfg = MmfConfig(ssp_length=5e3, ssp_elems_x=3, ssp_elems_z=ssp_elems_z,
                     ssp_order=4, substeps=substeps,
-                    perturbation_amplitude=amplitude, microphysics=microphysics)
+                    perturbation_amplitude=amplitude)
     kp = KesslerParams() if microphysics else None
     instances = spawn_ssp_instances(lsp, cfg, seed=seed, kessler=kp)
     return lsp, cfg, instances
@@ -171,8 +171,6 @@ def test_tendency_directions():
 
 def test_config_rejects_forbidden_variables():
     with pytest.raises(ConfigurationError):
-        MmfConfig(coupled=("u", "w"))
-    with pytest.raises(ConfigurationError):
         MmfConfig(substeps=0)
 
 
@@ -279,7 +277,7 @@ def reference_mmf_step(lsp, instances, dT, cfg):
     """The coupled step one instance and one variable at a time: element
     column ids and weights, per-variable horizontal averages and vertical
     transfers, and an np.add.at scatter of the forcing."""
-    mesh, M, coupled = lsp.mesh, cfg.substeps, cfg.coupled
+    mesh, M, coupled = lsp.mesh, cfg.substeps, COUPLED_VARS
     ne_z = mesh.elem_counts[-1]
     anchors = [element_columns(mesh, inst.anchor) for inst in instances]
 
@@ -336,7 +334,7 @@ def noisy_mmf(dim):
                         state=PrognosticState.zeros(mesh), sounding=snd,
                         dynamics_enabled=False)
         cfg = MmfConfig(ssp_length=5e3, ssp_elems_x=3, ssp_elems_z=6,
-                        ssp_order=4, substeps=2, microphysics=False)
+                        ssp_order=4, substeps=2)
         instances = spawn_ssp_instances(lsp, cfg, seed=3)
     rng = np.random.default_rng(dim)
     for sim in [lsp] + [inst.sim for inst in instances]:

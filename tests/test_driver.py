@@ -7,10 +7,9 @@ import pytest
 
 from mmfsim import coupling, driver
 from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                           OUTPUT_DIR_ENV, RunConfig, averaged_profiles,
-                           compute_kinetic_energy, diff_snapshots,
-                           format_config, parse_config, read_config,
-                           read_snapshot, run, write_snapshot)
+                           OUTPUT_DIR_ENV, RunConfig, compute_kinetic_energy,
+                           diff_snapshots, format_config, parse_config,
+                           read_config, read_snapshot, run, write_snapshot)
 from mmfsim.dynamics import build_reference
 from mmfsim.errors import ConfigurationError
 from mmfsim.grid import build_box_mesh
@@ -144,6 +143,54 @@ def test_snapshot_meta_checksum(tmp_path):
     assert sum(1 for line in meta if line.startswith("field ")) == 7
 
 
+def test_snapshot_checksum_is_verified(tmp_path):
+    mesh = unit_box()
+    path = tmp_path / "snap.dat"
+    write_snapshot(random_state(mesh, 4), mesh, 0.0, path)
+    blob = bytearray(path.read_bytes())
+    blob[-3] ^= 0x01                      # one payload byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="checksum mismatch"):
+        read_snapshot(path)
+    # without its sidecar the same file reads, flipped byte and all
+    os.remove(str(path) + ".meta")
+    back = read_snapshot(path)
+    assert back["fields"]["q_r"][-1] != random_state(mesh, 4).q_r[-1]
+
+
+@pytest.mark.parametrize("failing_open", [1, 2])
+def test_failed_snapshot_write_leaves_no_file(tmp_path, monkeypatch, failing_open):
+    """A write that fails partway, in the snapshot (1st open) or in its
+    .meta (2nd open), leaves neither the targets nor a temp file."""
+    opened = []
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def fake_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(args[0])
+        return HalfWriter(fh) if len(opened) == failing_open else fh
+
+    monkeypatch.setattr(driver, "open", fake_open, raising=False)
+    mesh = unit_box()
+    with pytest.raises(OSError, match="disk full"):
+        write_snapshot(random_state(mesh, 5), mesh, 0.0, tmp_path / "snap.dat")
+    assert len(opened) == failing_open
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     bad = tmp_path / "nope.dat"
     bad.write_bytes(b"this is not a snapshot")
@@ -171,22 +218,6 @@ def test_diff_snapshots_rejects_mismatched_grids(tmp_path):
     write_snapshot(PrognosticState.zeros(m2), m2, 0.0, b)
     with pytest.raises(ConfigurationError):
         diff_snapshots(a, b)
-
-
-def test_averaged_profiles_oracles():
-    mesh = unit_box()
-    st = PrognosticState.zeros(mesh)
-    st.u[0][:] = 1.5
-    st.theta_vp = mesh.coords[:, 1]          # linear in height
-    prof = averaged_profiles([st, st], mesh)
-    assert np.max(np.abs(prof["u"] - 1.5)) < 1e-14
-    assert np.max(np.abs(prof["theta_vp"] - prof["z"])) < 1e-13
-    assert np.all(np.diff(prof["z"]) > 0)
-
-
-def test_averaged_profiles_needs_states():
-    with pytest.raises(ConfigurationError):
-        averaged_profiles([], unit_box())
 
 
 def run_cfg(tmp_path, **kw):

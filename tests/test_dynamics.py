@@ -4,7 +4,6 @@ import pytest
 from mmfsim.cases import build_case
 from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
                              boyd_vandeven_transfer, build_reference,
-                             density_perturbation_for_theta,
                              equation_of_state, evaluate_rhs, exner_function,
                              filter_field, read_sounding, sponge_profile,
                              write_sounding)
@@ -121,13 +120,6 @@ def test_reference_matches_per_element_oracles(name):
     for got, vals in ((ref.dtheta_v0_dz, theta_v), (ref.dq_v0_dz, q_v)):
         want = per_element_weak_ddz(vals, ne, N, h, rule)
         assert np.max(np.abs(mesh.column_view(got) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_density_perturbation_sign(small_reference):
-    warm = density_perturbation_for_theta(small_reference, np.full_like(small_reference.rho0, 2.0))
-    assert np.all(warm < 0.0)
-    zero = density_perturbation_for_theta(small_reference, np.zeros_like(small_reference.rho0))
-    assert np.all(zero == 0.0)
 
 
 def test_sponge_profile_endpoints():

@@ -89,9 +89,26 @@ def test_dss_scatter_adjoint(unit_mesh_2d):
 
 
 def test_dss_multiplicity(unit_mesh_2d):
-    mesh = unit_mesh_2d
-    ones = np.ones(mesh.l2g.shape)
-    assert np.array_equal(dss_sum(mesh, ones), mesh.multiplicity)
+    """dss_sum of ones counts the elements holding each node: the outer
+    product of the per-direction 1D counts (2 on shared element faces,
+    including a periodic wrap, 1 elsewhere)."""
+    def copies_1d(ne, N, periodic):
+        n = ne * N + (0 if periodic else 1)
+        nodes = (np.arange(ne)[:, None] * N + np.arange(N + 1)) % n
+        return np.bincount(nodes.ravel(), minlength=n)
+
+    cases = [(unit_mesh_2d, (3, 2), (4, 3), (False, False)),
+             (build_box_mesh((2.0, 1.0), (4, 3), (3, 2), periodicity=(True,)),
+              (4, 3), (3, 2), (True, False)),
+             (build_box_mesh((1.0, 2.0, 1.5), (2, 3, 2), (2, 3, 4),
+                             periodicity=(True, False)),
+              (2, 3, 2), (2, 3, 4), (True, False, False))]
+    for mesh, elems, orders, periodic in cases:
+        counts = [copies_1d(*args) for args in zip(elems, orders, periodic)]
+        want = counts[-1]
+        for c in counts[-2::-1]:              # z slowest, x fastest
+            want = np.multiply.outer(want, c)
+        assert np.array_equal(dss_sum(mesh, np.ones(mesh.l2g.shape)), want.ravel())
 
 
 def test_column_view_is_a_copy(small_mesh):
