@@ -87,10 +87,12 @@ class Simulator:
 
         Order: IMEX step, floor the moisture fields (dispersive
         advection undershoots), Kessler columns if enabled, modal
-        filter, re-impose w=0 on the impermeable boundaries. Does not
-        commit: the caller assigns .state, which lets a coarse+fine
-        composite step fail atomically. `state` overrides self.state
-        so substep chains stay pure.
+        filter, re-impose w=0 on the impermeable boundaries. A solver or
+        state error is re-raised with its phase ("dynamics: ..." or
+        "microphysics: ...") in front. Does not commit: the caller
+        assigns .state, which lets a coarse+fine composite step fail
+        atomically. `state` overrides self.state so substep chains stay
+        pure.
         """
         if state is None:
             state = self.state
@@ -101,7 +103,10 @@ class Simulator:
                 lin=lambda q: linear_operator(q, self.reference, self.mesh,
                                               self.constants, sponge_rw=self.sponge_rw),
                 coupling=coupling)
-            new = step_ark2(state, dt, split)
+            try:
+                new = step_ark2(state, dt, split)
+            except (SolverError, StateError) as exc:
+                raise exc.prefixed("dynamics") from exc
         else:
             new = state.copy()
             if coupling is not None:
@@ -113,8 +118,11 @@ class Simulator:
 
         precip = None
         if self.kessler is not None:
-            new, precip = apply_microphysics(new, self.reference, self.mesh, dt,
-                                             self.kessler, self.constants)
+            try:
+                new, precip = apply_microphysics(new, self.reference, self.mesh, dt,
+                                                 self.kessler, self.constants)
+            except (SolverError, StateError) as exc:
+                raise exc.prefixed("microphysics") from exc
         if self.filter_strength > 0.0:
             new = apply_filter(new, self.filter_strength, self.mesh)
             new.u[-1][self.mesh.bottom_nodes] = 0.0

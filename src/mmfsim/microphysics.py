@@ -113,7 +113,7 @@ def _sediment(q_r, rho, masses, rho_surf, dt, params):
     return precip
 
 
-def _saturation_adjust(theta_v, q_v, q_c, rho, exner_in, params, constants):
+def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants):
     """Newton solve for the condensation increment at fixed density.
 
     Returns delta with q_v -> q_v - delta, q_c -> q_c + delta and
@@ -121,18 +121,22 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, exner_in, params, constants):
     diagnostic here (p = p(rho, theta_v)), so the solve tracks the p
     and Exner response to the latent heating; that makes a repeated
     call a no-op to rounding. Evaporation (delta < 0) is limited by
-    the available cloud water.
+    the available cloud water. p_in and exner_in are the entry
+    pressure and Exner function, which the first iteration (delta = 0)
+    uses as they are.
     """
     eps = constants.eps
     cr = constants.R_d / constants.R_v
     cp_cv = constants.c_p / constants.c_v
     A = constants.L_v / (constants.c_p * exner_in)
     delta = np.zeros_like(q_v)
-    for _ in range(params.newton_iterations):
-        th = theta_v + A * delta
-        qv = q_v - delta
-        p = equation_of_state(rho, theta_v=th, constants=constants)
-        pi = exner_function(p, constants)
+    th, qv, p, pi = theta_v, q_v, p_in, exner_in
+    for it in range(params.newton_iterations):
+        if it:
+            th = theta_v + A * delta
+            qv = q_v - delta
+            p = equation_of_state(rho, theta_v=th, constants=constants)
+            pi = exner_function(p, constants)
         T = th * pi / (1.0 + eps * qv)
         es = _ES0 * np.exp(_TETA * (T - _T0) / (T - _TETB))
         qvs = cr * es / (p - es)
@@ -186,19 +190,21 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
 
     p = equation_of_state(rho, theta_v=theta_v, constants=constants)
     exner = exner_function(p, constants)
-    delta = _saturation_adjust(theta_v, q_v, q_c, rho, exner, params, constants)
+    delta = _saturation_adjust(theta_v, q_v, q_c, rho, p, exner, params, constants)
     q_v -= delta
     q_c += delta
     theta_v += (constants.L_v / (constants.c_p * exner)) * delta
 
     if dt > 0.0:
-        # evaporation sees the post-adjustment diagnostic pressure
-        p2 = equation_of_state(rho, theta_v=theta_v, constants=constants)
-        ex2 = exner_function(p2, constants)
-        ern = _rain_evaporation(theta_v, q_v, q_r, rho, p2, ex2, dt, constants)
+        # evaporation sees the post-adjustment diagnostic pressure, which
+        # is the entry one when nothing condensed or evaporated
+        if np.any(delta):
+            p = equation_of_state(rho, theta_v=theta_v, constants=constants)
+            exner = exner_function(p, constants)
+        ern = _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants)
         q_r -= ern
         q_v += ern
-        theta_v -= (constants.L_v / (constants.c_p * ex2)) * ern
+        theta_v -= (constants.L_v / (constants.c_p * exner)) * ern
 
     np.maximum(q_c, 0.0, out=q_c)
     np.maximum(q_r, 0.0, out=q_r)

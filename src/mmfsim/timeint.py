@@ -230,28 +230,59 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     thermodynamic -w d(theta_v0)/dz; vapor -w d(q_v0)/dz. Cloud and
     rain rows are zero; vertical-velocity rows vanish at the
     impermeable boundaries.
+
+    Each direction takes one derivative call on the stacked pair
+    (p'_lin, rho0 u_d), and every row is written in place into one new
+    array. The 1D matrices sum each stacked column in the same order,
+    so this is bit-identical to separate gradient and divergence calls.
     """
     ops = get_ops(mesh)
+    D = mesh.weak_derivative_1d
     dim = mesh.dim
     q = state_increment
     rho0 = reference.rho0
     gam = constants.c_p / constants.c_v
-    p_lin = gam * (reference.p0 / rho0 * q.rho_p
-                   + reference.p0 / reference.theta_v0 * q.theta_vp)
-    gp = ops.grad(p_lin)
-    d_rho = -ops.div(rho0 * q.u)
-    du = -gp / rho0
-    w = q.u[-1]
-    du[-1] -= constants.g * q.rho_p / rho0
+    out = np.empty((5 + dim, mesh.npts))
+    d_rho, du, w = out[0], out[1:1 + dim], q.u[-1]
+    # the q_c row holds intermediate products until it is zeroed at the end
+    d_th, d_qv, scratch = out[-4], out[-3], out[-2]
+
+    pair = np.empty((2, mesh.npts))
+    p_lin = pair[0]
+    np.divide(reference.p0, rho0, out=p_lin)
+    p_lin *= q.rho_p
+    np.divide(reference.p0, reference.theta_v0, out=scratch)
+    scratch *= q.theta_vp
+    p_lin += scratch
+    p_lin *= gam
+    for d in range(dim):
+        np.multiply(rho0, q.u[d], out=pair[1])
+        dp, dflux = ops.along(D[d], pair, d)
+        np.negative(dp, out=du[d])
+        du[d] /= rho0
+        if d:
+            d_rho += dflux
+        else:
+            d_rho[:] = dflux
+    np.negative(d_rho, out=d_rho)
+
+    np.multiply(constants.g, q.rho_p, out=scratch)
+    scratch /= rho0
+    du[-1] -= scratch
     if sponge_rw is not None:
-        du[-1] -= sponge_rw * w
-    du[-1][mesh.bottom_nodes] = 0.0
-    du[-1][mesh.top_nodes] = 0.0
-    d_th = -w * reference.dtheta_v0_dz
-    d_qv = -w * reference.dq_v0_dz
-    zero = np.zeros_like(d_rho)
-    return PrognosticState(rho_p=d_rho, u=du, theta_vp=d_th, q_vp=d_qv,
-                           q_c=zero, q_r=zero.copy())
+        np.multiply(sponge_rw, w, out=scratch)
+        du[-1] -= scratch
+    # z runs slowest, so the bottom and top nodes are the first and last
+    # ncols points
+    ncols = mesh.ncols
+    du[-1][:ncols] = 0.0
+    du[-1][-ncols:] = 0.0
+    np.negative(w, out=d_th)
+    d_th *= reference.dtheta_v0_dz
+    np.negative(w, out=d_qv)
+    d_qv *= reference.dq_v0_dz
+    out[-2:] = 0.0
+    return PrognosticState.from_vector(out, dim)
 
 
 # ---------------------------------------------------------------------------

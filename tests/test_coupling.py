@@ -443,6 +443,23 @@ def test_step_failures_name_their_grid():
         mmf_step(lsp, instances, 3.0, cfg=cfg)
 
 
+# sedimentation runs before the equation of state rejects the vacuum, and
+# its fall-speed law takes the square root of a negative density ratio
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+def test_step_failures_name_their_phase(small_mesh, small_reference):
+    # a vacuum in a few nodes: with the dynamics off, the equation of state
+    # inside the Kessler update rejects it; with them on, the RHS does
+    state = PrognosticState.zeros(small_mesh)
+    state.rho_p[:5] = -2.0 * small_reference.rho0[:5]
+    sim = Simulator(mesh=small_mesh, reference=small_reference, state=state,
+                    kessler=KesslerParams(), dynamics_enabled=False)
+    with pytest.raises(StateError, match="^microphysics: non-positive density"):
+        sim.step(1.0)
+    sim.dynamics_enabled = True
+    with pytest.raises(StateError, match="^dynamics: vacuum"):
+        sim.step(1.0)
+
+
 def test_operator_caches_die_with_their_mesh():
     snd = isothermal_sounding(z_top=14e3)
     mesh = build_box_mesh((20e3, 12e3), (2, 3), (4, 4), periodicity=(True,))

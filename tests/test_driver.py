@@ -352,8 +352,9 @@ def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsy
     cfg = run_cfg(tmp_path, mode="mmf", duration=4.0)
     assert run(cfg) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "step 1: embedded grid 1, substep 1: GMRES did not reach" in err
+    assert "step 1: embedded grid 1, substep 1: dynamics: GMRES did not reach" in err
     out = tmp_path / "out"
     for name in ("diagnostics.csv", "precip.csv", "coupling_residuals.csv"):
         last = (out / name).read_text().splitlines()[-1]
-        assert last.startswith("# truncated: step 1: embedded grid 1, substep 1: GMRES")
+        assert last.startswith(
+            "# truncated: step 1: embedded grid 1, substep 1: dynamics: GMRES")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmfsim import microphysics
 from mmfsim.dynamics import DEFAULT_CONSTANTS, equation_of_state, exner_function
 from mmfsim.errors import StateError
 from mmfsim.microphysics import (ColumnView, KesslerParams, apply_microphysics,
@@ -70,6 +71,33 @@ def test_dry_column_untouched():
     assert np.allclose(col.q_v, before, atol=1e-18)
     assert np.all(col.q_c == 0.0)
     assert np.all(col.q_r == 0.0)
+
+
+def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference, monkeypatch):
+    """Nothing condenses, evaporates or falls, so theta_v and q_v come
+    back bit for bit and the entry pressure serves the whole update:
+    one equation-of-state call, where a cloudy batch needs more."""
+    ref, rng = small_reference, np.random.default_rng(3)
+    st = PrognosticState.zeros(small_mesh)
+    st.theta_vp = rng.uniform(-1.0, 1.0, small_mesh.npts)
+    st.q_vp = rng.uniform(-1e-3, 1e-3, small_mesh.npts)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return equation_of_state(*args, **kwargs)
+
+    monkeypatch.setattr(microphysics, "equation_of_state", counted)
+    out, precip = apply_microphysics(st, ref, small_mesh, 5.0, P, C)
+    assert np.array_equal(out.theta_vp, (ref.theta_v0 + st.theta_vp) - ref.theta_v0)
+    assert np.array_equal(out.q_vp, (ref.q_v0 + st.q_vp) - ref.q_v0)
+    assert np.all(out.q_c == 0.0) and np.all(out.q_r == 0.0)
+    assert np.all(precip == 0.0)
+    assert len(calls) == 1
+
+    st.q_c[:] = 1e-4
+    apply_microphysics(st, ref, small_mesh, 5.0, P, C)
+    assert len(calls) > 3
 
 
 def test_supersaturation_condenses():

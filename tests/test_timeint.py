@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmfsim import timeint
 from mmfsim.cases import build_case
+from mmfsim.dynamics import DEFAULT_CONSTANTS, SpongeConfig, build_reference, sponge_profile
 from mmfsim.errors import ConfigurationError, SolverError
-from mmfsim.operators import PrognosticState
+from mmfsim.grid import build_box_mesh
+from mmfsim.operators import PrognosticState, get_ops
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
                             stability_function, step_ark2)
+
+from conftest import isothermal_sounding
 
 TIGHT = GmresConfig(tol=1e-13, restart=30, maxiter=300)
 
@@ -354,3 +359,98 @@ def test_linear_operator_moisture_rows(small_mesh, small_reference):
     assert np.all(L.q_r == 0.0)
     assert np.all(L.u[-1][small_mesh.bottom_nodes] == 0.0)
     assert np.all(L.u[-1][small_mesh.top_nodes] == 0.0)
+
+
+# (extents, elements, orders, lateral periodicity) of the operator meshes
+OPERATOR_MESHES = {
+    "2d_periodic": ((50e3, 24e3), (3, 15), (4, 4), (True,)),
+    "3d_periodic": ((30e3, 20e3, 24e3), (3, 2, 4), (3, 3, 3), (True, True)),
+    "3d_mixed": ((30e3, 20e3, 24e3), (3, 2, 4), (4, 3, 2), (True, False)),
+}
+
+
+@pytest.fixture(scope="module",
+                params=[(m, s) for m in OPERATOR_MESHES for s in (False, True)],
+                ids=lambda p: f"{p[0]}-{'sponge' if p[1] else 'nosponge'}")
+def operator_case(request):
+    """(mesh, reference, sponge_rw or None, random increment)."""
+    name, sponge = request.param
+    extents, elems, orders, periodic = OPERATOR_MESHES[name]
+    mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
+    ref = build_reference(isothermal_sounding(), mesh, DEFAULT_CONSTANTS)
+    rw = None
+    if sponge:
+        z_top = extents[-1]
+        rw = sponge_profile(mesh.coords[:, -1], SpongeConfig(z_top - 6e3, z_top, 0.25))
+    rng = np.random.default_rng(len(name) + 10 * sponge)
+    q = PrognosticState.from_vector(rng.standard_normal((5 + mesh.dim) * mesh.npts), mesh.dim)
+    return mesh, ref, rw, q
+
+
+def _separate_calls_operator(q, ref, mesh, sponge_rw):
+    """L as separate gradient and divergence calls, row by row: the
+    expressions the fused operator must reproduce bit for bit."""
+    ops, c, rho0 = get_ops(mesh), DEFAULT_CONSTANTS, ref.rho0
+    p_lin = (c.c_p / c.c_v) * (ref.p0 / rho0 * q.rho_p + ref.p0 / ref.theta_v0 * q.theta_vp)
+    d_rho = -ops.div(rho0 * q.u)
+    du = -ops.grad(p_lin) / rho0
+    w = q.u[-1]
+    du[-1] -= c.g * q.rho_p / rho0
+    if sponge_rw is not None:
+        du[-1] -= sponge_rw * w
+    du[-1][mesh.bottom_nodes] = 0.0
+    du[-1][mesh.top_nodes] = 0.0
+    zero = np.zeros_like(d_rho)
+    return PrognosticState(rho_p=d_rho, u=du, theta_vp=-w * ref.dtheta_v0_dz,
+                           q_vp=-w * ref.dq_v0_dz, q_c=zero, q_r=zero)
+
+
+def _assembled_operator(ref, mesh, sponge_rw):
+    """L as one sparse matrix on the flat state, from Kronecker products
+    of the 1D weak derivatives (x runs fastest in a field)."""
+    c, n1d, dim, n = DEFAULT_CONSTANTS, mesh.npts_1d, mesh.dim, mesh.npts
+    G = [sp.kron(sp.kron(sp.identity(math.prod(n1d[d + 1:])), D),
+                 sp.identity(math.prod(n1d[:d])))
+         for d, D in enumerate(mesh.weak_derivative_1d)]
+    gam, diag = c.c_p / c.c_v, sp.diags
+    blocks = [[sp.csr_matrix((n, n)) for _ in range(5 + dim)] for _ in range(5 + dim)]
+    for d in range(dim):
+        blocks[0][1 + d] = -G[d] @ diag(ref.rho0)
+        blocks[1 + d][0] = -diag(1.0 / ref.rho0) @ G[d] @ diag(gam * ref.p0 / ref.rho0)
+        blocks[1 + d][-4] = -diag(1.0 / ref.rho0) @ G[d] @ diag(gam * ref.p0 / ref.theta_v0)
+    blocks[dim][0] = blocks[dim][0] - diag(c.g / ref.rho0)
+    if sponge_rw is not None:
+        blocks[dim][dim] = -diag(sponge_rw)
+    interior = np.ones(n)
+    interior[mesh.bottom_nodes] = 0.0
+    interior[mesh.top_nodes] = 0.0
+    blocks[dim] = [diag(interior) @ b for b in blocks[dim]]
+    blocks[-4][dim] = -diag(ref.dtheta_v0_dz)
+    blocks[-3][dim] = -diag(ref.dq_v0_dz)
+    return sp.bmat(blocks, format="csr")
+
+
+def test_linear_operator_matches_separate_calls_bit_for_bit(operator_case):
+    mesh, ref, rw, q = operator_case
+    got = linear_operator(q, ref, mesh, sponge_rw=rw)
+    assert np.array_equal(got.data, _separate_calls_operator(q, ref, mesh, rw).data)
+
+
+def test_linear_operator_matches_assembled_matrix(operator_case):
+    mesh, ref, rw, q = operator_case
+    got = linear_operator(q, ref, mesh, sponge_rw=rw).data
+    expect = (_assembled_operator(ref, mesh, rw) @ q.as_vector()).reshape(got.shape)
+    for row_got, row_expect in zip(got, expect):
+        scale = np.max(np.abs(row_expect))
+        if scale == 0.0:
+            assert np.all(row_got == 0.0)
+        else:
+            assert np.max(np.abs(row_got - row_expect)) <= 1e-14 * scale
+
+
+def test_linear_operator_leaves_its_input_alone(operator_case):
+    mesh, ref, rw, q = operator_case
+    before = q.data.copy()
+    got = linear_operator(q, ref, mesh, sponge_rw=rw)
+    assert not np.shares_memory(got.data, q.data)
+    assert np.array_equal(q.data, before)
