@@ -97,14 +97,19 @@ class Simulator:
         if state is None:
             state = self.state
         if self.dynamics_enabled:
+            # S and L write into one buffer, which step_ark2 is done
+            # with before it asks for the next tendency
+            work = self.mesh.work
+            tend = PrognosticState.from_vector(
+                work.array("Simulator.step.tendency", (state.data.size,)), state.dim)
             split = ImexOperatorSplit(
-                s=lambda q: evaluate_rhs(q, self.reference, self.mesh,
-                                         self.constants, sponge_rw=self.sponge_rw),
-                lin=lambda q: linear_operator(q, self.reference, self.mesh,
-                                              self.constants, sponge_rw=self.sponge_rw),
+                s=lambda q: evaluate_rhs(q, self.reference, self.mesh, self.constants,
+                                         sponge_rw=self.sponge_rw, out=tend),
+                lin=lambda q: linear_operator(q, self.reference, self.mesh, self.constants,
+                                              sponge_rw=self.sponge_rw, out=tend),
                 coupling=coupling)
             try:
-                new = step_ark2(state, dt, split)
+                new = step_ark2(state, dt, split, work=work)
             except (SolverError, StateError) as exc:
                 raise exc.prefixed("dynamics") from exc
         else:
@@ -120,11 +125,11 @@ class Simulator:
         if self.kessler is not None:
             try:
                 new, precip = apply_microphysics(new, self.reference, self.mesh, dt,
-                                                 self.kessler, self.constants)
+                                                 self.kessler, self.constants, out=new)
             except (SolverError, StateError) as exc:
                 raise exc.prefixed("microphysics") from exc
         if self.filter_strength > 0.0:
-            new = apply_filter(new, self.filter_strength, self.mesh)
+            apply_filter(new, self.filter_strength, self.mesh, out=new)
             new.u[-1][self.mesh.bottom_nodes] = 0.0
             new.u[-1][self.mesh.top_nodes] = 0.0
         return new, precip

@@ -129,19 +129,26 @@ def write_sounding(snd: Sounding, path) -> None:
 # ---------------------------------------------------------------------------
 # equation of state
 
-def equation_of_state(rho, theta_v, constants: PhysConstants = DEFAULT_CONSTANTS):
+def equation_of_state(rho, theta_v, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
     """Pressure of moist air from density and theta_v, by the Exner
-    inversion p = p00 (rho R_d theta_v / p00)^(c_p/c_v)."""
+    inversion p = p00 (rho R_d theta_v / p00)^(c_p/c_v); written into
+    `out` when given."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise StateError("non-positive density in equation of state")
-    return constants.p00 * (rho * constants.R_d * np.asarray(theta_v)
-                            / constants.p00) ** (constants.c_p / constants.c_v)
+    if out is None:
+        out = np.empty(np.broadcast(rho, theta_v).shape)
+    np.multiply(rho, constants.R_d, out=out)
+    out *= theta_v
+    out /= constants.p00
+    np.power(out, constants.c_p / constants.c_v, out=out)
+    out *= constants.p00
+    return out
 
 
-def exner_function(p, constants: PhysConstants = DEFAULT_CONSTANTS):
-    """Pi = (p/p00)^(R_d/c_p)."""
-    return (np.asarray(p) / constants.p00) ** (constants.R_d / constants.c_p)
+def exner_function(p, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
+    """Pi = (p/p00)^(R_d/c_p); written into `out` when given."""
+    return np.power(np.divide(p, constants.p00, out=out), constants.R_d / constants.c_p, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,83 +258,108 @@ def sponge_profile(z, cfg: SpongeConfig):
 
 def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
                  constants: PhysConstants = DEFAULT_CONSTANTS,
-                 sponge_rw=None) -> PrognosticState:
+                 sponge_rw=None, out=None) -> PrognosticState:
     """Full nonlinear tendency S(q); no microphysical sources.
 
     sponge_rw is the nodal damping profile R_w(z) (or None). Vertical
     velocity tendencies at the impermeable bottom/top boundaries are
-    zeroed (strong no-normal-flow).
+    zeroed (strong no-normal-flow). The tendency is written into `out`
+    (a PrognosticState that must not overlap `state`) when given, else
+    into a new state; intermediates live in the mesh's work buffers.
     """
+    if out is None:
+        out = PrognosticState.from_vector(np.empty(state.data.size), state.dim)
+    elif np.may_share_memory(out.data, state.data):
+        raise ValueError("evaluate_rhs: out must not overlap the state")
     ops = get_ops(mesh)
-    dim = mesh.dim
-    rho = reference.rho0 + state.rho_p
+    D = mesh.weak_derivative_1d
+    dim, npts = mesh.dim, mesh.npts
+    fields, u, w = state.data[1:], state.u, state.u[-1]
+    rho, tmp, p_prime = mesh.work.array("evaluate_rhs.scalars", (3, npts))
+    np.add(reference.rho0, state.rho_p, out=rho)
     if np.min(rho) <= 0.0:
         raise StateError("vacuum: rho0 + rho' <= 0 somewhere")
+    np.add(reference.theta_v0, state.theta_vp, out=tmp)
+    equation_of_state(rho, theta_v=tmp, constants=constants, out=p_prime)
+    p_prime -= reference.p0
 
-    theta_v = reference.theta_v0 + state.theta_vp
-    p = equation_of_state(rho, theta_v=theta_v, constants=constants)
-    p_prime = p - reference.p0
+    # first derivatives of velocity and scalars along one direction at a
+    # time, then their Laplacian; the mass flux uses the rows first
+    derivs = mesh.work.array("evaluate_rhs.derivs", (dim + 4, npts))
+    np.multiply(rho, u, out=derivs[:dim])
+    np.negative(ops.div(derivs[:dim], out=out.rho_p), out=out.rho_p)
 
-    # one batched weak-gradient call: velocity, scalars, pressure
-    grads = ops.grad(np.concatenate((state.data[1:], p_prime[None, :])))
-    gu = grads[:dim]                              # grads is (dim+5, dim, npts)
-    g_thp, g_qvp, g_qc, g_qr, g_pp = grads[dim:]
-
-    def advect(g):
-        acc = state.u[0] * g[0]
-        for d in range(1, dim):
-            acc = acc + state.u[d] * g[d]
-        return acc
-
-    w = state.u[-1]
-    d_rho = -ops.div(rho * state.u)
-
-    du = np.empty_like(state.u)
+    # -u . grad of velocity and scalars into rows 1.. of out, summed over
+    # directions in order; the pressure gradient over rho beside it
+    adv = out.data[1:]
+    gp_rho = mesh.work.array("evaluate_rhs.gp_rho", (dim, npts))
     for d in range(dim):
-        du[d] = -advect(gu[d]) - g_pp[d] / rho
-    buoy = state.rho_p / rho - constants.eps * state.q_vp + state.q_c + state.q_r
-    du[-1] -= constants.g * buoy
-    if sponge_rw is not None:
-        du[-1] -= sponge_rw * w
+        ops.along(D[d], fields, d, out=derivs)
+        ops.along(D[d], p_prime, d, out=gp_rho[d])
+        gp_rho[d] /= rho
+        if d:
+            derivs *= u[d]
+            adv += derivs
+        else:
+            np.multiply(u[0], derivs, out=adv)
+    np.negative(adv, out=adv)
 
-    d_th = -advect(g_thp) - w * reference.dtheta_v0_dz
-    d_qv = -advect(g_qvp) - w * reference.dq_v0_dz
-    d_qc = -advect(g_qc)
-    d_qr = -advect(g_qr)
+    du = out.u
+    du -= gp_rho
+    buoy = p_prime  # p' is spent
+    np.divide(state.rho_p, rho, out=buoy)
+    np.multiply(constants.eps, state.q_vp, out=tmp)
+    buoy -= tmp
+    buoy += state.q_c
+    buoy += state.q_r
+    buoy *= constants.g
+    du[-1] -= buoy
+    if sponge_rw is not None:
+        np.multiply(sponge_rw, w, out=tmp)
+        du[-1] -= tmp
+    np.multiply(w, reference.dtheta_v0_dz, out=tmp)
+    out.theta_vp -= tmp
+    np.multiply(w, reference.dq_v0_dz, out=tmp)
+    out.q_vp -= tmp
 
     if constants.nu != 0.0:
-        lap = ops.laplacian(state.data[1:])
-        du += constants.nu * lap[:dim]
-        d_th += constants.nu * lap[dim]
-        d_qv += constants.nu * lap[dim + 1]
-        d_qc += constants.nu * lap[dim + 2]
-        d_qr += constants.nu * lap[dim + 3]
+        lap = ops.laplacian(fields, out=derivs)
+        lap *= constants.nu
+        adv += lap
 
     du[-1][mesh.bottom_nodes] = 0.0
     du[-1][mesh.top_nodes] = 0.0
-    return PrognosticState(rho_p=d_rho, u=du, theta_vp=d_th, q_vp=d_qv,
-                           q_c=d_qc, q_r=d_qr)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Boyd-Vandeven filter
 
-def filter_field(mesh: Mesh, field: np.ndarray, strength: float) -> np.ndarray:
+def filter_field(mesh: Mesh, field: np.ndarray, strength: float, out=None) -> np.ndarray:
     """Per-element modal Boyd-Vandeven filter blended by `strength`.
 
     Applies the mesh's projected 1D filters (`Mesh.modal_filter_1d`)
     along every direction: per element, mode k is scaled by
     (1-mu) + mu sigma(k/N), and continuity is restored by a mass-weighted
     average. Mode 0 is untouched, so constants and integrals are
-    preserved exactly. `field` may stack several fields on a leading axis.
+    preserved exactly. `field` may stack several fields on a leading
+    axis. The result goes into `out` (which may be `field`) when given.
     """
-    if strength == 0.0:
-        return field.copy()
     if not 0.0 <= strength <= 1.0:
         raise ConfigurationError(f"filter strength must lie in [0, 1], got {strength}")
-    return get_ops(mesh).tensor(mesh.modal_filter_1d(strength), field)
+    if out is None:
+        out = np.empty(field.shape)
+    if strength == 0.0:
+        np.copyto(out, field)
+        return out
+    return get_ops(mesh).tensor(mesh.modal_filter_1d(strength), field, out=out)
 
 
-def apply_filter(state: PrognosticState, strength: float, mesh: Mesh) -> PrognosticState:
-    """Filter every prognostic field; identity when strength is zero."""
-    return PrognosticState.from_vector(filter_field(mesh, state.data, strength), mesh.dim)
+def apply_filter(state: PrognosticState, strength: float, mesh: Mesh,
+                 out=None) -> PrognosticState:
+    """Filter every prognostic field into `out` (which may be `state`) or a
+    new state; identity when strength is zero."""
+    if out is None:
+        out = PrognosticState.from_vector(np.empty(state.data.size), mesh.dim)
+    filter_field(mesh, state.data, strength, out=out.data)
+    return out

@@ -16,12 +16,14 @@ Laplacian, projected modal filter) factors into one assembled 1D matrix
 per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
 with the mesh; it alone knows the field layout (`column_view`,
-`field_from_profile`, ...). `dss_sum` and `scatter_to_elements` move data
+`field_from_profile`, ...) and owns the named work buffers of the
+stepping hot path (`Mesh.work`). `dss_sum` and `scatter_to_elements` move data
 between the element-local and global views; they remain the general
 assembly tool and the test oracle for the 1D operators. All reductions
 run in a fixed order so results are independent of any worker count.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +36,7 @@ from .errors import ConfigurationError
 __all__ = [
     "LglRule",
     "Mesh",
+    "WorkBuffers",
     "build_lgl_rule",
     "build_box_mesh",
     "boyd_vandeven_transfer",
@@ -113,6 +116,28 @@ def boyd_vandeven_transfer(eta):
     sigma = np.where(np.abs(eta) >= 1.0, 0.0, sigma)
     sigma = np.where(eta == 0.0, 1.0, sigma)
     return sigma
+
+
+class WorkBuffers:
+    """Named scratch arrays, each kept at the largest size asked for.
+
+    Each name belongs to one function, which fills the array and reads
+    it back before it returns and never hands it to its caller; so a
+    buffer may be lent to a callee but is dead between calls. A request
+    for fewer elements gets a prefix of the array, so a buffer's pages
+    are touched (and made resident) only as far as they are used.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        """The buffer `name` as a C-contiguous float64 array of `shape`."""
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +277,13 @@ class Mesh:
     @cached_property
     def _filters(self) -> dict:
         return {}
+
+    @cached_property
+    def work(self) -> WorkBuffers:
+        """Scratch arrays of the stepping hot path, made on the first step
+        and kept with the mesh (the embedded grids share one set, so
+        simulators on one mesh must not step concurrently)."""
+        return WorkBuffers()
 
     def modal_filter_1d(self, strength: float) -> tuple:
         """Per direction, the projected modal filter M_d^-1 sum_e R_e^T W F_d R_e.

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the CSR times dense kernel behind `A @ x`, called directly so that it
+# writes into a caller's array; tests pin it to `A @ x` bit for bit
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .grid import Mesh
 
@@ -109,50 +112,99 @@ class SemOps:
     """Weak operators of one mesh, applied one direction at a time.
 
     The 1D matrices live on the mesh, so this object is cheap to make.
-    All public methods take and return flat global fields; a leading
-    axis stacks several fields into one call.
+    All public methods take flat global fields; a leading axis stacks
+    several fields into one call. Each writes its result into `out` when
+    given (which must not overlap the input unless a method says so)
+    and returns it, or returns a new array.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.dim = mesh.dim
 
-    def along(self, A, f, d):
-        """Apply the 1D matrix A along direction d (0=x, ..., dim-1=z)."""
+    def along(self, A, f, d, out=None):
+        """Apply the 1D matrix A along direction d (0=x, ..., dim-1=z).
+
+        f is (npts,) or (nf, npts), and so is `out`, whose rows may be
+        strided (a slice of a larger stack).
+        """
+        if out is None:
+            out = np.empty(f.shape)
+        npts = f.shape[-1]
+        rows, out_rows = f.reshape(-1, npts), np.reshape(out, (-1, npts), copy=False)
         n = A.shape[0]
-        # (fields x slower directions, n, faster directions); bring n to the
-        # front so A acts as csr @ dense, which copies only when needed
-        g = f.reshape(-1, n, math.prod(self.mesh.npts_1d[:d]))
-        out = A @ g.transpose(1, 0, 2).reshape(n, -1)
-        return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
+        stride = math.prod(self.mesh.npts_1d[:d])
+        if d == self.dim - 1:
+            # z runs slowest, so each field already is an (n, stride)
+            # row-major block that A multiplies where it lies
+            for row, out_row in zip(rows, out_rows):
+                _csr_times_dense(A, row, out_row)
+            return out
+        # bring direction d to the front through two transposed copies;
+        # splitting the point axis never copies, so the writes reach `out`
+        blocks = (rows.shape[0], npts // (n * stride), n, stride)
+        src = rows.reshape(blocks).transpose(2, 0, 1, 3)
+        x = self.mesh.work.array("along.in", src.shape)
+        y = self.mesh.work.array("along.out", src.shape)
+        np.copyto(x, src)
+        _csr_times_dense(A, x, y)
+        np.copyto(out_rows.reshape(blocks).transpose(2, 0, 1, 3), y)
+        return out
 
-    def tensor(self, mats, f):
-        """Tensor-product operator: mats[d] applied along each direction d."""
-        for d in range(self.dim):
-            f = self.along(mats[d], f, d)
-        return f
+    def tensor(self, mats, f, out=None):
+        """Tensor-product operator: mats[d] applied along each direction d.
 
-    def grad(self, f):
+        Each field runs through all directions on its own, the ones
+        before the last through work buffers, so `out` may be f itself.
+        """
+        if out is None:
+            out = np.empty(f.shape)
+        tmp = self.mesh.work.array("tensor.tmp", (min(self.dim - 1, 2), f.shape[-1]))
+        for row, out_row in zip(f.reshape(-1, f.shape[-1]),
+                                np.reshape(out, (-1, f.shape[-1]), copy=False)):
+            for d in range(self.dim):
+                row = self.along(mats[d], row, d,
+                                 out=out_row if d == self.dim - 1 else tmp[d % 2])
+        return out
+
+    def grad(self, f, out=None):
         """Weak gradient; (npts,) -> (dim, npts), (nf, npts) -> (nf, dim, npts)."""
         D = self.mesh.weak_derivative_1d
-        return np.stack([self.along(D[d], f, d) for d in range(self.dim)],
-                        axis=f.ndim - 1)
+        if out is None:
+            out = np.empty(f.shape[:-1] + (self.dim, f.shape[-1]))
+        for d in range(self.dim):
+            self.along(D[d], f, d, out=out[..., d, :])
+        return out
 
-    def div(self, vec):
+    def div(self, vec, out=None):
         """Weak divergence of a (dim, npts) vector field."""
         D = self.mesh.weak_derivative_1d
-        acc = self.along(D[0], vec[0], 0)
+        acc = self.along(D[0], vec[0], 0, out=out)
+        tmp = self.mesh.work.array("div.tmp", acc.shape)
         for d in range(1, self.dim):
-            acc += self.along(D[d], vec[d], d)
+            acc += self.along(D[d], vec[d], d, out=tmp)
         return acc
 
-    def laplacian(self, f):
+    def laplacian(self, f, out=None):
         """Weak Laplacian of (npts,) or stacked (nf, npts) fields."""
         L = self.mesh.weak_laplacian_1d
-        acc = self.along(L[0], f, 0)
+        acc = self.along(L[0], f, 0, out=out)
+        tmp = self.mesh.work.array("laplacian.tmp", acc.shape)
         for d in range(1, self.dim):
-            acc += self.along(L[d], f, d)
+            acc += self.along(L[d], f, d, out=tmp)
         return acc
+
+
+def _csr_times_dense(A, x, y):
+    """y = A @ x for a CSR matrix A and C-contiguous x, y of n rows.
+
+    This is the kernel `A @ x` runs (`csr_matvecs`: each row of y is
+    the axpy sum of its stored entries, in storage order) minus the
+    result array it allocates, so y holds exactly the bits of `A @ x`.
+    """
+    y.fill(0.0)
+    n = A.shape[1]
+    csr_matvecs(n, n, x.size // n, A.indptr, A.indices, A.data, x, y)
 
 
 def get_ops(mesh: Mesh) -> SemOps:

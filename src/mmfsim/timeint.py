@@ -15,10 +15,13 @@ granularity, so it is frozen across stages).
 
 The vector arithmetic works in place: Gram-Schmidt updates and stage
 sums are BLAS axpy calls on buffers this module owns, so an Arnoldi
-iteration allocates nothing of state size. Results that S, L or a GMRES
-operator return are scaled and accumulated in place unless they share
-memory with their input, in which case they are copied first; the
-caller's state is never written.
+iteration allocates nothing of state size but its operator's result.
+The stage vectors and the Krylov basis are named buffers of a
+`WorkBuffers` store (a mesh's, when the caller passes one), so
+repeated steps reuse them. Results that a GMRES operator returns are
+scaled and orthogonalized in place unless they share memory with its
+input, in which case they are copied first; the caller's state is
+never written.
 """
 
 import math
@@ -34,7 +37,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .dynamics import DEFAULT_CONSTANTS, PhysConstants
 from .errors import ConfigurationError, SolverError
-from .grid import Mesh
+from .grid import Mesh, WorkBuffers
 from .operators import PrognosticState, get_ops
 
 __all__ = [
@@ -141,35 +144,55 @@ def _owned(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
 
 
 def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-                config: GmresConfig = GmresConfig()) -> np.ndarray:
+                config: GmresConfig = GmresConfig(),
+                work: Optional[WorkBuffers] = None, out=None) -> np.ndarray:
     """Restarted GMRES on A x = b with A given only as an action.
 
     Arnoldi with modified Gram-Schmidt, Givens-rotation least squares,
     zero initial guess. Raises SolverError (carrying the final
     residual) if the relative residual has not reached config.tol
-    within config.maxiter Arnoldi matvecs.
+    within config.maxiter Arnoldi matvecs. The solution is built in
+    `out` (a contiguous float64 array apart from b) when given, else in
+    a new array.
 
-    The array apply_A returns for a basis vector becomes GMRES's work
-    vector and is overwritten in place; a result that shares memory
-    with the Krylov basis, or is not a writable contiguous float64
-    array, is copied first.
+    The basis is the buffer "gmres_solve.basis" of `work` (a fresh
+    store when None), whose restart + 1 rows every cycle reuses, and a
+    cycle writes only the rows it reaches; residuals are formed in its
+    first row. The array apply_A returns for a basis vector becomes
+    GMRES's work vector and is overwritten in place; a result that
+    shares memory with the Krylov basis, or is not a writable
+    contiguous float64 array, is copied first.
     """
     b = np.asarray(b, dtype=float)
+    if out is None:
+        out = np.empty_like(b)
+    elif (out.shape != b.shape or out.dtype != np.float64 or not out.flags.c_contiguous
+          or np.may_share_memory(out, b)):
+        # dgemv updates x in place only when it is contiguous float64
+        raise ValueError("gmres_solve: out must be a contiguous float64 array apart from b")
+    x = out
+    x.fill(0.0)
     bnorm = math.sqrt(ddot(b, b))
     if bnorm == 0.0:
-        return np.zeros_like(b)
+        return x
     target = config.tol * bnorm
 
-    x = np.zeros_like(b)
+    if work is None:
+        work = WorkBuffers()
+    basis = work.array("gmres_solve.basis", (config.restart + 1, b.size))
+
+    def residual():
+        return np.subtract(b, apply_A(x), out=basis[0])
+
     matvecs = 0
     resnorm = bnorm
     while matvecs < config.maxiter:
-        r = b - apply_A(x) if matvecs else b
+        r = residual() if matvecs else b
         resnorm = math.sqrt(ddot(r, r))
         if resnorm <= target:
             return x
         m = min(config.restart, config.maxiter - matvecs)
-        V = np.empty((m + 1, b.size))
+        V = basis[:m + 1]
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -205,7 +228,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         dgemv(1.0, V[:k_used].T, y, beta=1.0, y=x, overwrite_y=True)
         if resnorm <= target:
             # trust but verify: the rotated-residual estimate can drift
-            r = b - apply_A(x)
+            r = residual()
             true_res = math.sqrt(ddot(r, r))
             if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
                 return x
@@ -221,7 +244,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
 def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
                     constants: PhysConstants = DEFAULT_CONSTANTS,
-                    sponge_rw=None) -> PrognosticState:
+                    sponge_rw=None, out=None) -> PrognosticState:
     """Constant-coefficient linearization L of the fast-wave terms.
 
     Rows: continuity -div(rho0 u); momentum -(1/rho0) grad p'_lin with
@@ -232,9 +255,11 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     impermeable boundaries.
 
     Each direction takes one derivative call on the stacked pair
-    (p'_lin, rho0 u_d), and every row is written in place into one new
-    array. The 1D matrices sum each stacked column in the same order,
-    so this is bit-identical to separate gradient and divergence calls.
+    (p'_lin, rho0 u_d), and every row is written in place into `out` (a
+    PrognosticState that must not overlap the increment) or a new
+    state; the pair and its derivative live in the mesh's work buffers.
+    The 1D matrices sum each stacked column in the same order, so this
+    is bit-identical to separate gradient and divergence calls.
     """
     ops = get_ops(mesh)
     D = mesh.weak_derivative_1d
@@ -242,12 +267,16 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     q = state_increment
     rho0 = reference.rho0
     gam = constants.c_p / constants.c_v
-    out = np.empty((5 + dim, mesh.npts))
-    d_rho, du, w = out[0], out[1:1 + dim], q.u[-1]
+    if out is None:
+        out = PrognosticState.from_vector(np.empty(q.data.size), dim)
+    elif np.may_share_memory(out.data, q.data):
+        raise ValueError("linear_operator: out must not overlap the increment")
+    res = out.data
+    d_rho, du, w = res[0], res[1:1 + dim], q.u[-1]
     # the q_c row holds intermediate products until it is zeroed at the end
-    d_th, d_qv, scratch = out[-4], out[-3], out[-2]
+    d_th, d_qv, scratch = res[-4], res[-3], res[-2]
 
-    pair = np.empty((2, mesh.npts))
+    pair, dpair = mesh.work.array("linear_operator.pairs", (2, 2, mesh.npts))
     p_lin = pair[0]
     np.divide(reference.p0, rho0, out=p_lin)
     p_lin *= q.rho_p
@@ -257,7 +286,7 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     p_lin *= gam
     for d in range(dim):
         np.multiply(rho0, q.u[d], out=pair[1])
-        dp, dflux = ops.along(D[d], pair, d)
+        dp, dflux = ops.along(D[d], pair, d, out=dpair)
         np.negative(dp, out=du[d])
         du[d] /= rho0
         if d:
@@ -281,8 +310,8 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     d_th *= reference.dtheta_v0_dz
     np.negative(w, out=d_qv)
     d_qv *= reference.dq_v0_dz
-    out[-2:] = 0.0
-    return PrognosticState.from_vector(out, dim)
+    res[-2:] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +322,11 @@ class ImexOperatorSplit:
     """Tendency pair for one simulator plus the explicit/implicit switch.
 
     s and lin map a PrognosticState to a tendency PrognosticState; lin
-    must be linear. delta=1 treats lin implicitly, delta=0 runs fully
-    explicit. coupling, when present, is a constant tendency added to
-    the explicit part of every stage.
+    must be linear. Both may return one and the same array on every
+    call (an output buffer): `step_ark2` is done with each result
+    before it calls either again. delta=1 treats lin implicitly,
+    delta=0 runs fully explicit. coupling, when present, is a constant tendency
+    added to the explicit part of every stage.
     """
 
     s: Callable[[PrognosticState], PrognosticState]
@@ -309,13 +340,16 @@ class ImexOperatorSplit:
 
 
 def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
-              gmres_cfg: GmresConfig = GmresConfig()) -> PrognosticState:
+              gmres_cfg: GmresConfig = GmresConfig(),
+              work: Optional[WorkBuffers] = None) -> PrognosticState:
     """Advance one step of the `ark2_tableau` pair; returns a new state.
 
     The final update uses the shared weights b on S(q_i) + coupling
     only: the delta L contributions cancel exactly between the
     explicit and implicit tables, which keeps the continuity row in
     pure divergence form regardless of the linear-solve tolerance.
+    The stage vectors are buffers of `work` (a fresh store when None),
+    which the implicit solves also use for their Krylov basis.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -324,6 +358,8 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     gamma = _ARK2.gamma
     delta = split.delta
     cvec = split.coupling.as_vector() if split.coupling is not None else None
+    if work is None:
+        work = WorkBuffers()
 
     def S(vec):
         return split.s(PrognosticState.from_vector(vec, dim)).as_vector()
@@ -332,9 +368,16 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
         return split.lin(PrognosticState.from_vector(vec, dim)).as_vector()
 
     q0 = state.as_vector()
-    stages_e = []    # S(q_i) + coupling - delta L(q_i)
-    stages_S = []    # S(q_i) + coupling, reused by the final b-sum
-    lin_stages = []  # L(q_i), implicit-table contributions
+    n = q0.size
+    # the b-weighted sum of S(q_i) + coupling builds up in `out` stage
+    # by stage, in the order of the weights
+    out = q0.copy()
+    # the right-hand sides of stages 1 and 2 take each increment as soon
+    # as it is known, in the order the tableau sums them
+    rhs = work.array("step_ark2.rhs", (2, n))
+    rhs[:] = q0
+    # a stage's implicit solution, and L(q_i)
+    q, lv = work.array("step_ark2.q_lin", (2, n))
 
     def solve_stage(rhs):
         if delta == 0:
@@ -342,36 +385,28 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
         shift = delta * dt * gamma
 
         def apply_A(v):
-            out = _owned(L(v), v)
-            out *= -shift
-            out += v
-            return out
+            Av = _owned(L(v), v)
+            Av *= -shift
+            Av += v
+            return Av
 
-        return gmres_solve(apply_A, rhs, gmres_cfg)
+        return gmres_solve(apply_A, rhs, gmres_cfg, work=work, out=q)
 
     qi = q0
     for i in range(3):
         if i > 0:
-            rhs = q0.copy()
-            for j in range(i):
-                daxpy(stages_e[j], rhs, a=dt * ae[i, j])
-                if delta:
-                    daxpy(lin_stages[j], rhs, a=dt * delta * ai[i, j])
-            qi = solve_stage(rhs)
+            qi = solve_stage(rhs[i - 1])
+        if i < 2 and delta:
+            np.copyto(lv, L(qi))
         sv = _owned(S(qi), qi)
         if cvec is not None:
             daxpy(cvec, sv)
-        stages_S.append(sv)
+        daxpy(sv, out, a=dt * b[i])
         if i < 2:
-            # later stages never reference stage-2 increments
             if delta:
-                lv = L(qi)
-                lin_stages.append(lv)
-                stages_e.append(sv - lv)
-            else:
-                stages_e.append(sv)
-
-    out = q0.copy()
-    for i in range(3):
-        daxpy(stages_S[i], out, a=dt * b[i])
+                np.subtract(sv, lv, out=sv)   # S(q_i) + coupling - delta L(q_i)
+            for k in range(i + 1, 3):
+                daxpy(sv, rhs[k - 1], a=dt * ae[k, i])
+                if delta:
+                    daxpy(lv, rhs[k - 1], a=dt * delta * ai[k, i])
     return PrognosticState.from_vector(out, dim)

@@ -1,9 +1,12 @@
 import gc
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+from mmfsim.cases import build_case
 from mmfsim.coupling import (COUPLED_VARS, MmfConfig, Simulator,
                              build_vertical_projection, feedback_tendency,
                              forcing_tendency, horizontal_average, mmf_step,
@@ -443,21 +446,22 @@ def test_step_failures_name_their_grid():
         mmf_step(lsp, instances, 3.0, cfg=cfg)
 
 
-# sedimentation runs before the equation of state rejects the vacuum, and
-# its fall-speed law takes the square root of a negative density ratio
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 def test_step_failures_name_their_phase(small_mesh, small_reference):
-    # a vacuum in a few nodes: with the dynamics off, the equation of state
-    # inside the Kessler update rejects it; with them on, the RHS does
+    # a vacuum in a few nodes: with the dynamics off, the Kessler update
+    # rejects it on entry, before sedimentation takes the square root of
+    # a density ratio; with them on, the RHS does
     state = PrognosticState.zeros(small_mesh)
     state.rho_p[:5] = -2.0 * small_reference.rho0[:5]
     sim = Simulator(mesh=small_mesh, reference=small_reference, state=state,
                     kessler=KesslerParams(), dynamics_enabled=False)
-    with pytest.raises(StateError, match="^microphysics: non-positive density"):
-        sim.step(1.0)
-    sim.dynamics_enabled = True
-    with pytest.raises(StateError, match="^dynamics: vacuum"):
-        sim.step(1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StateError, match="^microphysics: non-positive density"):
+            sim.step(1.0)
+        sim.dynamics_enabled = True
+        with pytest.raises(StateError, match="^dynamics: vacuum"):
+            sim.step(1.0)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_operator_caches_die_with_their_mesh():
@@ -469,7 +473,60 @@ def test_operator_caches_die_with_their_mesh():
     sim.state.theta_vp[:] = 0.01 * np.sin(mesh.coords[:, 0] / 2e3)
     sim.state, _ = sim.step(1.0)
     assert mesh.weak_derivative_1d and mesh.modal_filter_1d(0.2)
-    alive = weakref.ref(mesh)
+    basis = mesh.work.array("gmres_solve.basis", (1,)).base
+    assert basis.size > mesh.npts   # the step's Krylov basis
+    alive, basis = weakref.ref(mesh), weakref.ref(basis)
     del sim, mesh
     gc.collect()
     assert alive() is None
+    assert basis() is None
+
+
+def test_meshes_of_equal_size_keep_their_own_buffers():
+    """Two simulators on different meshes of one size, stepped in turn,
+    share no work buffer and match the same simulators stepped alone."""
+    snd = isothermal_sounding(z_top=14e3)
+
+    def make(length):
+        mesh = build_box_mesh((length, 12e3), (2, 3), (4, 4), periodicity=(True,))
+        sim = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C),
+                        state=PrognosticState.zeros(mesh), filter_strength=0.2,
+                        kessler=KesslerParams(), sounding=snd)
+        sim.state.theta_vp[:] = 0.5 * np.sin(2.0 * np.pi * mesh.coords[:, 0] / length)
+        return sim
+
+    alone = []
+    for length in (20e3, 30e3):
+        sim = make(length)
+        for _ in range(2):
+            sim.state, _ = sim.step(1.0)
+        alone.append(sim.state.data)
+    a, b = make(20e3), make(30e3)
+    assert a.mesh.npts == b.mesh.npts
+    for _ in range(2):
+        for sim in (a, b):
+            sim.state, _ = sim.step(1.0)
+    assert np.array_equal(a.state.data, alone[0])
+    assert np.array_equal(b.state.data, alone[1])
+    for name in ("Simulator.step.tendency", "gmres_solve.basis", "along.in",
+                 "evaluate_rhs.derivs", "_kessler_batch.scratch"):
+        assert not np.shares_memory(a.mesh.work.array(name, (1,)),
+                                    b.mesh.work.array(name, (1,)))
+
+
+def test_warm_step_peaks_within_eight_states():
+    """A warm step of the desk squall fine grid (dynamics, Kessler, filter)
+    works in its mesh's buffers: traced allocations peak at most eight
+    state sizes above where the step started."""
+    setup = build_case("squall", "fine", preset="desk")
+    sim = setup.simulator
+    for _ in range(2):
+        sim.state, _ = sim.step(setup.dt)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sim.state, _ = sim.step(setup.dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 8 * sim.state.data.nbytes

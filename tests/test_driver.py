@@ -341,8 +341,8 @@ def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsy
         marked.append(sim.constants)
         return setup
 
-    def lin(q, reference, mesh, constants=None, sponge_rw=None):
-        out = real_lin(q, reference, mesh, constants, sponge_rw=sponge_rw)
+    def lin(q, reference, mesh, constants=None, sponge_rw=None, out=None):
+        out = real_lin(q, reference, mesh, constants, sponge_rw=sponge_rw, out=out)
         if any(constants is c for c in marked):
             out.data[:] = np.nan
         return out

@@ -8,7 +8,8 @@ from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
                              filter_field, read_sounding, sponge_profile,
                              write_sounding)
 from mmfsim.errors import ConfigurationError, StateError
-from mmfsim.operators import PrognosticState, integrate
+from mmfsim.grid import build_box_mesh
+from mmfsim.operators import PrognosticState, get_ops, integrate
 
 from conftest import isothermal_sounding
 
@@ -192,6 +193,97 @@ def test_sponge_damps_w(small_mesh, small_reference):
     assert diff[inside].min() < -0.1
 
 
+def _rhs_reference(state, reference, mesh, constants, sponge_rw):
+    """S(q) as one allocating expression per row, with one batched
+    gradient call: the formula the buffered `evaluate_rhs` must
+    reproduce bit for bit."""
+    ops, dim, u = get_ops(mesh), mesh.dim, state.u
+    rho = reference.rho0 + state.rho_p
+    p = equation_of_state(rho, theta_v=reference.theta_v0 + state.theta_vp, constants=constants)
+    grads = ops.grad(np.concatenate((state.data[1:], (p - reference.p0)[None, :])))
+    gu = grads[:dim]
+    g_thp, g_qvp, g_qc, g_qr, g_pp = grads[dim:]
+
+    def advect(g):
+        acc = u[0] * g[0]
+        for d in range(1, dim):
+            acc = acc + u[d] * g[d]
+        return acc
+
+    w = u[-1]
+    d_rho = -ops.div(rho * u)
+    du = np.empty_like(u)
+    for d in range(dim):
+        du[d] = -advect(gu[d]) - g_pp[d] / rho
+    buoy = state.rho_p / rho - constants.eps * state.q_vp + state.q_c + state.q_r
+    du[-1] -= constants.g * buoy
+    if sponge_rw is not None:
+        du[-1] -= sponge_rw * w
+    d_th = -advect(g_thp) - w * reference.dtheta_v0_dz
+    d_qv = -advect(g_qvp) - w * reference.dq_v0_dz
+    d_qc = -advect(g_qc)
+    d_qr = -advect(g_qr)
+    if constants.nu != 0.0:
+        lap = ops.laplacian(state.data[1:])
+        du += constants.nu * lap[:dim]
+        d_th += constants.nu * lap[dim]
+        d_qv += constants.nu * lap[dim + 1]
+        d_qc += constants.nu * lap[dim + 2]
+        d_qr += constants.nu * lap[dim + 3]
+    du[-1][mesh.bottom_nodes] = 0.0
+    du[-1][mesh.top_nodes] = 0.0
+    return PrognosticState(rho_p=d_rho, u=du, theta_vp=d_th, q_vp=d_qv, q_c=d_qc, q_r=d_qr)
+
+
+# (extents, elements, orders, lateral periodicity) of the RHS meshes
+RHS_MESHES = {
+    "2d_periodic": ((50e3, 24e3), (3, 15), (4, 4), (True,)),
+    "3d_periodic": ((30e3, 20e3, 24e3), (3, 2, 4), (3, 3, 3), (True, True)),
+    "3d_mixed": ((30e3, 20e3, 24e3), (3, 2, 4), (4, 3, 2), (True, False)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RHS_MESHES))
+def rhs_case(request):
+    """(mesh, reference, two random moist states)."""
+    extents, elems, orders, periodic = RHS_MESHES[request.param]
+    mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
+    ref = build_reference(isothermal_sounding(), mesh, C)
+    rng = np.random.default_rng(len(request.param))
+    states = []
+    for _ in range(2):
+        st = PrognosticState.from_vector(rng.standard_normal((5 + mesh.dim) * mesh.npts), mesh.dim)
+        st.rho_p *= 1e-3
+        st.q_vp *= 1e-3
+        st.q_c = 1e-3 * np.abs(st.q_c)
+        st.q_r = 1e-3 * np.abs(st.q_r)
+        states.append(st)
+    return mesh, ref, states
+
+
+@pytest.mark.parametrize("nu", [0.0, 200.0])
+@pytest.mark.parametrize("sponge", [False, True])
+def test_evaluate_rhs_matches_reference_formula(rhs_case, sponge, nu):
+    mesh, ref, (st, other) = rhs_case
+    constants = C.with_nu(nu)
+    rw = None
+    if sponge:
+        rw = sponge_profile(mesh.coords[:, -1], SpongeConfig(18e3, 24e3, 0.25))
+    before = st.data.copy()
+    got = evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw)
+    kept = got.data.copy()
+    assert np.array_equal(got.data, _rhs_reference(st, ref, mesh, constants, rw).data)
+    assert np.array_equal(st.data, before)
+    # a second call, into a new state or a given one, leaves the first alone
+    evaluate_rhs(other, ref, mesh, constants, sponge_rw=rw)
+    assert np.array_equal(got.data, kept)
+    out = PrognosticState.zeros(mesh)
+    assert evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw, out=out) is out
+    assert np.array_equal(out.data, kept)
+    with pytest.raises(ValueError):
+        evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw, out=st)
+
+
 def test_transfer_function_shape():
     eta = np.linspace(0.0, 1.0, 101)
     sig = boyd_vandeven_transfer(eta)
@@ -239,3 +331,5 @@ def test_apply_filter_hits_every_field(small_mesh):
     for name in ("rho_p", "theta_vp", "q_vp", "q_c", "q_r"):
         assert not np.array_equal(getattr(out, name), getattr(st, name))
     assert out.u.shape == st.u.shape
+    assert apply_filter(st, 0.5, small_mesh, out=st) is st
+    assert np.array_equal(st.data, out.data)

@@ -206,3 +206,8 @@ def test_apply_microphysics_grid_budget(small_mesh, small_reference):
     after = integrate(small_mesh, rho * (small_reference.q_v0 + new.q_vp + new.q_c + new.q_r))
     area = np.asarray(small_mesh.lumped_1d[0])
     assert abs(after - before + float(area @ precip)) < 1e-8 * before
+    # the same update in place
+    same, precip_same = apply_microphysics(st, small_reference, small_mesh, 2.0, P, C, out=st)
+    assert same is st
+    assert np.array_equal(st.data, new.data)
+    assert np.array_equal(precip_same, precip)

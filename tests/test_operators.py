@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
 from mmfsim.grid import build_box_mesh, dss_sum, scatter_to_elements
-from mmfsim.operators import PrognosticState, build_mass, get_ops, integrate
+from mmfsim.operators import PrognosticState, _csr_times_dense, build_mass, get_ops, integrate
 
 
 def test_mass_totals_domain_measure(unit_mesh_2d, unit_mesh_3d):
@@ -204,3 +207,97 @@ def test_1d_operators_match_element_assembly(mesh_name, request):
         assert _rel(filter_field(mesh, f[k], 0.3), modal_filter(f[k])) < 1e-13
         assert _rel(stacked_filt[k], modal_filter(f[k])) < 1e-13
     assert _rel(ops.div(vec), div(vec)) < 1e-13
+
+
+# -- out= arguments against the allocating, public `A @ x` formulation --
+
+def _along_reference(mesh, A, f, d):
+    """A along direction d through scipy's public `A @ x` and transposed
+    copies: the formulation `SemOps.along` must reproduce bit for bit."""
+    n = A.shape[0]
+    g = f.reshape(-1, n, math.prod(mesh.npts_1d[:d]))
+    out = A @ g.transpose(1, 0, 2).reshape(n, -1)
+    return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
+
+
+OUT_MESHES = {
+    "2d": ((2.0, 1.0), (3, 2), (4, 3), (False,)),
+    "3d_periodic": ((1.0, 2.0, 1.5), (2, 2, 2), (3, 2, 3), (True, True)),
+    "3d_mixed": ((1.0, 2.0, 1.5), (3, 2, 2), (2, 4, 3), (True, False)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(OUT_MESHES))
+def out_mesh(request):
+    extents, elems, orders, periodic = OUT_MESHES[request.param]
+    return build_box_mesh(extents, elems, orders, periodicity=periodic)
+
+
+@pytest.mark.parametrize("nf", [1, 2, 7])
+def test_operators_write_out_bit_for_bit(out_mesh, nf):
+    mesh = out_mesh
+    ops = get_ops(mesh)
+    f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))
+    before = f.copy()
+    mats = {"derivative": mesh.weak_derivative_1d, "laplacian": mesh.weak_laplacian_1d,
+            "filter": mesh.modal_filter_1d(0.3)}
+    # every direction of every 1D operator, stacked and single fields, into
+    # rows of a larger stack (strided, like a gradient's out[:, d])
+    for M in mats.values():
+        for d in range(mesh.dim):
+            expect = _along_reference(mesh, M[d], f, d)
+            stack = np.full((nf, 3, mesh.npts), np.nan)
+            ops.along(M[d], f, d, out=stack[:, 1])
+            assert np.array_equal(stack[:, 1], expect)
+            assert np.all(np.isnan(stack[:, [0, 2]]))
+            assert np.array_equal(ops.along(M[d], f, d), expect)
+            single = np.full(mesh.npts, np.nan)
+            ops.along(M[d], f[0], d, out=single)
+            assert np.array_equal(single, expect[0])
+
+    D, L = mats["derivative"], mats["laplacian"]
+    grads = np.full((nf, mesh.dim, mesh.npts), np.nan)
+    assert ops.grad(f, out=grads) is grads
+    for d in range(mesh.dim):
+        assert np.array_equal(grads[:, d], _along_reference(mesh, D[d], f, d))
+    assert np.array_equal(ops.grad(f), grads)
+    assert np.array_equal(ops.grad(f[0]), grads[0])
+
+    lap = _along_reference(mesh, L[0], f, 0)
+    for d in range(1, mesh.dim):
+        lap += _along_reference(mesh, L[d], f, d)
+    out = np.full_like(f, np.nan)
+    assert ops.laplacian(f, out=out) is out
+    assert np.array_equal(out, lap)
+    assert np.array_equal(ops.laplacian(f), lap)
+
+    vec = f[0] * np.arange(1.0, mesh.dim + 1.0)[:, None]
+    div = _along_reference(mesh, D[0], vec[0], 0)
+    for d in range(1, mesh.dim):
+        div += _along_reference(mesh, D[d], vec[d], d)
+    out = np.full(mesh.npts, np.nan)
+    assert ops.div(vec, out=out) is out
+    assert np.array_equal(out, div)
+
+    # the filter may overwrite its input
+    F = mats["filter"]
+    filt = f
+    for d in range(mesh.dim):
+        filt = _along_reference(mesh, F[d], filt, d)
+    assert np.array_equal(filter_field(mesh, f, 0.3), filt)
+    assert np.array_equal(f, before)
+    in_place = f.copy()
+    assert filter_field(mesh, in_place, 0.3, out=in_place) is in_place
+    assert np.array_equal(in_place, filt)
+
+
+def test_csr_kernel_matches_public_product():
+    """`along` calls scipy's CSR times dense kernel directly; it must give
+    the bits of the public `A @ x`, which allocates its result."""
+    rng = np.random.default_rng(2)
+    A = sp.random(40, 40, density=0.2, format="csr", random_state=3)
+    for k in (1, 3, 64):
+        x = rng.standard_normal((40, k))
+        y = np.full((40, k), np.nan)
+        _csr_times_dense(A, x, y)
+        assert np.array_equal(y, A @ x)

@@ -8,7 +8,7 @@ from mmfsim import timeint
 from mmfsim.cases import build_case
 from mmfsim.dynamics import DEFAULT_CONSTANTS, SpongeConfig, build_reference, sponge_profile
 from mmfsim.errors import ConfigurationError, SolverError
-from mmfsim.grid import build_box_mesh
+from mmfsim.grid import WorkBuffers, build_box_mesh
 from mmfsim.operators import PrognosticState, get_ops
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
@@ -204,9 +204,9 @@ def test_gmres_matches_reference_on_squall_ssp_system(monkeypatch):
     captured = []
     real = timeint.gmres_solve
 
-    def capture(apply_A, b, config=GmresConfig()):
+    def capture(apply_A, b, config=GmresConfig(), **kwargs):
         captured.append((apply_A, np.array(b), config))
-        return real(apply_A, b, config)
+        return real(apply_A, b, config, **kwargs)
 
     monkeypatch.setattr(timeint, "gmres_solve", capture)
     setup.instances[0].sim.step(setup.dt / setup.mmf_config.substeps)
@@ -214,6 +214,24 @@ def test_gmres_matches_reference_on_squall_ssp_system(monkeypatch):
     assert len(captured) == 2
     for apply_A, b, cfg in captured:
         _assert_matches_reference(apply_A, b, cfg)
+
+
+def test_gmres_reuses_one_basis_across_solves():
+    """Solves sharing a work store, with different sizes and restart
+    lengths, give the bits of solves with stores of their own; the
+    solution lands in `out`, which must be apart from b."""
+    rng = np.random.default_rng(5)
+    systems = []
+    for n, restart in ((60, 4), (40, 30), (60, 10)):
+        A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
+        systems.append((A, rng.standard_normal(n), GmresConfig(tol=1e-10, restart=restart)))
+    work = WorkBuffers()
+    for A, b, cfg in systems:
+        out = np.full_like(b, np.nan)
+        assert gmres_solve(lambda v: A @ v, b, cfg, work=work, out=out) is out
+        assert np.array_equal(out, gmres_solve(lambda v: A @ v, b, cfg))
+    with pytest.raises(ValueError):
+        gmres_solve(lambda v: A @ v, b, cfg, out=b)
 
 
 @pytest.mark.parametrize("view", [lambda v: v, lambda v: v[::-1]])
@@ -299,29 +317,39 @@ def test_constant_coupling_enters_linearly():
 
 
 def test_step_with_aliasing_split_matches_copying_split():
-    """S and L that return views of their input must neither be written
-    through nor change the step: the result equals, bit for bit, that of
-    a split whose tendencies are fresh copies."""
+    """S and L that return views of their input, or one buffer that both
+    overwrite on every call, must neither be written through nor change
+    the step: the result equals, bit for bit, that of a split whose
+    tendencies are fresh copies."""
     rng = np.random.default_rng(9)
     n = 40
     state = PrognosticState.from_vector(rng.standard_normal(7 * n), 2)
     before = state.data.copy()
     coupling = PrognosticState.from_vector(rng.standard_normal(7 * n), 2)
+    buf = PrognosticState.from_vector(np.empty(7 * n), 2)
 
-    def view(st):
-        return st
+    def buffered(scale):
+        def tend(st):
+            np.multiply(st.data, scale, out=buf.data)
+            return buf
+        return tend
 
-    def copied(st):
-        return st.copy()
-
+    splits = {
+        "view": (lambda st: st, lambda st: st),
+        "copy": (lambda st: st.copy(), lambda st: st.copy()),
+        "copy, halved L": (lambda st: st.copy(),
+                           lambda st: PrognosticState.from_vector(0.5 * st.data, 2)),
+        "buffer, halved L": (buffered(1.0), buffered(0.5)),
+    }
     out = {}
-    for name, f in (("view", view), ("copy", copied)):
+    for name, (s, lin) in splits.items():
         for delta in (0, 1):
-            split = ImexOperatorSplit(s=f, lin=f, delta=delta, coupling=coupling)
+            split = ImexOperatorSplit(s=s, lin=lin, delta=delta, coupling=coupling)
             out[name, delta] = step_ark2(state, 0.3, split, TIGHT).data
             assert np.array_equal(state.data, before)
     for delta in (0, 1):
         assert np.array_equal(out["view", delta], out["copy", delta])
+        assert np.array_equal(out["buffer, halved L", delta], out["copy, halved L", delta])
 
 
 def test_step_rejects_bad_dt():
@@ -434,6 +462,9 @@ def test_linear_operator_matches_separate_calls_bit_for_bit(operator_case):
     mesh, ref, rw, q = operator_case
     got = linear_operator(q, ref, mesh, sponge_rw=rw)
     assert np.array_equal(got.data, _separate_calls_operator(q, ref, mesh, rw).data)
+    out = PrognosticState.zeros(mesh)
+    assert linear_operator(q, ref, mesh, sponge_rw=rw, out=out) is out
+    assert np.array_equal(out.data, got.data)
 
 
 def test_linear_operator_matches_assembled_matrix(operator_case):
