@@ -10,6 +10,7 @@ evolution is checked by properties rather than field-by-field values.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -83,8 +84,9 @@ class PerturbationSpec:
     theta_scale: float = 3.0  # K, the bubble's theta_c
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ConfigurationError("perturbation amplitude must be >= 0")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ConfigurationError(
+                f"perturbation amplitude must be finite and >= 0, got {self.amplitude:g}")
 
 
 def perturbation_rng(seed: int, instance: int = 0) -> np.random.Generator:
@@ -284,11 +286,15 @@ def build_case(case_id: str, tier: str = "coarse", *,
 
     dt = float(ov.get("dt", dims.dt))
     duration = float(ov.get("duration", dims.duration))
-    if not (dt > 0.0 and duration > 0.0):
+    if not (0.0 < dt < math.inf and 0.0 < duration < math.inf):
         raise ConfigurationError(
-            f"dt and duration must be positive, got dt={dt:g}, duration={duration:g}")
+            f"dt and duration must be positive and finite, got dt={dt:g}, duration={duration:g}")
     nu = float(ov.get("nu", _NU))
+    if not 0.0 <= nu < math.inf:
+        raise ConfigurationError(f"viscosity nu must be finite and >= 0, got {nu:g}")
     filt = float(ov.get("filter_strength", dims.filter_strength))
+    if not 0.0 <= filt <= 1.0:
+        raise ConfigurationError(f"filter strength must lie in [0, 1], got {filt:g}")
     bubble = ov.get("bubble", dims.bubble)
     amplitude = float(ov.get("amplitude", 0.3))
     microphysics = bool(ov.get("microphysics", True))

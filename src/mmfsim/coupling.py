@@ -348,18 +348,16 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                                  proj, ne_z_l)
     init = ssp_mesh.field_from_profile(prof)
 
+    from .cases import PerturbationSpec, random_theta_perturbation
+
+    pspec = PerturbationSpec(amplitude=cfg.perturbation_amplitude, seed=seed,
+                             theta_scale=cfg.perturbation_theta_scale)
     instances = []
     for idx, anchor in enumerate(anchors):
         st = PrognosticState.from_vector(init[idx], ssp_mesh.dim)
         st.u[1][ssp_mesh.bottom_nodes] = 0.0
         st.u[1][ssp_mesh.top_nodes] = 0.0
-
-        if cfg.perturbation_amplitude > 0.0:
-            from .cases import PerturbationSpec, random_theta_perturbation
-
-            pspec = PerturbationSpec(amplitude=cfg.perturbation_amplitude,
-                                     seed=seed,
-                                     theta_scale=cfg.perturbation_theta_scale)
+        if pspec.amplitude > 0.0:
             st.theta_vp = st.theta_vp + random_theta_perturbation(
                 pspec, st.theta_vp, instance=idx)
 
@@ -418,10 +416,10 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     diagnostics = [(inst.index, v, resid[i, j], abs_q[i, j])
                    for i, inst in enumerate(instances) for j, v in enumerate(COUPLED_VARS)]
 
+    # z runs slowest, so (nvar, nz, ncols) rows are the fields' own layout
     F_state = PrognosticState.zeros(mesh)
-    F_state.data[rows_l] = mesh.field_from_columns(
-        np.einsum("ic,ivz->vcz", W / mesh.column_weights,
-                  forcing_tendency(Q, avg_l, dT)))
+    F_state.data[rows_l] = np.einsum("ic,ivz->vzc", W / mesh.column_weights,
+                                     forcing_tendency(Q, avg_l, dT)).reshape(len(rows_l), -1)
     try:
         new_lsp_state, lsp_precip = lsp.step(dT, coupling=F_state)
     except (SolverError, StateError) as exc:

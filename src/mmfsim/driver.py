@@ -541,9 +541,10 @@ def _on_tick(t: float, interval: float, dt: float) -> bool:
 
 
 def _precip_mean(accum: dict, setup: CaseSetup) -> float:
+    """Horizontal quadrature mean of the accumulated rain, mm; in mmf
+    runs the mean over the embedded grids of each grid's mean."""
     if setup.is_mmf:
-        keys = [inst.index for inst in setup.instances]
-        if not keys:
-            return 0.0
-        return float(np.mean([np.mean(accum[k]) for k in keys]))
-    return float(np.mean(accum[-1]))
+        grids = [(inst.sim.mesh, accum[inst.index]) for inst in setup.instances]
+    else:
+        grids = [(setup.simulator.mesh, accum[-1])]
+    return float(np.mean([(m.column_weights @ a) / m.column_weights.sum() for m, a in grids]))

@@ -16,15 +16,16 @@ Laplacian, projected modal filter) factors into one assembled 1D matrix
 per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
 with the mesh; it alone knows the field layout (`column_view`,
-`field_from_profile`, ...) and owns the named work buffers of the
-stepping hot path (`Mesh.work`). `dss_sum` and `scatter_to_elements` move data
-between the element-local and global views; they remain the general
-assembly tool and the test oracle for the 1D operators. All reductions
-run in a fixed order so results are independent of any worker count.
+`field_from_profile`, the boundary levels) and owns the named work
+buffers of the stepping hot path (`Mesh.work`). `dss_sum` and
+`scatter_to_elements` move data between the element-local and global
+views; they remain the general assembly tool and the test oracle for the
+1D operators. All reductions run in a fixed order so results are
+independent of any worker count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -164,8 +165,6 @@ class Mesh:
     npts: int
     nelem: int
     npts_1d: tuple            # global points per direction
-    bottom_nodes: np.ndarray = field(repr=False, default=None)
-    top_nodes: np.ndarray = field(repr=False, default=None)
 
     def grid_view(self, f: np.ndarray) -> np.ndarray:
         """Reshape (..., npts) fields to (..., nz, nx) or (..., nz, ny, nx)."""
@@ -178,11 +177,6 @@ class Mesh:
         # copy so callers can mutate columns without aliasing the input
         return np.moveaxis(g, -self.dim, -1).copy().reshape(
             f.shape[:-1] + (self.ncols, self.npts_1d[-1]))
-
-    def field_from_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Inverse of column_view: (..., ncols, nz) -> new (..., npts) array."""
-        # columns are the horizontal index, which runs fastest in the field
-        return np.swapaxes(cols, -1, -2).reshape(cols.shape[:-2] + (self.npts,))
 
     def field_from_profile(self, profile: np.ndarray) -> np.ndarray:
         """Broadcast (..., nz) vertical profiles to new (..., npts) fields."""
@@ -224,6 +218,16 @@ class Mesh:
         for k in self.npts_1d[:-1]:
             n *= k
         return n
+
+    @property
+    def bottom_nodes(self) -> slice:
+        """The bottom level's nodes: z runs slowest, so the first ncols."""
+        return slice(0, self.ncols)
+
+    @property
+    def top_nodes(self) -> slice:
+        """The top level's nodes, the last ncols."""
+        return slice(self.npts - self.ncols, self.npts)
 
     # -- assembled operators; built on first use and kept with the mesh --
 
@@ -337,8 +341,8 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
     dim = len(extents)
     if dim not in (2, 3) or len(elem_counts) != dim:
         raise ConfigurationError(f"need 2 or 3 matching extents/counts, got {extents}, {elem_counts}")
-    if any(v <= 0 for v in extents):
-        raise ConfigurationError(f"extents must be positive, got {extents}")
+    if not all(0.0 < v < math.inf for v in extents):
+        raise ConfigurationError(f"extents must be positive and finite, got {extents}")
     if any(c < 1 for c in elem_counts):
         raise ConfigurationError(f"element counts must be >= 1, got {elem_counts}")
     if np.isscalar(orders):
@@ -377,10 +381,6 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
 
     npts = int(np.prod(n1d))
 
-    horiz = int(np.prod(n1d[:-1]))
-    bottom = np.arange(horiz, dtype=np.int64)
-    top = np.arange(horiz, dtype=np.int64) + horiz * (n1d[-1] - 1)
-
     return Mesh(
         dim=dim,
         extents=extents,
@@ -396,8 +396,6 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
         npts=npts,
         nelem=nelem,
         npts_1d=n1d,
-        bottom_nodes=bottom,
-        top_nodes=top,
     )
 
 

@@ -8,6 +8,10 @@ in subsaturated air. Density is never touched, so the water budget
 closes level-by-level except for the sedimentation flux through the
 surface, which is returned as accumulated precipitation (kg/m^2, i.e.
 mm of liquid).
+
+The process chain works on level-major (..., nlev, ncols) batches. A
+field stores z slowest, so each of its rows already is such a block,
+and a grid's update runs on the state's own rows.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_CONSTANTS, PhysConstants, ReferenceState, equation_of_state, exner_function
 from .errors import StateError
-from .grid import Mesh, WorkBuffers
+from .grid import Mesh
 from .operators import PrognosticState
 
 __all__ = [
@@ -32,6 +36,9 @@ _ES0 = 610.78       # Pa at the triple point
 _TETA = 17.27
 _TETB = 35.86       # K offset in the denominator
 _T0 = 273.15
+
+# field-shaped intermediates of _kessler_batch
+_SCRATCH_ROWS = 17
 
 
 @dataclass(frozen=True)
@@ -77,24 +84,26 @@ def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch):
 
     The discrete column sum of rho*q_r*mass changes exactly by the
     accumulated surface flux (telescoping), which is what closes the
-    water budget. `scratch` lends five arrays of q_r's shape.
+    water budget. q_r and rho are (..., nlev, ncols), masses (nlev,);
+    `scratch` lends five arrays of q_r's shape.
     """
-    precip = np.zeros(q_r.shape[0])
+    precip = np.zeros_like(q_r[..., 0, :])
     if dt <= 0.0:
         return precip
     m_min = float(np.min(masses))
-    remaining = np.full(q_r.shape[0], dt)
     rho_cgs, root, rho_m, flux, dmass = scratch[:5]
     # the fall speed's fixed factors: 0.001 converts rho*q_r from kg/m^3
     # to the g/cm^3 the power law expects, and sqrt(rho_surf/rho)
     np.multiply(0.001, rho, out=rho_cgs)
     np.divide(rho_surf, rho, out=root)
     np.sqrt(root, out=root)
-    np.multiply(rho, masses, out=rho_m)
-    # all columns share the substep count so the batch stays rectangular
+    # a broadcasting ufunc would allocate iterator buffers, a copy does not
+    np.copyto(rho_m, masses[:, None])
+    rho_m *= rho
+    # all columns share each substep, so the batch stays rectangular
+    remaining = dt
     for _ in range(10_000):
-        active = remaining > 0.0
-        if not np.any(active):
+        if not remaining > 0.0:
             break
         # fall speed V = coeff (rho_cgs max(q_r, 0))^exponent root, in flux
         V = flux
@@ -105,31 +114,39 @@ def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch):
         V *= root
         vmax = float(np.max(V))
         step = dt if vmax == 0.0 else min(dt, 0.9 * m_min / vmax)
-        sub = np.minimum(remaining, step)[:, None]
+        sub = min(remaining, step)
         np.multiply(rho, V, out=flux)             # kg/m^2/s, downward
         flux *= q_r
-        np.subtract(flux[:, 1:], flux[:, :-1], out=dmass[:, :-1])
-        np.negative(flux[:, -1], out=dmass[:, -1])
+        np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=dmass[..., :-1, :])
+        np.negative(flux[..., -1, :], out=dmass[..., -1, :])
         dmass *= sub
         dmass /= rho_m
         q_r += dmass
-        precip += (sub[:, 0] * flux[:, 0])
-        remaining = np.maximum(remaining - step, 0.0)
+        precip += sub * flux[..., 0, :]
+        remaining = max(remaining - step, 0.0)
     else:
         raise StateError("sedimentation substepping failed to terminate")
     np.maximum(q_r, 0.0, out=q_r)
     return precip
 
 
-def _tetens(T, es, tmb):
-    """es = e_s(T) by Tetens, with T - _TETB left in tmb."""
+def _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, den, pme):
+    """Diagnose T = theta_v exner / den, den = 1 + eps q_v, the Tetens
+    e_s(T) into es with T - _TETB left in tmb, and q_vs = (R_d/R_v) es /
+    pme, pme = p - es; den and pme may be one array."""
+    np.multiply(constants.eps, q_v, out=den)
+    den += 1.0
+    np.multiply(theta_v, exner, out=T)
+    T /= den
     np.subtract(T, _TETB, out=tmb)
     np.subtract(T, _T0, out=es)
     es *= _TETA
     es /= tmb
     np.exp(es, out=es)
     es *= _ES0
-    return es
+    np.subtract(p, es, out=pme)
+    np.multiply(constants.R_d / constants.R_v, es, out=qvs)
+    qvs /= pme
 
 
 def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants,
@@ -145,8 +162,6 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants
     pressure and Exner function, which the first iteration (delta = 0)
     uses as they are. `scratch` lends thirteen arrays of q_v's shape.
     """
-    eps = constants.eps
-    cr = constants.R_d / constants.R_v
     cp_cv = constants.c_p / constants.c_v
     A, th_b, qv_b, p_b, pi_b, T, den, es, tmb, qvs, pme, dT, des = scratch[:13]
     # T and den are spent once dT is known
@@ -163,19 +178,11 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants
             np.subtract(q_v, delta, out=qv)
             equation_of_state(rho, theta_v=th, constants=constants, out=p)
             exner_function(p, constants, out=pi)
-        # T = th pi / (1 + eps qv); e_s(T); qvs = cr es / (p - es)
-        np.multiply(eps, qv, out=den)
-        den += 1.0
-        np.multiply(th, pi, out=T)
-        T /= den
-        _tetens(T, es, tmb)
-        np.subtract(p, es, out=pme)
-        np.multiply(cr, es, out=qvs)
-        qvs /= pme
+        _saturation(th, pi, qv, p, constants, T, es, tmb, qvs, den, pme)
         # chain rule in delta: p ~ th^(cp/cv), Pi follows p, T follows both
         np.multiply(A, pi, out=dT)
         dT *= cp_cv
-        np.multiply(eps, T, out=des)
+        np.multiply(constants.eps, T, out=des)
         dT += des
         dT /= den
         np.multiply(p, cp_cv, out=dp)
@@ -186,11 +193,11 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants
         np.square(tmb, out=tmb)
         des /= tmb
         des *= dT
-        # dqvs = cr (des p - es dp) / (p - es)^2, left in des
+        # dqvs = (R_d/R_v) (des p - es dp) / (p - es)^2, left in des
         des *= p
         dp *= es
         des -= dp
-        des *= cr
+        des *= constants.R_d / constants.R_v
         np.square(pme, out=pme)
         des /= pme
         # new = clip(delta - g / (-1 - dqvs), -q_c, q_v) with g = qv - qvs
@@ -214,14 +221,7 @@ def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, ern, scra
     """Kessler/Klemp ventilation-law evaporation of rain into subsaturated
     air, written into ern; `scratch` lends nine arrays of q_v's shape."""
     T, es, tmb, qvs, deficit, rcgs, rq, vent, y = scratch[:9]
-    np.multiply(constants.eps, q_v, out=y)
-    y += 1.0
-    np.multiply(theta_v, exner, out=T)
-    T /= y
-    _tetens(T, es, tmb)
-    np.subtract(p, es, out=y)
-    np.multiply(constants.R_d / constants.R_v, es, out=qvs)
-    qvs /= y
+    _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, y, y)
     np.subtract(qvs, q_v, out=deficit)
     np.maximum(deficit, 0.0, out=deficit)
     np.multiply(0.001, rho, out=rcgs)        # g/cm^3
@@ -249,11 +249,12 @@ def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, ern, scra
 
 
 def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, constants,
-                   work):
-    """Run the full process chain on (ncols, nlev) arrays, in place.
+                   scratch):
+    """Run the full process chain on (..., nlev, ncols) arrays, in place.
 
-    Intermediates live in the buffer "_kessler_batch.scratch" of `work`,
-    whose rows it lends to the process functions one after another.
+    masses holds the (nlev,) vertical quadrature masses. Intermediates
+    live in the _SCRATCH_ROWS arrays of q_c's shape that `scratch`
+    stacks; it lends them to the process functions one after another.
     """
     if float(np.min(rho)) <= 0.0:
         raise StateError("non-positive density on entry to microphysics")
@@ -261,7 +262,7 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
         raise StateError("negative cloud or rain mixing ratio on entry to microphysics")
     np.maximum(q_c, 0.0, out=q_c)
     np.maximum(q_r, 0.0, out=q_r)
-    p, exner, delta, tmp, *scratch = work.array("_kessler_batch.scratch", (17,) + q_c.shape)
+    p, exner, delta, tmp, *scratch = scratch
 
     precip = _sediment(q_r, rho, masses, rho_surf, dt, params, scratch)
 
@@ -311,10 +312,10 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
 def kessler_column_step(column: ColumnView, dt, params: KesslerParams,
                         constants: PhysConstants = DEFAULT_CONSTANTS):
     """Advance one column by dt; returns (column, surface rain in mm)."""
+    fields = (column.rho, column.theta_v, column.q_v, column.q_c, column.q_r)
     precip = _kessler_batch(
-        column.masses[None, :], column.rho[None, :],
-        column.theta_v[None, :], column.q_v[None, :], column.q_c[None, :],
-        column.q_r[None, :], column.rho_surf, dt, params, constants, WorkBuffers())
+        column.masses, *(f[:, None] for f in fields), column.rho_surf, dt, params,
+        constants, np.empty((_SCRATCH_ROWS, column.q_c.size, 1)))
     return column, float(precip[0])
 
 
@@ -327,31 +328,26 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     surface during dt for each horizontal grid point (column ordering
     matches `Mesh.column_view`). rho' and velocity are untouched. The
     new state is `out` when given (`state` itself updates in place),
-    else a copy; the columns live in the mesh's work buffers.
+    else a copy. The chain runs on the new state's own (nz, ncols)
+    rows, with the theta_v and q_v references added in place and taken
+    off again; the density and the intermediates live in the mesh's
+    work buffers. If it raises, the rows of `out` are unspecified
+    (`Simulator.step` passes only a state it has not committed).
     """
-    def columns(f):
-        # a field's (..., nz) column view, z last
-        return np.moveaxis(mesh.grid_view(f), -mesh.dim, -1)
-
-    shape = columns(state.q_c).shape
-    cols = mesh.work.array("apply_microphysics.columns", (5, mesh.ncols, shape[-1]))
-    rho, theta_v, q_v, q_c, q_r = cols
-    np.add(columns(reference.rho0), columns(state.rho_p), out=rho.reshape(shape))
-    np.add(columns(reference.theta_v0), columns(state.theta_vp), out=theta_v.reshape(shape))
-    np.add(columns(reference.q_v0), columns(state.q_vp), out=q_v.reshape(shape))
-    np.copyto(q_c.reshape(shape), columns(state.q_c))
-    np.copyto(q_r.reshape(shape), columns(state.q_r))
-    masses = np.broadcast_to(np.asarray(mesh.lumped_1d[-1]), q_c.shape)
-
-    precip = _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r,
-                            reference.rho0_surf, dt, params, constants, mesh.work)
-
     if out is None:
         out = state.copy()
     elif out is not state:
         np.copyto(out.data, state.data)
-    np.subtract(theta_v.reshape(shape), columns(reference.theta_v0), out=columns(out.theta_vp))
-    np.subtract(q_v.reshape(shape), columns(reference.q_v0), out=columns(out.q_vp))
-    np.copyto(columns(out.q_c), q_c.reshape(shape))
-    np.copyto(columns(out.q_r), q_r.reshape(shape))
+    shape = (mesh.npts_1d[-1], mesh.ncols)
+    rho0, theta_v0, q_v0 = (f.reshape(shape) for f in
+                            (reference.rho0, reference.theta_v0, reference.q_v0))
+    rho_p, *_, theta_v, q_v, q_c, q_r = out.data.reshape((-1,) + shape)
+    buf = mesh.work.array("apply_microphysics.scratch", (1 + _SCRATCH_ROWS,) + shape)
+    rho = np.add(rho0, rho_p, out=buf[0])
+    theta_v += theta_v0
+    q_v += q_v0
+    precip = _kessler_batch(mesh.lumped_1d[-1], rho, theta_v, q_v, q_c, q_r,
+                            reference.rho0_surf, dt, params, constants, buf[1:])
+    theta_v -= theta_v0
+    q_v -= q_v0
     return out, precip

@@ -301,11 +301,8 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     if sponge_rw is not None:
         np.multiply(sponge_rw, w, out=scratch)
         du[-1] -= scratch
-    # z runs slowest, so the bottom and top nodes are the first and last
-    # ncols points
-    ncols = mesh.ncols
-    du[-1][:ncols] = 0.0
-    du[-1][-ncols:] = 0.0
+    du[-1][mesh.bottom_nodes] = 0.0
+    du[-1][mesh.top_nodes] = 0.0
     np.negative(w, out=d_th)
     d_th *= reference.dtheta_v0_dz
     np.negative(w, out=d_qv)

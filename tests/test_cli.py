@@ -56,6 +56,19 @@ def test_run_rejects_nonpositive_time(tmp_path, capsys, line):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("line", [
+    "filter.strength = nan", "filter.strength = 2", "viscosity.nu = -200",
+    "viscosity.nu = nan", "mmf.ssp_length = nan", "mmf.amplitude = inf",
+    "mmf.amplitude = nan", "run.duration = inf"])
+def test_run_rejects_out_of_range_settings(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, "run.mode = mmf\nrun.preset = desk\n"
+                              "run.duration = 4\n" + line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_analyze_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path,
                     "run.output_dir = " + str(tmp_path / "a") + "\n"

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mmfsim import coupling as coupling_module
 from mmfsim.cases import build_case
 from mmfsim.coupling import (COUPLED_VARS, MmfConfig, Simulator,
                              build_vertical_projection, feedback_tendency,
@@ -301,7 +302,7 @@ def reference_mmf_step(lsp, instances, dT, cfg):
                       * ((av_l - Q) / dT)[None, :])
     F = PrognosticState.zeros(mesh)
     for v in coupled:
-        F[v] = mesh.field_from_columns(bufs[v])
+        F[v] = bufs[v].T.reshape(-1)
     new_lsp, _ = lsp.step(dT, coupling=F)
 
     new_states = []
@@ -364,6 +365,34 @@ def test_stacked_exchange_matches_per_variable_reference(dim):
     assert close(lsp_a.state.data, lsp_b.state.data)
     for ia, ib in zip(inst_a, inst_b):
         assert close(ia.sim.state.data, ib.sim.state.data)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_forcing_scatter_matches_column_formula(dim, monkeypatch):
+    """mmf_step scatters the forcing straight into the fields' level-major
+    rows, bit for bit as the (ncols, nz) scatter transposed into fields."""
+    lsp, cfg, instances = noisy_mmf(dim)
+    mesh = lsp.mesh
+    seen = {}
+
+    def forcing(Q, avg, dT):
+        seen["F"] = forcing_tendency(Q, avg, dT)
+        return seen["F"]
+
+    def step(dT, coupling):
+        seen["state"] = coupling.data.copy()
+        return lsp.state, None
+
+    monkeypatch.setattr(coupling_module, "forcing_tendency", forcing)
+    lsp.step = step
+    mmf_step(lsp, instances, 2.0, cfg=cfg)
+    W = np.stack([inst.weights for inst in instances])
+    cols = np.einsum("ic,ivz->vcz", W / mesh.column_weights, seen["F"])
+    want = np.zeros_like(seen["state"])
+    rows = [lsp.state.field_names().index(v) for v in COUPLED_VARS]
+    want[rows] = np.swapaxes(cols, -1, -2).reshape(len(rows), mesh.npts)
+    assert np.any(want != 0.0)
+    assert np.array_equal(seen["state"], want)
 
 
 def test_vertical_transfer_stacked_matches_rows():
@@ -509,7 +538,7 @@ def test_meshes_of_equal_size_keep_their_own_buffers():
     assert np.array_equal(a.state.data, alone[0])
     assert np.array_equal(b.state.data, alone[1])
     for name in ("Simulator.step.tendency", "gmres_solve.basis", "along.in",
-                 "evaluate_rhs.derivs", "_kessler_batch.scratch"):
+                 "evaluate_rhs.derivs", "apply_microphysics.scratch"):
         assert not np.shares_memory(a.mesh.work.array(name, (1,)),
                                     b.mesh.work.array(name, (1,)))
 

@@ -10,6 +10,7 @@ from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                            OUTPUT_DIR_ENV, RunConfig, compute_kinetic_energy,
                            diff_snapshots, format_config, parse_config,
                            read_config, read_snapshot, run, write_snapshot)
+from mmfsim.cases import build_case
 from mmfsim.dynamics import build_reference
 from mmfsim.errors import ConfigurationError
 from mmfsim.grid import build_box_mesh
@@ -262,6 +263,24 @@ def test_mmf_run_writes_residuals(tmp_path):
     assert len(resid) > 10
     body = [ln.split(",") for ln in resid[1:]]
     assert {r[2] for r in body} == {"u", "theta_vp", "q_vp", "q_c", "q_r"}
+
+
+def test_precip_mean_weights_columns_by_quadrature():
+    """Rain on the element-edge columns only: their order-4 end weights
+    (0.1 of h/2 from each side) make them a tenth of the area, not the
+    quarter of the columns they are."""
+    coarse = build_case("squall", "coarse", preset="desk")
+    edges = np.zeros(coarse.simulator.mesh.ncols)
+    edges[::coarse.simulator.mesh.orders[0]] = 1.0
+    assert np.mean(edges) == 0.25
+    assert abs(driver._precip_mean({-1: edges}, coarse) - 0.1) < 1e-14
+    mmf = build_case("squall", "mmf", preset="desk")
+    fine = mmf.instances[0].sim.mesh
+    rain = np.zeros(fine.ncols)
+    rain[::fine.orders[0]] = 1.0
+    accum = {-1: np.ones(coarse.simulator.mesh.ncols), 0: rain, 1: 2.0 * rain,
+             2: np.zeros(fine.ncols)}
+    assert abs(driver._precip_mean(accum, mmf) - 0.1) < 1e-14
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

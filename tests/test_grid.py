@@ -147,11 +147,18 @@ def test_mesh_rejects_mismatched_inputs():
     build_box_mesh((1.0, 2.0, 1.5), (2, 3, 2), (2, 3, 4), periodicity=(True, False)),
 ])
 def test_field_from_columns_inverts_column_view(mesh):
+    def field_from_columns(cols):
+        # (..., ncols, nz) -> (..., npts): the column index runs fastest
+        return np.swapaxes(cols, -1, -2).reshape(cols.shape[:-2] + (mesh.npts,))
+
     f = np.random.default_rng(5).standard_normal(mesh.npts)
-    assert np.array_equal(mesh.field_from_columns(mesh.column_view(f)), f)
+    assert np.array_equal(field_from_columns(mesh.column_view(f)), f)
     stacked = np.stack([mesh.column_view(f), mesh.column_view(2.0 * f)])
-    assert np.array_equal(mesh.field_from_columns(stacked), np.stack([f, 2.0 * f]))
+    assert np.array_equal(field_from_columns(stacked), np.stack([f, 2.0 * f]))
     assert np.array_equal(mesh.column_view(np.stack([f, 2.0 * f])), stacked)
+    # the boundary levels are the columns' first and last entries
+    assert np.array_equal(f[mesh.bottom_nodes], mesh.column_view(f)[:, 0])
+    assert np.array_equal(f[mesh.top_nodes], mesh.column_view(f)[:, -1])
     # column weights follow the column order and cover the horizontal area
     area = np.prod(mesh.extents[:-1])
     assert abs(mesh.column_weights.sum() - area) < 1e-13 * area

@@ -1,12 +1,18 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mmfsim import microphysics
-from mmfsim.dynamics import DEFAULT_CONSTANTS, equation_of_state, exner_function
+from mmfsim.dynamics import DEFAULT_CONSTANTS, build_reference, equation_of_state, exner_function
 from mmfsim.errors import StateError
+from mmfsim.grid import build_box_mesh
 from mmfsim.microphysics import (ColumnView, KesslerParams, apply_microphysics,
                                  kessler_column_step, saturation_mixing_ratio)
 from mmfsim.operators import PrognosticState, integrate
+
+from conftest import isothermal_sounding
 
 C = DEFAULT_CONSTANTS
 P = KesslerParams()
@@ -211,3 +217,185 @@ def test_apply_microphysics_grid_budget(small_mesh, small_reference):
     assert same is st
     assert np.array_equal(st.data, new.data)
     assert np.array_equal(precip_same, precip)
+
+
+# ---------------------------------------------------------------------------
+# column-major oracle: the grid update on (ncols, nlev) copies of the
+# fields, every intermediate a new array, written back through the
+# inverse of Mesh.column_view
+
+def oracle_sediment(q_r, rho, masses, rho_surf, dt, params):
+    precip = np.zeros(q_r.shape[0])
+    if dt <= 0.0:
+        return precip
+    m_min = float(np.min(masses))
+    remaining = np.full(q_r.shape[0], dt)
+    while np.any(remaining > 0.0):
+        V = (params.fall_speed_coeff
+             * (0.001 * rho * np.maximum(q_r, 0.0)) ** params.fall_speed_exponent
+             * np.sqrt(rho_surf / rho))
+        vmax = float(np.max(V))
+        step = dt if vmax == 0.0 else min(dt, 0.9 * m_min / vmax)
+        sub = np.minimum(remaining, step)[:, None]
+        flux = rho * V * q_r
+        dmass = np.empty_like(flux)
+        dmass[:, :-1] = flux[:, 1:] - flux[:, :-1]
+        dmass[:, -1] = -flux[:, -1]
+        q_r += sub * dmass / (rho * masses)
+        precip += sub[:, 0] * flux[:, 0]
+        remaining = np.maximum(remaining - step, 0.0)
+    np.maximum(q_r, 0.0, out=q_r)
+    return precip
+
+
+def oracle_saturation(theta_v, exner, q_v, p, c):
+    T = theta_v * exner / (1.0 + c.eps * q_v)
+    es = 610.78 * np.exp(17.27 * (T - 273.15) / (T - 35.86))
+    return T, es, (c.R_d / c.R_v) * es / (p - es)
+
+
+def oracle_saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, c):
+    cr, cp_cv = c.R_d / c.R_v, c.c_p / c.c_v
+    A = c.L_v / (c.c_p * exner_in)
+    delta = np.zeros_like(q_v)
+    th, qv, p, pi = theta_v, q_v, p_in, exner_in
+    for it in range(params.newton_iterations):
+        if it:
+            th = theta_v + A * delta
+            qv = q_v - delta
+            p = equation_of_state(rho, theta_v=th, constants=c)
+            pi = exner_function(p, c)
+        T, es, qvs = oracle_saturation(th, pi, qv, p, c)
+        dT = (A * pi * cp_cv + c.eps * T) / (1.0 + c.eps * qv)
+        dp = p * cp_cv * A / th
+        des = es * (17.27 * (273.15 - 35.86)) / (T - 35.86) ** 2 * dT
+        dqvs = cr * (des * p - es * dp) / (p - es) ** 2
+        new = np.clip(delta - (qv - qvs) / (-1.0 - dqvs), -q_c, q_v)
+        done = float(np.max(np.abs(new - delta))) < 1e-16
+        delta = new
+        if done:
+            break
+    return delta
+
+
+def oracle_rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, c):
+    _, _, qvs = oracle_saturation(theta_v, exner, q_v, p, c)
+    deficit = np.maximum(qvs - q_v, 0.0)
+    rcgs = 0.001 * rho
+    rq = rcgs * np.maximum(q_r, 0.0)
+    vent = (1.6 + 124.9 * rq ** 0.2046) * rq ** 0.525
+    denom = 2.55e8 / (p * qvs) + 5.4e5
+    ern = dt * (vent / denom) * (deficit / (rcgs * qvs))
+    return np.minimum(np.minimum(ern, np.maximum(q_r, 0.0)), deficit)
+
+
+def oracle_apply_microphysics(state, ref, mesh, dt, params, c):
+    cv = mesh.column_view
+    rho = cv(ref.rho0 + state.rho_p)
+    theta_v = cv(ref.theta_v0 + state.theta_vp)
+    q_v = cv(ref.q_v0 + state.q_vp)
+    q_c = np.maximum(cv(state.q_c), 0.0)
+    q_r = np.maximum(cv(state.q_r), 0.0)
+    masses = np.broadcast_to(mesh.lumped_1d[-1], q_c.shape)
+    precip = oracle_sediment(q_r, rho, masses, ref.rho0_surf, dt, params)
+    auto = np.minimum(dt * params.autoconversion_rate
+                      * np.maximum(q_c - params.autoconversion_threshold, 0.0), q_c)
+    q_c -= auto
+    q_r += auto
+    accr = np.minimum(dt * params.accretion_rate * q_c * q_r ** 0.875, q_c)
+    q_c -= accr
+    q_r += accr
+    p = equation_of_state(rho, theta_v=theta_v, constants=c)
+    exner = exner_function(p, c)
+    delta = oracle_saturation_adjust(theta_v, q_v, q_c, rho, p, exner, params, c)
+    q_v -= delta
+    q_c += delta
+    theta_v += (c.L_v / (c.c_p * exner)) * delta
+    if dt > 0.0:
+        if np.any(delta):
+            p = equation_of_state(rho, theta_v=theta_v, constants=c)
+            exner = exner_function(p, c)
+        ern = oracle_rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, c)
+        q_r -= ern
+        q_v += ern
+        theta_v -= (c.L_v / (c.c_p * exner)) * ern
+
+    def back(cols):
+        return np.swapaxes(cols, -1, -2).reshape(-1)
+
+    out = state.copy()
+    out.theta_vp = back(theta_v) - ref.theta_v0
+    out.q_vp = back(q_v) - ref.q_v0
+    out.q_c = back(np.maximum(q_c, 0.0))
+    out.q_r = back(np.maximum(q_r, 0.0))
+    return out, precip
+
+
+@functools.cache
+def oracle_grid(dim):
+    """A 2D periodic or a 3D (True, False) mesh with its reference."""
+    if dim == 2:
+        mesh = build_box_mesh((20e3, 12e3), (3, 4), (4, 4), periodicity=(True,))
+    else:
+        mesh = build_box_mesh((12e3, 8e3, 12e3), (2, 2, 3), (3, 4, 4),
+                              periodicity=(True, False))
+    return mesh, build_reference(isothermal_sounding(z_top=14e3), mesh, C)
+
+
+def moist_state(mesh, cloudy, seed):
+    """Noise in every field; cloudy states carry cloud, rain and vapor up
+    to well past saturation, dry ones stay subsaturated and cloud-free."""
+    rng = np.random.default_rng(seed)
+    st = PrognosticState.zeros(mesh)
+    st.rho_p = 1e-3 * rng.standard_normal(mesh.npts)
+    st.u = rng.standard_normal(st.u.shape)
+    st.theta_vp = rng.uniform(-1.0, 1.0, mesh.npts)
+    if cloudy:
+        st.q_vp = 0.02 * rng.random(mesh.npts)
+        st.q_c = 2e-3 * rng.random(mesh.npts)
+        st.q_r = 2e-3 * rng.random(mesh.npts)
+    else:
+        st.q_vp = rng.uniform(-1e-3, 1e-3, mesh.npts)
+    return st
+
+
+@pytest.mark.parametrize("target", ["new", "state", "other"])
+@pytest.mark.parametrize("cloudy", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_apply_microphysics_matches_column_major_oracle(dim, cloudy, target):
+    """The update on the state's own level-major rows is the column-major
+    one bit for bit, whichever state receives it; the input is left
+    alone unless it is the output."""
+    mesh, ref = oracle_grid(dim)
+    st = moist_state(mesh, cloudy, seed=dim)
+    before = st.data.copy()
+    want, want_precip = oracle_apply_microphysics(st, ref, mesh, 30.0, P, C)
+    assert not cloudy or (np.any(want_precip > 0.0) and np.any(want.q_c > 0.0))
+    out = {"new": None, "state": st,
+           "other": PrognosticState.from_vector(np.full(st.data.size, np.nan), mesh.dim)}[target]
+    got, precip = apply_microphysics(st, ref, mesh, 30.0, P, C, out=out)
+    assert out is None or got is out
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(precip, want_precip)
+    if target != "state":
+        assert got is not st and not np.shares_memory(got.data, st.data)
+        assert np.array_equal(st.data, before)
+
+
+def test_warm_in_place_update_allocates_less_than_a_field():
+    """A warm in-place update of a cloudy embedded-grid-sized mesh works
+    on the state's rows and the mesh's buffers: traced allocations peak
+    below one field above where the call started."""
+    mesh = build_box_mesh((8e3, 24e3), (10, 30), (4, 4), periodicity=(True,))
+    ref = build_reference(isothermal_sounding(), mesh, C)
+    st = moist_state(mesh, cloudy=True, seed=7)
+    apply_microphysics(st, ref, mesh, 2.0, P, C, out=st)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        apply_microphysics(st, ref, mesh, 2.0, P, C, out=st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < st.rho_p.nbytes
+    assert "apply_microphysics.columns" not in mesh.work._arrays
