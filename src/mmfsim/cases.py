@@ -87,6 +87,8 @@ class PerturbationSpec:
         if not 0.0 <= self.amplitude < math.inf:
             raise ConfigurationError(
                 f"perturbation amplitude must be finite and >= 0, got {self.amplitude:g}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"perturbation seed must lie in [0, 2**64), got {self.seed}")
 
 
 def perturbation_rng(seed: int, instance: int = 0) -> np.random.Generator:

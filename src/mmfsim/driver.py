@@ -78,8 +78,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown tier {self.tier!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.snapshot_interval < 0.0:
-            raise ConfigurationError("snapshot_interval must be >= 0")
+        if not 0.0 <= self.snapshot_interval < np.inf:
+            raise ConfigurationError("snapshot_interval must be finite and >= 0")
 
 
 # key in file -> (attribute, type); cost.* handled separately
@@ -182,12 +182,10 @@ def read_config(path) -> RunConfig:
 def _case_overrides(cfg: RunConfig) -> dict:
     ov = {}
     for name in ("duration", "dt", "substeps", "ssp_elems_x", "ssp_elems_z",
-                 "ssp_length", "amplitude", "nu", "microphysics"):
+                 "ssp_length", "amplitude", "nu", "microphysics", "filter_strength"):
         v = getattr(cfg, name)
         if v is not None and not (name == "microphysics" and v is True):
             ov[name] = v
-    if cfg.filter_strength is not None:
-        ov["filter_strength"] = cfg.filter_strength
     sponge_keys = (cfg.sponge_z_bottom, cfg.sponge_z_top, cfg.sponge_r_max)
     if any(v is not None for v in sponge_keys):
         if any(v is None for v in sponge_keys):

@@ -242,7 +242,7 @@ class SpongeConfig:
     R_max: float  # 1/s
 
     def __post_init__(self):
-        if not (0.0 <= self.z_b < self.z_t) or self.R_max < 0.0:
+        if not (0.0 <= self.z_b < self.z_t) or not 0.0 <= self.R_max < np.inf:
             raise ConfigurationError(f"bad sponge config {self}")
 
 
@@ -265,7 +265,7 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
     velocity tendencies at the impermeable bottom/top boundaries are
     zeroed (strong no-normal-flow). The tendency is written into `out`
     (a PrognosticState that must not overlap `state`) when given, else
-    into a new state; intermediates live in the mesh's work buffers.
+    into a new state; intermediates live in the mesh's "kernel" buffer.
     """
     if out is None:
         out = PrognosticState.from_vector(np.empty(state.data.size), state.dim)
@@ -275,7 +275,8 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
     D = mesh.weak_derivative_1d
     dim, npts = mesh.dim, mesh.npts
     fields, u, w = state.data[1:], state.u, state.u[-1]
-    rho, tmp, p_prime = mesh.work.array("evaluate_rhs.scalars", (3, npts))
+    block = mesh.work.array("kernel", (2 * dim + 7, npts))
+    (rho, tmp, p_prime), derivs, gp_rho = block[:3], block[3:dim + 7], block[dim + 7:]
     np.add(reference.rho0, state.rho_p, out=rho)
     if np.min(rho) <= 0.0:
         raise StateError("vacuum: rho0 + rho' <= 0 somewhere")
@@ -285,14 +286,12 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
 
     # first derivatives of velocity and scalars along one direction at a
     # time, then their Laplacian; the mass flux uses the rows first
-    derivs = mesh.work.array("evaluate_rhs.derivs", (dim + 4, npts))
     np.multiply(rho, u, out=derivs[:dim])
     np.negative(ops.div(derivs[:dim], out=out.rho_p), out=out.rho_p)
 
     # -u . grad of velocity and scalars into rows 1.. of out, summed over
     # directions in order; the pressure gradient over rho beside it
     adv = out.data[1:]
-    gp_rho = mesh.work.array("evaluate_rhs.gp_rho", (dim, npts))
     for d in range(dim):
         ops.along(D[d], fields, d, out=derivs)
         ops.along(D[d], p_prime, d, out=gp_rho[d])

@@ -16,12 +16,13 @@ Laplacian, projected modal filter) factors into one assembled 1D matrix
 per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
 with the mesh; it alone knows the field layout (`column_view`,
-`field_from_profile`, the boundary levels) and owns the named work
-buffers of the stepping hot path (`Mesh.work`). `dss_sum` and
-`scatter_to_elements` move data between the element-local and global
-views; they remain the general assembly tool and the test oracle for the
-1D operators. All reductions run in a fixed order so results are
-independent of any worker count.
+`field_from_profile`, the boundary levels) and owns the stepping hot
+path's work buffers (`Mesh.work`), one per layer of the step: that
+layer's functions share it, as none calls another while holding it.
+`dss_sum` and `scatter_to_elements` move data between the element-local
+and global views; they remain the general assembly tool and the test
+oracle for the 1D operators. All reductions run in a fixed order so
+results are independent of any worker count.
 """
 
 import math
@@ -122,11 +123,12 @@ def boyd_vandeven_transfer(eta):
 class WorkBuffers:
     """Named scratch arrays, each kept at the largest size asked for.
 
-    Each name belongs to one function, which fills the array and reads
-    it back before it returns and never hands it to its caller; so a
-    buffer may be lent to a callee but is dead between calls. A request
-    for fewer elements gets a prefix of the array, so a buffer's pages
-    are touched (and made resident) only as far as they are used.
+    A name belongs to one layer of the step, and a function of that
+    layer never calls another of the same layer while it holds the
+    buffer. Each fills the array and reads it back before it returns,
+    so a buffer may be lent to a callee but is dead between calls. A
+    request for fewer elements gets a prefix of the array, so a
+    buffer's pages are touched (and made resident) only as far as used.
     """
 
     def __init__(self):
@@ -286,7 +288,10 @@ class Mesh:
     def work(self) -> WorkBuffers:
         """Scratch arrays of the stepping hot path, made on the first step
         and kept with the mesh (the embedded grids share one set, so
-        simulators on one mesh must not step concurrently)."""
+        simulators on one mesh must not step concurrently). One name per
+        layer, as `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler),
+        "operator" (SemOps.div/laplacian/tensor), "along", and the
+        stepper's tendency, stage vectors and Krylov basis."""
         return WorkBuffers()
 
     def modal_filter_1d(self, strength: float) -> tuple:

@@ -331,7 +331,7 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     else a copy. The chain runs on the new state's own (nz, ncols)
     rows, with the theta_v and q_v references added in place and taken
     off again; the density and the intermediates live in the mesh's
-    work buffers. If it raises, the rows of `out` are unspecified
+    "kernel" buffer. If it raises, the rows of `out` are unspecified
     (`Simulator.step` passes only a state it has not committed).
     """
     if out is None:
@@ -342,7 +342,7 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     rho0, theta_v0, q_v0 = (f.reshape(shape) for f in
                             (reference.rho0, reference.theta_v0, reference.q_v0))
     rho_p, *_, theta_v, q_v, q_c, q_r = out.data.reshape((-1,) + shape)
-    buf = mesh.work.array("apply_microphysics.scratch", (1 + _SCRATCH_ROWS,) + shape)
+    buf = mesh.work.array("kernel", (1 + _SCRATCH_ROWS,) + shape)
     rho = np.add(rho0, rho_p, out=buf[0])
     theta_v += theta_v0
     q_v += q_v0

@@ -144,8 +144,7 @@ class SemOps:
         # splitting the point axis never copies, so the writes reach `out`
         blocks = (rows.shape[0], npts // (n * stride), n, stride)
         src = rows.reshape(blocks).transpose(2, 0, 1, 3)
-        x = self.mesh.work.array("along.in", src.shape)
-        y = self.mesh.work.array("along.out", src.shape)
+        x, y = self.mesh.work.array("along", (2,) + src.shape)
         np.copyto(x, src)
         _csr_times_dense(A, x, y)
         np.copyto(out_rows.reshape(blocks).transpose(2, 0, 1, 3), y)
@@ -159,7 +158,7 @@ class SemOps:
         """
         if out is None:
             out = np.empty(f.shape)
-        tmp = self.mesh.work.array("tensor.tmp", (min(self.dim - 1, 2), f.shape[-1]))
+        tmp = self.mesh.work.array("operator", (min(self.dim - 1, 2), f.shape[-1]))
         for row, out_row in zip(f.reshape(-1, f.shape[-1]),
                                 np.reshape(out, (-1, f.shape[-1]), copy=False)):
             for d in range(self.dim):
@@ -178,20 +177,18 @@ class SemOps:
 
     def div(self, vec, out=None):
         """Weak divergence of a (dim, npts) vector field."""
-        D = self.mesh.weak_derivative_1d
-        acc = self.along(D[0], vec[0], 0, out=out)
-        tmp = self.mesh.work.array("div.tmp", acc.shape)
-        for d in range(1, self.dim):
-            acc += self.along(D[d], vec[d], d, out=tmp)
-        return acc
+        return self._sum_along(self.mesh.weak_derivative_1d, vec, out)
 
     def laplacian(self, f, out=None):
         """Weak Laplacian of (npts,) or stacked (nf, npts) fields."""
-        L = self.mesh.weak_laplacian_1d
-        acc = self.along(L[0], f, 0, out=out)
-        tmp = self.mesh.work.array("laplacian.tmp", acc.shape)
+        return self._sum_along(self.mesh.weak_laplacian_1d, (f,) * self.dim, out)
+
+    def _sum_along(self, mats, fs, out):
+        """mats[d] along d applied to fs[d], summed over d in order."""
+        acc = self.along(mats[0], fs[0], 0, out=out)
+        tmp = self.mesh.work.array("operator", acc.shape)
         for d in range(1, self.dim):
-            acc += self.along(L[d], f, d, out=tmp)
+            acc += self.along(mats[d], fs[d], d, out=tmp)
         return acc
 
 

@@ -257,9 +257,9 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     Each direction takes one derivative call on the stacked pair
     (p'_lin, rho0 u_d), and every row is written in place into `out` (a
     PrognosticState that must not overlap the increment) or a new
-    state; the pair and its derivative live in the mesh's work buffers.
-    The 1D matrices sum each stacked column in the same order, so this
-    is bit-identical to separate gradient and divergence calls.
+    state, whose rows also hold the pair and its derivative. The 1D
+    matrices sum each stacked column in the same order, so this is
+    bit-identical to separate gradient and divergence calls.
     """
     ops = get_ops(mesh)
     D = mesh.weak_derivative_1d
@@ -273,11 +273,10 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
         raise ValueError("linear_operator: out must not overlap the increment")
     res = out.data
     d_rho, du, w = res[0], res[1:1 + dim], q.u[-1]
-    # the q_c row holds intermediate products until it is zeroed at the end
-    d_th, d_qv, scratch = res[-4], res[-3], res[-2]
-
-    pair, dpair = mesh.work.array("linear_operator.pairs", (2, 2, mesh.npts))
-    p_lin = pair[0]
+    # the pair in the q_c/q_r rows (zeroed at the end), its derivative in
+    # the theta_v/q_v rows (written last); the q_r row doubles as scratch
+    dpair, pair = res[-4:-2], res[-2:]
+    (d_th, d_qv), (p_lin, scratch) = dpair, pair
     np.divide(reference.p0, rho0, out=p_lin)
     p_lin *= q.rho_p
     np.divide(reference.p0, reference.theta_v0, out=scratch)
@@ -285,7 +284,7 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
     p_lin += scratch
     p_lin *= gam
     for d in range(dim):
-        np.multiply(rho0, q.u[d], out=pair[1])
+        np.multiply(rho0, q.u[d], out=scratch)
         dp, dflux = ops.along(D[d], pair, d, out=dpair)
         np.negative(dp, out=du[d])
         du[d] /= rho0
@@ -369,12 +368,12 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     # the b-weighted sum of S(q_i) + coupling builds up in `out` stage
     # by stage, in the order of the weights
     out = q0.copy()
-    # the right-hand sides of stages 1 and 2 take each increment as soon
-    # as it is known, in the order the tableau sums them
-    rhs = work.array("step_ark2.rhs", (2, n))
+    # the right-hand sides of stages 1 and 2, which take each increment
+    # as soon as it is known in the order the tableau sums them; then a
+    # stage's implicit solution, and L(q_i)
+    stages = work.array("step_ark2.stages", (4, n))
+    rhs, q, lv = stages[:2], stages[2], stages[3]
     rhs[:] = q0
-    # a stage's implicit solution, and L(q_i)
-    q, lv = work.array("step_ark2.q_lin", (2, n))
 
     def solve_stage(rhs):
         if delta == 0:

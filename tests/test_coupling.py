@@ -23,6 +23,10 @@ from conftest import isothermal_sounding
 
 C = DEFAULT_CONSTANTS
 
+# the work buffers of a step, one per layer (see `WorkBuffers`)
+WORK_BUFFERS = ("Simulator.step.tendency", "step_ark2.stages", "gmres_solve.basis",
+                "kernel", "operator", "along")
+
 
 def column_nodes(n_elem, order, height):
     """Shared LGL node heights of a single spectral-element column."""
@@ -537,10 +541,31 @@ def test_meshes_of_equal_size_keep_their_own_buffers():
             sim.state, _ = sim.step(1.0)
     assert np.array_equal(a.state.data, alone[0])
     assert np.array_equal(b.state.data, alone[1])
-    for name in ("Simulator.step.tendency", "gmres_solve.basis", "along.in",
-                 "evaluate_rhs.derivs", "apply_microphysics.scratch"):
+    for name in WORK_BUFFERS:
+        assert name in a.mesh.work._arrays and name in b.mesh.work._arrays
         assert not np.shares_memory(a.mesh.work.array(name, (1,)),
                                     b.mesh.work.array(name, (1,)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_work_buffers_are_one_per_layer(dim):
+    """Two warm Kessler steps with viscosity and filter leave one buffer
+    per layer of the step, holding at most five states (tendency and
+    stages), Kessler's 18 fields and three stacks of dim + 4 fields (the
+    operator accumulator and along's transposed pair) besides the basis."""
+    snd = isothermal_sounding(z_top=14e3)
+    mesh = build_box_mesh((20e3,) * (dim - 1) + (12e3,), (2,) * (dim - 1) + (3,), 3,
+                          periodicity=(True,) * (dim - 1))
+    sim = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C), constants=C.with_nu(200.0),
+                    state=PrognosticState.zeros(mesh), filter_strength=0.2,
+                    kessler=KesslerParams(), sounding=snd)
+    sim.state.theta_vp[:] = 0.5 * np.sin(2.0 * np.pi * mesh.coords[:, 0] / 20e3)
+    for _ in range(2):
+        sim.state, _ = sim.step(1.0)
+    arrays = mesh.work._arrays
+    assert sorted(arrays) == sorted(WORK_BUFFERS)
+    fields = sum(buf.size for name, buf in arrays.items() if name != "gmres_solve.basis")
+    assert fields <= (5 * (5 + dim) + 18 + 3 * (dim + 4)) * mesh.npts
 
 
 def test_warm_step_peaks_within_eight_states():
