@@ -239,19 +239,20 @@ _NU = 200.0
 class CaseSetup:
     """Everything the run loop needs for one configured simulation."""
 
-    case_id: str
-    tier: str
     simulator: Simulator
     dt: float
     duration: float
     instances: Optional[list] = None          # SSP instances, mmf tier only
     mmf_config: Optional[MmfConfig] = None
-    substeps: Optional[int] = None
-    seed: int = 0
 
     @property
     def is_mmf(self) -> bool:
         return self.instances is not None
+
+    @property
+    def substeps(self) -> Optional[int]:
+        """Fine substeps per coarse step, mmf tier only."""
+        return self.mmf_config.substeps if self.mmf_config else None
 
 
 def build_case(case_id: str, tier: str = "coarse", *,
@@ -329,8 +330,7 @@ def build_case(case_id: str, tier: str = "coarse", *,
                     sounding=snd)
 
     if tier != "mmf":
-        return CaseSetup(case_id=case_id, tier=tier, simulator=sim,
-                         dt=dt, duration=duration, seed=seed)
+        return CaseSetup(simulator=sim, dt=dt, duration=duration)
 
     cfg = MmfConfig(
         ssp_length=float(ov.get("ssp_length", 8e3)),
@@ -342,6 +342,5 @@ def build_case(case_id: str, tier: str = "coarse", *,
         perturbation_theta_scale=bubble.theta_c,
     )
     instances = spawn_ssp_instances(sim, cfg, seed=seed, kessler=kessler)
-    return CaseSetup(case_id=case_id, tier=tier, simulator=sim,
-                     dt=dt, duration=duration, instances=instances,
-                     mmf_config=cfg, substeps=cfg.substeps, seed=seed)
+    return CaseSetup(simulator=sim, dt=dt, duration=duration,
+                     instances=instances, mmf_config=cfg)

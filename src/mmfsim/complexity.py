@@ -160,7 +160,7 @@ def simplified_intensity(inp: CostModelInput) -> tuple:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Evaluated cost model with the standard/split ratios spelled out."""
+    """Evaluated cost model, standard and split side by side."""
 
     inputs: CostModelInput
     flops_standard: float
@@ -169,9 +169,6 @@ class CostReport:
     bytes_mmf: float
     intensity_standard: float
     intensity_mmf: float
-    flop_ratio: float        # mmf / standard
-    byte_ratio: float
-    intensity_ratio: float
 
     def rows(self) -> list:
         """(name, standard, mmf) rows for tabular output."""
@@ -192,6 +189,4 @@ def cost_report(inp: CostModelInput) -> CostReport:
         flops_standard=f_s, flops_mmf=f_m,
         bytes_standard=b_s, bytes_mmf=b_m,
         intensity_standard=f_s / b_s, intensity_mmf=f_m / b_m,
-        flop_ratio=f_m / f_s, byte_ratio=b_m / b_s,
-        intensity_ratio=(f_m / b_m) / (f_s / b_s),
     )

@@ -279,9 +279,7 @@ def feedback_tendency(Q_np1, avg_q_n, dT: float):
 
 @dataclass
 class SspInstance:
-    index: int
-    anchor: tuple            # element indices in the coarse mesh
-    weights: np.ndarray      # (ncols,) coarse column weights of the anchor's columns
+    index: int               # its row of the coarse mesh's element_column_weights
     projection: VerticalProjection
     sim: Simulator
 
@@ -300,7 +298,8 @@ def _gather(mesh: Mesh, weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
 
 def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                         kessler: Optional[KesslerParams] = None) -> list:
-    """Create, initialize and perturb one fine simulator per anchor.
+    """Create, initialize and perturb one fine simulator per lateral
+    element column of the coarse mesh.
 
     Each instance starts horizontally uniform at the coarse column
     profile of every prognostic (interpolated to its vertical grid),
@@ -333,17 +332,10 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     if lsp.sponge_cfg is not None:
         ssp_rw = sponge_profile(ssp_mesh.coords[:, -1], lsp.sponge_cfg)
 
-    # anchor k is row k of the element-column weights
-    if mesh.dim == 2:
-        anchors = [(ex,) for ex in range(mesh.elem_counts[0])]
-    else:
-        anchors = [(ex, ey) for ey in range(mesh.elem_counts[1])
-                   for ex in range(mesh.elem_counts[0])]
-    W = mesh.element_column_weights
-
-    # every slab starts from its anchor's mean coarse column (the coarse
-    # v of a 3D run has no slab counterpart)
+    # every slab starts from its element column's mean coarse column (the
+    # coarse v of a 3D run has no slab counterpart)
     names = PrognosticState.zeros(ssp_mesh).field_names()
+    W = mesh.element_column_weights
     prof = project_column_L_to_S(_gather(mesh, W, lsp.state.data[_rows(lsp.state, names)]),
                                  proj, ne_z_l)
     init = ssp_mesh.field_from_profile(prof)
@@ -353,7 +345,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     pspec = PerturbationSpec(amplitude=cfg.perturbation_amplitude, seed=seed,
                              theta_scale=cfg.perturbation_theta_scale)
     instances = []
-    for idx, anchor in enumerate(anchors):
+    for idx in range(W.shape[0]):
         st = PrognosticState.from_vector(init[idx], ssp_mesh.dim)
         st.u[1][ssp_mesh.bottom_nodes] = 0.0
         st.u[1][ssp_mesh.top_nodes] = 0.0
@@ -367,8 +359,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                         kessler=kessler,
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)
-        instances.append(SspInstance(index=idx, anchor=anchor, weights=W[idx],
-                                     projection=proj, sim=sim))
+        instances.append(SspInstance(index=idx, projection=proj, sim=sim))
     return instances
 
 
@@ -384,6 +375,8 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     F = (<q> - Q)/dT, (3) interpolate the updated coarse columns back
     and form the feedback f = (Q_new - <q>)/dT per instance, (4) run M
     fine substeps per instance with f frozen, instance after instance.
+    `instances` are one per coarse element column in index order, as
+    spawn_ssp_instances makes them; others raise ConfigurationError.
     Nothing commits until every simulator has finished its step, so
     failures leave all states at time t. A SolverError or StateError
     is re-raised with "coarse grid: " or "embedded grid i, substep s: "
@@ -404,7 +397,10 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
     ne_z_l = mesh.elem_counts[-1]
     fine_mesh = instances[0].sim.mesh
     proj = instances[0].projection
-    W = np.stack([inst.weights for inst in instances])
+    W = mesh.element_column_weights
+    if [inst.index for inst in instances] != list(range(W.shape[0])):
+        raise ConfigurationError(
+            f"need one instance per coarse element column, indices 0..{W.shape[0] - 1} in order")
     rows_l = _rows(lsp.state, COUPLED_VARS)
     rows_s = _rows(instances[0].sim.state, COUPLED_VARS)
 

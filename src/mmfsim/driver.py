@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigurationError("workers must be >= 1")
         if not 0.0 <= self.snapshot_interval < np.inf:
             raise ConfigurationError("snapshot_interval must be finite and >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 # key in file -> (attribute, type); cost.* handled separately
@@ -198,25 +200,9 @@ def _case_overrides(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # diagnostics
 
-@dataclass
-class DiagnosticsRecord:
-    """One diagnostics CSV row; residual maxima are zero in standard runs."""
-
-    time: float
-    kinetic_energy: float       # J/m^3
-    total_mass: float           # integral of rho', kg
-    total_water: float          # integral of rho(q_v'+q_c+q_r), kg
-    precip_mean: float          # mm, mean accumulated at the surface
-    max_residual: dict          # coupled variable -> max |Q - <q>|
-
-    CSV_HEADER = ("time,kinetic_energy,total_mass,total_water,precip_mean,"
-                  + ",".join(f"max_resid_{v}" for v in COUPLED_VARS))
-
-    def csv_row(self) -> str:
-        vals = [self.time, self.kinetic_energy, self.total_mass,
-                self.total_water, self.precip_mean]
-        vals += [self.max_residual.get(v, 0.0) for v in COUPLED_VARS]
-        return ",".join(_fmt(v) for v in vals)
+# diagnostics.csv columns; residual maxima are zero in standard runs
+_DIAG_HEADER = ("time,kinetic_energy,total_mass,total_water,precip_mean,"
+                + ",".join(f"max_resid_{v}" for v in COUPLED_VARS))
 
 
 def compute_kinetic_energy(state: PrognosticState, reference, mesh: Mesh) -> float:
@@ -411,12 +397,8 @@ def _run_analyze(cfg: RunConfig, out_dir: str) -> int:
     path = os.path.join(out_dir, "cost_report.csv")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("quantity,standard,mmf,ratio_mmf_over_standard\n")
-        fh.write(f"flops,{_fmt(report.flops_standard)},{_fmt(report.flops_mmf)},"
-                 f"{_fmt(report.flop_ratio)}\n")
-        fh.write(f"bytes,{_fmt(report.bytes_standard)},{_fmt(report.bytes_mmf)},"
-                 f"{_fmt(report.byte_ratio)}\n")
-        fh.write(f"intensity,{_fmt(report.intensity_standard)},"
-                 f"{_fmt(report.intensity_mmf)},{_fmt(report.intensity_ratio)}\n")
+        for name, std, mmf in report.rows():
+            fh.write(f"{name},{_fmt(std)},{_fmt(mmf)},{_fmt(mmf / std)}\n")
     print(format_cost_report(report))
     return EXIT_OK
 
@@ -440,34 +422,37 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
     mesh = sim.mesh
     dt = setup.dt
     n_steps = max(1, int(round(setup.duration / dt)))
+    instances = setup.instances or []
 
-    diag_csv = _CsvWriter(os.path.join(out_dir, "diagnostics.csv"),
-                          DiagnosticsRecord.CSV_HEADER)
-    precip_csv = _CsvWriter(os.path.join(out_dir, "precip.csv"),
-                            "time,instance,column,accum_mm")
-    resid_csv = None
-    if setup.is_mmf:
-        resid_csv = _CsvWriter(os.path.join(out_dir, "coupling_residuals.csv"),
-                               "time,instance,variable,level,abs_residual,abs_q")
+    def advance():
+        """One coarse step: (coupling diagnostics, precipitation by grid key)."""
+        if setup.is_mmf:
+            return mmf_step(sim, instances, dt, cfg=setup.mmf_config)
+        sim.state, precip = sim.step(dt)
+        return [], {} if precip is None else {-1: precip}
 
     # accumulated surface precipitation, mm: keyed -1 for the outer grid,
     # instance index for embedded grids
     accum = {-1: np.zeros(mesh.ncols)}
+    for inst in instances:
+        accum[inst.index] = np.zeros(inst.sim.mesh.ncols)
+
+    diag_csv = _CsvWriter(os.path.join(out_dir, "diagnostics.csv"), _DIAG_HEADER)
+    precip_csv = _CsvWriter(os.path.join(out_dir, "precip.csv"),
+                            "time,instance,column,accum_mm")
+    writers = [diag_csv, precip_csv]
     if setup.is_mmf:
-        for inst in setup.instances:
-            accum[inst.index] = np.zeros(inst.sim.mesh.ncols)
+        resid_csv = _CsvWriter(os.path.join(out_dir, "coupling_residuals.csv"),
+                               "time,instance,variable,level,abs_residual,abs_q")
+        writers.append(resid_csv)
 
     def record_diag(t, residual_max):
-        rec = DiagnosticsRecord(
-            time=t,
-            kinetic_energy=compute_kinetic_energy(sim.state, sim.reference, mesh),
-            total_mass=integrate(mesh, sim.state.rho_p),
-            total_water=_total_water(sim.state, sim.reference, mesh),
-            precip_mean=_precip_mean(accum, setup),
-            max_residual=residual_max,
-        )
-        diag_csv.row(rec.csv_row())
-        return rec
+        vals = [t, compute_kinetic_energy(sim.state, sim.reference, mesh),
+                integrate(mesh, sim.state.rho_p),
+                _total_water(sim.state, sim.reference, mesh),
+                _precip_mean(accum, setup)]
+        vals += [residual_max.get(v, 0.0) for v in COUPLED_VARS]
+        diag_csv.row(",".join(_fmt(v) for v in vals))
 
     def record_precip(t):
         for key in sorted(accum):
@@ -475,7 +460,6 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
             for col in range(vals.size):
                 precip_csv.row(f"{_fmt(t)},{key},{col},{_fmt(vals[col])}")
 
-    snap_every = cfg.snapshot_interval
     try:
         write_snapshot(sim.state, mesh, 0.0,
                        os.path.join(out_dir, _snapshot_name(0)))
@@ -484,35 +468,25 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         t = 0.0
         for k in range(1, n_steps + 1):
             try:
-                if setup.is_mmf:
-                    diag, precip = mmf_step(sim, setup.instances, dt,
-                                            cfg=setup.mmf_config)
-                else:
-                    new_state, precip = sim.step(dt)
+                diag, precip = advance()
             except (SolverError, StateError) as exc:
                 raise exc.prefixed(f"step {k}") from exc
-            if setup.is_mmf:
-                residual_max = {}
-                for inst_idx, var, resid, absq in diag:
-                    residual_max[var] = max(residual_max.get(var, 0.0),
-                                            float(np.max(resid)))
-                    for lev in range(resid.size):
-                        resid_csv.row(f"{_fmt(t)},{inst_idx},{var},{lev},"
-                                      f"{_fmt(resid[lev])},{_fmt(absq[lev])}")
-                for key, pr in precip.items():
-                    accum[key] += pr
-            else:
-                sim.state = new_state
-                residual_max = {}
-                if precip is not None:
-                    accum[-1] += precip
+            residual_max = {}
+            for inst_idx, var, resid, absq in diag:
+                residual_max[var] = max(residual_max.get(var, 0.0),
+                                        float(np.max(resid)))
+                for lev in range(resid.size):
+                    resid_csv.row(f"{_fmt(t)},{inst_idx},{var},{lev},"
+                                  f"{_fmt(resid[lev])},{_fmt(absq[lev])}")
+            for key, pr in precip.items():
+                accum[key] += pr
             t = k * dt
             _check_finite(sim.state, f"after step {k}")
-            for inst in setup.instances or ():
+            for inst in instances:
                 _check_finite(inst.sim.state,
                               f"in embedded grid {inst.index} after step {k}")
             record_diag(t, residual_max)
-            if snap_every > 0.0 and _on_tick(t, snap_every, dt):
+            if cfg.snapshot_interval > 0.0 and _on_tick(t, cfg.snapshot_interval, dt):
                 write_snapshot(sim.state, mesh, t,
                                os.path.join(out_dir, _snapshot_name(k)))
                 record_precip(t)
@@ -521,16 +495,12 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         record_precip(t)
         return EXIT_OK
     except (SolverError, StateError, FloatingPointError) as exc:
-        diag_csv.truncate_marker(exc)
-        precip_csv.truncate_marker(exc)
-        if resid_csv is not None:
-            resid_csv.truncate_marker(exc)
+        for w in writers:
+            w.truncate_marker(exc)
         raise
     finally:
-        diag_csv.close()
-        precip_csv.close()
-        if resid_csv is not None:
-            resid_csv.close()
+        for w in writers:
+            w.close()
 
 
 def _on_tick(t: float, interval: float, dt: float) -> bool:

@@ -157,11 +157,16 @@ def test_case_bubble_seeds_initial_state():
 
 
 def test_case_sponge_and_seed_plumbing():
-    case = build_case("squall", tier="coarse", preset="desk", seed=11)
-    assert case.seed == 11
+    case = build_case("squall", tier="mmf", preset="desk", seed=11)
     cfg = case.simulator.sponge_cfg
     assert cfg is not None
     assert cfg.z_t == 24e3 and cfg.z_b == 18e3 and cfg.R_max == 0.25
+    # the seed reaches the embedded grids' spawn noise, in every instance
+    same = build_case("squall", tier="mmf", preset="desk", seed=11)
+    other = build_case("squall", tier="mmf", preset="desk", seed=12)
+    for inst, twin, diff in zip(case.instances, same.instances, other.instances):
+        assert np.array_equal(inst.sim.state.theta_vp, twin.sim.state.theta_vp)
+        assert not np.array_equal(inst.sim.state.theta_vp, diff.sim.state.theta_vp)
 
 
 def test_case_overrides():

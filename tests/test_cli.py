@@ -61,6 +61,8 @@ def test_run_rejects_nonpositive_time(tmp_path, capsys, line):
     "viscosity.nu = nan", "mmf.ssp_length = nan", "mmf.amplitude = inf",
     "mmf.amplitude = nan", "run.duration = inf", "run.snapshot_interval = nan",
     "run.snapshot_interval = inf", "run.seed = -1", "run.seed = 18446744073709551616",
+    "run.mode = standard\nrun.seed = -1",
+    "run.mode = standard\nrun.seed = 18446744073709551616",
     "sponge.z_bottom = 8000\nsponge.z_top = 10000\nsponge.r_max = nan",
     "sponge.z_bottom = 8000\nsponge.z_top = 10000\nsponge.r_max = inf"])
 def test_run_rejects_out_of_range_settings(tmp_path, capsys, line):

@@ -117,11 +117,14 @@ def test_intensity_gain_grows_with_refinement():
 def test_cost_report_consistency():
     inp = comm_case(r_t=2.0, r_x=2.0)
     rep = cost_report(inp)
-    assert rep.flop_ratio == rep.flops_mmf / rep.flops_standard
-    assert rep.byte_ratio == rep.bytes_mmf / rep.bytes_standard
-    assert rep.intensity_ratio == rep.intensity_mmf / rep.intensity_standard
-    names = [r[0] for r in rep.rows()]
-    assert names == ["flops", "bytes", "intensity"]
+    assert rep.rows() == [
+        ("flops", rep.flops_standard, rep.flops_mmf),
+        ("bytes", rep.bytes_standard, rep.bytes_mmf),
+        ("intensity", rep.intensity_standard, rep.intensity_mmf)]
+    ratios = [m / s for _, s, m in rep.rows()]
+    assert ratios[0] == flops(inp, "mmf") / flops(inp, "standard")
+    assert ratios[1] == comm_bytes(inp, "mmf") / comm_bytes(inp, "standard")
+    assert ratios[2] == (rep.flops_mmf / rep.bytes_mmf) / (rep.flops_standard / rep.bytes_standard)
 
 
 def test_input_validation():

@@ -205,10 +205,11 @@ def test_spawn_geometry_and_uniformity():
         cols = m.column_view(inst.sim.state.theta_vp)
         assert np.max(np.abs(cols - cols[0][None, :])) == 0.0
         assert np.all(inst.sim.state.u[-1][m.bottom_nodes] == 0.0)
-    # anchors tile the coarse mesh: their column weights add up to the
-    # coarse quadrature weight of every column
-    total = np.sum([i.weights for i in instances], axis=0)
-    assert np.allclose(total, lsp.mesh.column_weights, rtol=1e-14, atol=0.0)
+    # one instance per element column, whose weights tile the coarse
+    # mesh: they add up to the coarse quadrature weight of every column
+    W = lsp.mesh.element_column_weights
+    assert [i.index for i in instances] == list(range(W.shape[0]))
+    assert np.allclose(W.sum(axis=0), lsp.mesh.column_weights, rtol=1e-14, atol=0.0)
 
 
 def test_spawn_noise_needs_an_anomaly():
@@ -262,9 +263,11 @@ def test_pure_relaxation_converges_in_one_step():
             assert np.max(resid) < 1e-13
 
 
-def element_columns(mesh, anchor):
-    """Column ids and quadrature weights of one element column, periodic
-    duplicates merged."""
+def element_columns(mesh, index):
+    """Column ids and quadrature weights of element column `index`
+    (x fastest), periodic duplicates merged."""
+    nex = mesh.elem_counts[0]
+    anchor = (index,) if mesh.dim == 2 else (index % nex, index // nex)
     ids, wts = [], []
     for d, e in enumerate(anchor):
         N = mesh.orders[d]
@@ -287,7 +290,7 @@ def reference_mmf_step(lsp, instances, dT, cfg):
     transfers, and an np.add.at scatter of the forcing."""
     mesh, M, coupled = lsp.mesh, cfg.substeps, COUPLED_VARS
     ne_z = mesh.elem_counts[-1]
-    anchors = [element_columns(mesh, inst.anchor) for inst in instances]
+    anchors = [element_columns(mesh, inst.index) for inst in instances]
 
     def gather(cols, w, state, v):
         return (w @ mesh.column_view(state[v])[cols]) / w.sum()
@@ -390,8 +393,8 @@ def test_forcing_scatter_matches_column_formula(dim, monkeypatch):
     monkeypatch.setattr(coupling_module, "forcing_tendency", forcing)
     lsp.step = step
     mmf_step(lsp, instances, 2.0, cfg=cfg)
-    W = np.stack([inst.weights for inst in instances])
-    cols = np.einsum("ic,ivz->vcz", W / mesh.column_weights, seen["F"])
+    cols = np.einsum("ic,ivz->vcz", mesh.element_column_weights / mesh.column_weights,
+                     seen["F"])
     want = np.zeros_like(seen["state"])
     rows = [lsp.state.field_names().index(v) for v in COUPLED_VARS]
     want[rows] = np.swapaxes(cols, -1, -2).reshape(len(rows), mesh.npts)
@@ -584,3 +587,11 @@ def test_warm_step_peaks_within_eight_states():
     finally:
         tracemalloc.stop()
     assert peak - start <= 8 * sim.state.data.nbytes
+
+
+def test_mmf_step_needs_every_element_column_in_order():
+    # instance i couples to row i of the coarse element-column weights
+    lsp, cfg, instances = make_mmf()
+    for bad in (instances[::-1], instances[:1]):
+        with pytest.raises(ConfigurationError, match="one instance per coarse element column"):
+            mmf_step(lsp, bad, 2.0, cfg=cfg)

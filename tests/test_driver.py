@@ -330,6 +330,24 @@ def test_numerical_failure_truncates_outputs(tmp_path, capsys):
     assert "# truncated:" in diag.splitlines()[-1]
 
 
+@pytest.mark.parametrize("mode, owner, name", [("mmf", driver, "mmf_step"),
+                                               ("standard", coupling.Simulator, "step")],
+                         ids=["mmf", "standard"])
+def test_run_makes_one_step_call_per_coarse_step(tmp_path, monkeypatch, mode, owner, name):
+    # perfbench times each coarse step as one call: driver.mmf_step in
+    # mmf runs, Simulator.step in standard runs
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert run(run_cfg(tmp_path, mode=mode, duration=6.0)) == EXIT_OK
+    assert len(calls) == 3
+
+
 def test_nonfinite_embedded_grid_is_named(tmp_path, monkeypatch, capsys):
     # a NaN in one embedded grid fails the step that made it, naming the
     # instance, before the coarse model can take it in
