@@ -26,7 +26,7 @@ from .errors import ConfigurationError, SolverError, StateError
 from .grid import Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
-from .timeint import ImexOperatorSplit, linear_operator, step_ark2
+from .timeint import ImexOperatorSplit, linear_moisture_rows, linear_operator, step_ark2
 
 __all__ = [
     "COUPLED_VARS",
@@ -98,16 +98,26 @@ class Simulator:
             state = self.state
         if self.dynamics_enabled:
             # S and L write into one buffer, which step_ark2 is done
-            # with before it asks for the next tendency
+            # with before it asks for the next tendency; L's pair scratch
+            # is the operator layer's buffer
             work = self.mesh.work
             tend = PrognosticState.from_vector(
                 work.array("Simulator.step.tendency", (state.data.size,)), state.dim)
+            pair = work.array("operator", (4, self.mesh.npts))
+            # GMRES iterates on (rho', u, theta_v'), the rows L couples
+            coupled = tend.data[:2 + state.dim]
+            ref = self.reference
+
+            def lin(q):
+                return linear_operator(q, ref, self.mesh, self.constants,
+                                       sponge_rw=self.sponge_rw, scratch=pair,
+                                       out=tend if isinstance(q, PrognosticState) else coupled)
+
             split = ImexOperatorSplit(
                 s=lambda q: evaluate_rhs(q, self.reference, self.mesh, self.constants,
                                          sponge_rw=self.sponge_rw, out=tend),
-                lin=lambda q: linear_operator(q, self.reference, self.mesh, self.constants,
-                                              sponge_rw=self.sponge_rw, out=tend),
-                coupling=coupling)
+                lin=lin, coupling=coupling, implicit_rows=coupled.shape[0],
+                lin_rest=lambda q, out: linear_moisture_rows(q.u[-1], ref, out))
             try:
                 new = step_ark2(state, dt, split, work=work)
             except (SolverError, StateError) as exc:

@@ -431,9 +431,12 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         sim.state, precip = sim.step(dt)
         return [], {} if precip is None else {-1: precip}
 
-    # accumulated surface precipitation, mm: keyed -1 for the outer grid,
-    # instance index for embedded grids
-    accum = {-1: np.zeros(mesh.ncols)}
+    # accumulated surface precipitation, mm: keyed -1 for the outer grid
+    # when it can rain (always in standard mode, with Kessler in mmf
+    # mode), instance index for embedded grids
+    accum = {}
+    if not setup.is_mmf or sim.kessler is not None:
+        accum[-1] = np.zeros(mesh.ncols)
     for inst in instances:
         accum[inst.index] = np.zeros(inst.sim.mesh.ncols)
 

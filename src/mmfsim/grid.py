@@ -290,7 +290,7 @@ class Mesh:
         and kept with the mesh (the embedded grids share one set, so
         simulators on one mesh must not step concurrently). One name per
         layer, as `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler),
-        "operator" (SemOps.div/laplacian/tensor), "along", and the
+        "operator" (SemOps.div/laplacian/tensor, linear_operator), "along", and the
         stepper's tendency, stage vectors and Krylov basis."""
         return WorkBuffers()
 

@@ -8,7 +8,10 @@ implicit side:
     S_delta(q, q*) = [S(q) - delta L(q)] + delta L(q*)
 
 Each implicit stage solves (I - gamma dt L) x = rhs by restarted GMRES
-with no preconditioner. delta=0 degenerates to the purely explicit
+with no preconditioner. L reads only (rho', u, theta_v'), and its
+moisture rows follow from w pointwise, so a split that says so has
+GMRES iterate on those 2+dim rows alone and gets the moisture rows of
+x by substitution. delta=0 degenerates to the purely explicit
 ARK2 explicit table. An optional constant coupling tendency is added
 to the explicit part at every stage (it is defined at step
 granularity, so it is frozen across stages).
@@ -47,7 +50,9 @@ __all__ = [
     "GmresConfig",
     "gmres_solve",
     "ImexOperatorSplit",
+    "linear_moisture_rows",
     "linear_operator",
+    "solve_implicit",
     "step_ark2",
 ]
 
@@ -242,49 +247,59 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 # ---------------------------------------------------------------------------
 # linearized operator about the reference state
 
-def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
+def linear_operator(state_increment, reference, mesh: Mesh,
                     constants: PhysConstants = DEFAULT_CONSTANTS,
-                    sponge_rw=None, out=None) -> PrognosticState:
+                    sponge_rw=None, out=None, scratch=None):
     """Constant-coefficient linearization L of the fast-wave terms.
 
     Rows: continuity -div(rho0 u); momentum -(1/rho0) grad p'_lin with
     p'_lin = (cp/cv)[(p0/rho0) rho' + (p0/theta_v0) theta_v'], plus
     buoyancy -g rho'/rho0 and sponge -R_w w on the vertical component;
-    thermodynamic -w d(theta_v0)/dz; vapor -w d(q_v0)/dz. Cloud and
-    rain rows are zero; vertical-velocity rows vanish at the
-    impermeable boundaries.
+    thermodynamic -w d(theta_v0)/dz; the moisture rows as
+    `linear_moisture_rows` gives them. Vertical-velocity rows vanish at
+    the impermeable boundaries.
+
+    L reads only the coupled rows (rho', u, theta_v'), so the increment
+    may be a PrognosticState or the (2+dim, npts) array of those rows
+    alone. A state gets every row, written into `out` (a state) or a new
+    state; the rows alone get only the coupled rows of L, written into
+    `out` (an array of their shape) or a new array. `out` must not
+    overlap the increment.
 
     Each direction takes one derivative call on the stacked pair
-    (p'_lin, rho0 u_d), and every row is written in place into `out` (a
-    PrognosticState that must not overlap the increment) or a new
-    state, whose rows also hold the pair and its derivative. The 1D
+    (p'_lin, rho0 u_d), which with its derivative lives in `scratch`, a
+    (4, npts) array, or else in the mesh's "operator" buffer. The 1D
     matrices sum each stacked column in the same order, so this is
     bit-identical to separate gradient and divergence calls.
     """
     ops = get_ops(mesh)
     D = mesh.weak_derivative_1d
     dim = mesh.dim
-    q = state_increment
+    full = isinstance(state_increment, PrognosticState)
+    q = state_increment.data if full else state_increment
+    rho_p, u, theta_vp = q[0], q[1:1 + dim], q[1 + dim]
     rho0 = reference.rho0
     gam = constants.c_p / constants.c_v
     if out is None:
-        out = PrognosticState.from_vector(np.empty(q.data.size), dim)
-    elif np.may_share_memory(out.data, q.data):
+        out = (PrognosticState.from_vector(np.empty(q.size), dim) if full
+               else np.empty((2 + dim, q.shape[1])))
+    res = out.data if full else out
+    if np.may_share_memory(res, q):
         raise ValueError("linear_operator: out must not overlap the increment")
-    res = out.data
-    d_rho, du, w = res[0], res[1:1 + dim], q.u[-1]
-    # the pair in the q_c/q_r rows (zeroed at the end), its derivative in
-    # the theta_v/q_v rows (written last); the q_r row doubles as scratch
-    dpair, pair = res[-4:-2], res[-2:]
-    (d_th, d_qv), (p_lin, scratch) = dpair, pair
+    if scratch is None:
+        scratch = mesh.work.array("operator", (4, q.shape[1]))
+    d_rho, du, d_th, w = res[0], res[1:1 + dim], res[1 + dim], u[-1]
+    # the flux row of the pair doubles as scratch after the last direction
+    dpair, pair = scratch[:2], scratch[2:]
+    p_lin, tmp = pair
     np.divide(reference.p0, rho0, out=p_lin)
-    p_lin *= q.rho_p
-    np.divide(reference.p0, reference.theta_v0, out=scratch)
-    scratch *= q.theta_vp
-    p_lin += scratch
+    p_lin *= rho_p
+    np.divide(reference.p0, reference.theta_v0, out=tmp)
+    tmp *= theta_vp
+    p_lin += tmp
     p_lin *= gam
     for d in range(dim):
-        np.multiply(rho0, q.u[d], out=scratch)
+        np.multiply(rho0, u[d], out=tmp)
         dp, dflux = ops.along(D[d], pair, d, out=dpair)
         np.negative(dp, out=du[d])
         du[d] /= rho0
@@ -294,19 +309,28 @@ def linear_operator(state_increment: PrognosticState, reference, mesh: Mesh,
             d_rho[:] = dflux
     np.negative(d_rho, out=d_rho)
 
-    np.multiply(constants.g, q.rho_p, out=scratch)
-    scratch /= rho0
-    du[-1] -= scratch
+    np.multiply(constants.g, rho_p, out=tmp)
+    tmp /= rho0
+    du[-1] -= tmp
     if sponge_rw is not None:
-        np.multiply(sponge_rw, w, out=scratch)
-        du[-1] -= scratch
+        np.multiply(sponge_rw, w, out=tmp)
+        du[-1] -= tmp
     du[-1][mesh.bottom_nodes] = 0.0
     du[-1][mesh.top_nodes] = 0.0
     np.negative(w, out=d_th)
     d_th *= reference.dtheta_v0_dz
-    np.negative(w, out=d_qv)
-    d_qv *= reference.dq_v0_dz
-    res[-2:] = 0.0
+    if full:
+        linear_moisture_rows(w, reference, res[2 + dim:])
+    return out
+
+
+def linear_moisture_rows(w: np.ndarray, reference, out: np.ndarray) -> np.ndarray:
+    """The rows of L below the coupled block, from the vertical velocity
+    w alone, written into the (3, npts) `out`: vapor -w d(q_v0)/dz,
+    cloud and rain zero."""
+    np.negative(w, out=out[0])
+    out[0] *= reference.dq_v0_dz
+    out[1:] = 0.0
     return out
 
 
@@ -323,16 +347,67 @@ class ImexOperatorSplit:
     before it calls either again. delta=1 treats lin implicitly,
     delta=0 runs fully explicit. coupling, when present, is a constant tendency
     added to the explicit part of every stage.
+
+    implicit_rows = k says that lin reads only the first k field rows
+    and that its other rows follow from them pointwise, by lin_rest(q,
+    out), which writes them for the state q into the array `out`. The
+    implicit solves then iterate on the k rows alone (see
+    `solve_implicit`), handing lin the (k, npts) array of those rows, for
+    which it must return the k rows of L as an array. None means all.
     """
 
     s: Callable[[PrognosticState], PrognosticState]
     lin: Callable[[PrognosticState], PrognosticState]
     delta: int = 1
     coupling: Optional[PrognosticState] = None
+    implicit_rows: Optional[int] = None
+    lin_rest: Optional[Callable[[PrognosticState, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.delta not in (0, 1):
             raise ConfigurationError(f"delta must be 0 or 1, got {self.delta}")
+        if (self.implicit_rows is None) != (self.lin_rest is None):
+            raise ConfigurationError("implicit_rows and lin_rest must be given together")
+
+
+def solve_implicit(split: ImexOperatorSplit, shift: float, b: PrognosticState,
+                   gmres_cfg: GmresConfig = GmresConfig(),
+                   work: Optional[WorkBuffers] = None,
+                   out: Optional[PrognosticState] = None) -> PrognosticState:
+    """x with (I - shift L) x = b for the split's L, into `out` or a new state.
+
+    GMRES iterates on every row unless the split names its implicit
+    rows. Then the system is block lower-triangular: GMRES solves the
+    leading rows' closed block alone, and the other rows follow exactly
+    by substitution, x_m = b_m + shift (L x)_m, with (L x)_m from
+    split.lin_rest. `work` is handed to `gmres_solve`.
+    """
+    dim = b.dim
+    if out is None:
+        out = PrognosticState.from_vector(np.empty(b.data.size), dim)
+    k = split.implicit_rows
+    if k is None:
+        def lin(v):
+            return split.lin(PrognosticState.from_vector(v, dim)).as_vector()
+    else:
+        npts = b.data.shape[1]
+
+        def lin(v):
+            return split.lin(v.reshape(k, npts)).reshape(-1)
+
+    def apply_A(v):
+        Av = _owned(lin(v), v)
+        Av *= -shift
+        Av += v
+        return Av
+
+    gmres_solve(apply_A, b.data[:k].reshape(-1), gmres_cfg, work=work,
+                out=out.data[:k].reshape(-1))
+    if k is not None:
+        rest = split.lin_rest(out, out.data[k:])
+        rest *= shift
+        rest += b.data[k:]
+    return out
 
 
 def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
@@ -351,8 +426,8 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
         raise ConfigurationError(f"dt must be positive, got {dt}")
     dim = state.dim
     ae, ai, b = _ARK2.a_explicit, _ARK2.a_implicit, _ARK2.b
-    gamma = _ARK2.gamma
     delta = split.delta
+    shift = delta * dt * _ARK2.gamma
     cvec = split.coupling.as_vector() if split.coupling is not None else None
     if work is None:
         work = WorkBuffers()
@@ -374,24 +449,15 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     stages = work.array("step_ark2.stages", (4, n))
     rhs, q, lv = stages[:2], stages[2], stages[3]
     rhs[:] = q0
-
-    def solve_stage(rhs):
-        if delta == 0:
-            return rhs
-        shift = delta * dt * gamma
-
-        def apply_A(v):
-            Av = _owned(L(v), v)
-            Av *= -shift
-            Av += v
-            return Av
-
-        return gmres_solve(apply_A, rhs, gmres_cfg, work=work, out=q)
+    q_state = PrognosticState.from_vector(q, dim)
 
     qi = q0
     for i in range(3):
         if i > 0:
-            qi = solve_stage(rhs[i - 1])
+            qi = rhs[i - 1]
+            if delta:
+                qi = solve_implicit(split, shift, PrognosticState.from_vector(qi, dim),
+                                    gmres_cfg, work=work, out=q_state).as_vector()
         if i < 2 and delta:
             np.copyto(lv, L(qi))
         sv = _owned(S(qi), qi)

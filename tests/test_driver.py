@@ -265,6 +265,19 @@ def test_mmf_run_writes_residuals(tmp_path):
     assert {r[2] for r in body} == {"u", "theta_vp", "q_vp", "q_c", "q_r"}
 
 
+def test_precip_rows_only_for_grids_that_can_rain(tmp_path):
+    """The dry coarse grid of an mmf run writes no precipitation rows;
+    the outer grid of a standard run writes its rows under key -1."""
+    keys = {}
+    for mode in ("mmf", "standard"):
+        cfg = run_cfg(tmp_path / mode, mode=mode, duration=4.0)
+        assert run(cfg) == EXIT_OK
+        rows = (tmp_path / mode / "out" / "precip.csv").read_text().splitlines()[1:]
+        keys[mode] = {int(r.split(",")[1]) for r in rows}
+    assert keys["mmf"] == {0, 1, 2}
+    assert keys["standard"] == {-1}
+
+
 def test_precip_mean_weights_columns_by_quadrature():
     """Rain on the element-edge columns only: their order-4 end weights
     (0.1 of h/2 from each side) make them a tenth of the area, not the
@@ -378,10 +391,11 @@ def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsy
         marked.append(sim.constants)
         return setup
 
-    def lin(q, reference, mesh, constants=None, sponge_rw=None, out=None):
-        out = real_lin(q, reference, mesh, constants, sponge_rw=sponge_rw, out=out)
+    def lin(q, reference, mesh, constants=None, **kwargs):
+        out = real_lin(q, reference, mesh, constants, **kwargs)
         if any(constants is c for c in marked):
-            out.data[:] = np.nan
+            # a state, or the array of the rows GMRES iterates on
+            (out.data if isinstance(out, PrognosticState) else out)[:] = np.nan
         return out
 
     monkeypatch.setattr(driver, "build_case", build)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from mmfsim.grid import WorkBuffers, build_box_mesh
 from mmfsim.operators import PrognosticState, get_ops
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
-                            stability_function, step_ark2)
+                            solve_implicit, stability_function, step_ark2)
 
 from conftest import isothermal_sounding
 
@@ -216,6 +217,58 @@ def test_gmres_matches_reference_on_squall_ssp_system(monkeypatch):
         _assert_matches_reference(apply_A, b, cfg)
 
 
+@pytest.mark.parametrize("case", ["squall", "supercell"])
+def test_reduced_solve_answers_the_full_system(case, monkeypatch):
+    """The implicit solves of a desk squall embedded-grid substep (2D) and
+    a desk supercell coarse step (3D) iterate on the coupled rows alone.
+    They take the matvecs of the full-system solve, their coupled rows
+    agree with its rows and are as close as those to a tight solve, their
+    other rows are the substitution b_m + shift (L x)_m exactly, and the
+    full-system residual is within the tolerance."""
+    setup = build_case(case, "mmf", preset="desk")
+    if case == "squall":
+        sim, dt = setup.instances[0].sim, setup.dt / setup.mmf_config.substeps
+    else:
+        sim, dt = setup.simulator, setup.dt
+    captured = []
+    real = timeint.solve_implicit
+
+    def capture(split, shift, b, *args, **kwargs):
+        captured.append((split, shift, b.copy()))
+        return real(split, shift, b, *args, **kwargs)
+
+    monkeypatch.setattr(timeint, "solve_implicit", capture)
+    sim.step(dt)
+    monkeypatch.undo()
+    assert len(captured) == 2
+    tight = GmresConfig(tol=1e-12, restart=60, maxiter=1000)
+    for split, shift, b in captured:
+        nc = 2 + b.dim
+        assert split.implicit_rows == nc
+        full = dataclasses.replace(split, implicit_rows=None, lin_rest=None)
+        solves = []
+        for sp_, cfg in ((split, GmresConfig()), (full, GmresConfig()), (full, tight)):
+            calls = []
+
+            def counted(q, lin=sp_.lin):
+                calls.append(1)
+                return lin(q)
+
+            x = solve_implicit(dataclasses.replace(sp_, lin=counted), shift, b, cfg)
+            solves.append((x, len(calls)))
+        (x, n), (x_full, n_full), (x_ref, _) = solves
+        assert n == n_full > 1
+        # the distance to the tight solve is the error of a tol 1e-6
+        # solve, up to tol times the conditioning
+        x_c, full_c, ref_c = x.data[:nc], x_full.data[:nc], x_ref.data[:nc]
+        assert np.linalg.norm(x_c - full_c) <= 1e-10 * np.linalg.norm(full_c)
+        assert np.linalg.norm(x_c - ref_c) <= 1.001 * np.linalg.norm(full_c - ref_c)
+        Lx = split.lin(x).data
+        assert np.array_equal(x.data[nc:], b.data[nc:] + shift * Lx[nc:])
+        residual = b.data - (x.data - shift * Lx)
+        assert np.linalg.norm(residual) <= GmresConfig().tol * np.linalg.norm(b.data)
+
+
 def test_gmres_reuses_one_basis_across_solves():
     """Solves sharing a work store, with different sizes and restart
     lengths, give the bits of solves with stores of their own; the
@@ -376,25 +429,46 @@ def test_linear_operator_is_linear(small_mesh, small_reference):
     assert np.max(np.abs(lhs - rhs)) < 1e-11 * scale
 
 
-def test_linear_operator_moisture_rows(small_mesh, small_reference):
-    rng = np.random.default_rng(12)
-    n = small_mesh.npts
-    q = PrognosticState(rng.standard_normal(n), rng.standard_normal((2, n)),
-                        rng.standard_normal(n), rng.standard_normal(n),
-                        rng.standard_normal(n), rng.standard_normal(n))
-    L = linear_operator(q, small_reference, small_mesh)
-    assert np.all(L.q_c == 0.0)
-    assert np.all(L.q_r == 0.0)
-    assert np.all(L.u[-1][small_mesh.bottom_nodes] == 0.0)
-    assert np.all(L.u[-1][small_mesh.top_nodes] == 0.0)
-
-
 # (extents, elements, orders, lateral periodicity) of the operator meshes
 OPERATOR_MESHES = {
     "2d_periodic": ((50e3, 24e3), (3, 15), (4, 4), (True,)),
     "3d_periodic": ((30e3, 20e3, 24e3), (3, 2, 4), (3, 3, 3), (True, True)),
     "3d_mixed": ((30e3, 20e3, 24e3), (3, 2, 4), (4, 3, 2), (True, False)),
 }
+
+
+def test_linear_operator_moisture_rows():
+    """On each operator mesh, L reads only the coupled rows (rho', u,
+    theta_v'), and its other rows are -w dq_v0/dz, 0 and 0: the block
+    structure that lets the implicit solves iterate on the coupled rows
+    alone."""
+    snd = isothermal_sounding()
+    snd = dataclasses.replace(snd, qv=0.014 * np.exp(-snd.z / 2500.0))
+    rng = np.random.default_rng(12)
+    for extents, elems, orders, periodic in OPERATOR_MESHES.values():
+        mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
+        ref = build_reference(snd, mesh, DEFAULT_CONSTANTS)
+        assert np.any(ref.dq_v0_dz != 0.0)
+        rw = sponge_profile(mesh.coords[:, -1],
+                            SpongeConfig(extents[-1] - 6e3, extents[-1], 0.25))
+        nc = 2 + mesh.dim
+        q = PrognosticState.from_vector(rng.standard_normal((5 + mesh.dim) * mesh.npts),
+                                        mesh.dim)
+        L = linear_operator(q, ref, mesh, sponge_rw=rw)
+        assert np.array_equal(L.q_vp, -q.u[-1] * ref.dq_v0_dz)
+        assert np.all(L.q_c == 0.0)
+        assert np.all(L.q_r == 0.0)
+        assert np.all(L.u[-1][mesh.bottom_nodes] == 0.0)
+        assert np.all(L.u[-1][mesh.top_nodes] == 0.0)
+        for fill in (rng.standard_normal((3, mesh.npts)), np.nan):
+            other = q.copy()
+            other.data[nc:] = fill
+            assert np.array_equal(linear_operator(other, ref, mesh, sponge_rw=rw).data[:nc],
+                                  L.data[:nc])
+        # the coupled rows alone give the coupled rows of L, and only those
+        out = np.full((nc, mesh.npts), np.nan)
+        assert linear_operator(q.data[:nc].copy(), ref, mesh, sponge_rw=rw, out=out) is out
+        assert np.array_equal(out, L.data[:nc])
 
 
 @pytest.fixture(scope="module",
