@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import driver
+from .errors import ConfigurationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("a")
     diff.add_argument("b")
     diff.add_argument("--tol", type=float, default=0.0,
-                      help="max allowed per-field abs difference")
+                      help="max allowed per-field abs difference (>= 0); NaN "
+                           "in a field counts as a difference")
     return p
 
 
@@ -53,8 +56,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    if not 0.0 <= args.tol:
+        raise ConfigurationError(f"--tol must be a non-negative number, got {args.tol}")
     rows = driver.diff_snapshots(args.a, args.b)
-    worst = max(d for _, d in rows)
+    diffs = [d for _, d in rows]
+    # max() skips a NaN that is not first; a field that differs by NaN differs
+    worst = math.nan if any(map(math.isnan, diffs)) else max(diffs)
     for name, d in rows:
         print(f"{name:<10} max|diff| = {d:.17e}")
     if worst <= args.tol:

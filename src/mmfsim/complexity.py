@@ -10,6 +10,7 @@ are lateral only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -54,13 +55,13 @@ class CostModelInput:
             raise ConfigurationError(f"n_p must be >= 2, got {self.n_p}")
         for name in ("l_x", "l_y", "l_z", "dx", "dy", "dz", "duration", "dt"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {v}")
         for name in ("r_t", "r_x", "r_z"):
             v = getattr(self, name)
-            if not v >= 1.0:
+            if not 1.0 <= v < math.inf:
                 raise ConfigurationError(
-                    f"refinement ratio {name} must be >= 1, got {v}")
+                    f"refinement ratio {name} must be finite and >= 1, got {v}")
         for name in ("n_rx", "n_ry"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):

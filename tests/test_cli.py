@@ -101,6 +101,20 @@ def test_analyze_bad_cost_value(tmp_path, capsys):
     assert "error[config]: line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["cost.l_x = inf", "cost.dz = inf", "cost.duration = inf",
+                                  "cost.dt = nan", "cost.r_t = inf", "cost.r_x = nan"])
+def test_analyze_rejects_non_finite_cost_values(tmp_path, capsys, line):
+    out = tmp_path / "a"
+    cfg = write_cfg(tmp_path,
+                    "run.output_dir = " + str(out) + "\n"
+                    "cost.n_p = 5\ncost.l_x = 100e3\ncost.l_y = 100e3\n"
+                    "cost.l_z = 20e3\ncost.dx = 250\ncost.dy = 250\n"
+                    "cost.dz = 250\ncost.duration = 600\ncost.dt = 1\n" + line + "\n")
+    assert main(["analyze", "--config", cfg]) == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "cost_report.csv").exists()
+
+
 def snapshots_for_diff(tmp_path, bump=0.0):
     mesh = build_box_mesh((1.0, 1.0), (2, 2), (2, 2))
     st = PrognosticState.zeros(mesh)
@@ -128,6 +142,27 @@ def test_diff_snapshots_differ(tmp_path, capsys):
     assert "DIFFER" in capsys.readouterr().out
     # a loose tolerance turns the same pair into a pass
     assert main(["diff-snapshots", a, b, "--tol", "1e-5"]) == 0
+
+
+def test_diff_snapshots_counts_nan_as_a_difference(tmp_path, capsys):
+    a, _ = snapshots_for_diff(tmp_path)
+    mesh = build_box_mesh((1.0, 1.0), (2, 2), (2, 2))
+    st = PrognosticState.zeros(mesh)
+    st.theta_vp[:] = 1.0
+    st["w"][3] = np.nan   # not the first field, and a later field differs by 0
+    b = str(tmp_path / "nan.dat")
+    write_snapshot(st, mesh, 0.0, b)
+    assert main(["diff-snapshots", a, b, "--tol", "1e300"]) == 1
+    out = capsys.readouterr().out
+    assert "w          max|diff| = nan" in out and "DIFFER (worst nan" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf"])
+def test_diff_snapshots_rejects_bad_tolerance(tmp_path, capsys, tol):
+    a, b = snapshots_for_diff(tmp_path)
+    assert main(["diff-snapshots", a, b, "--tol=" + tol]) == 2
+    captured = capsys.readouterr()
+    assert "error[config]: --tol" in captured.err and "PASS" not in captured.out
 
 
 def test_diff_snapshots_missing_file(tmp_path, capsys):

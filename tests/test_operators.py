@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mmfsim import operators
 from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
-from mmfsim.grid import build_box_mesh, dss_sum, scatter_to_elements
+from mmfsim.grid import DENSE_X_MAX, build_box_mesh, dss_sum, scatter_to_elements
 from mmfsim.operators import PrognosticState, _csr_times_dense, build_mass, get_ops, integrate
 
 
@@ -220,6 +224,15 @@ def _along_reference(mesh, A, f, d):
     return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
 
 
+def _along_oracle(mesh, A, f, d):
+    """What `along` must reproduce bit for bit from any layout: the public
+    `A @ x` where it runs CSR, and its own result into a new array from
+    contiguous rows where it runs the dense x product."""
+    if d == 0 and mesh.npts_1d[0] <= DENSE_X_MAX:
+        return get_ops(mesh).along(A, np.ascontiguousarray(f), d)
+    return _along_reference(mesh, A, f, d)
+
+
 OUT_MESHES = {
     "2d": ((2.0, 1.0), (3, 2), (4, 3), (False,)),
     "3d_periodic": ((1.0, 2.0, 1.5), (2, 2, 2), (3, 2, 3), (True, True)),
@@ -245,7 +258,7 @@ def test_operators_write_out_bit_for_bit(out_mesh, nf):
     # rows of a larger stack (strided, like a gradient's out[:, d])
     for M in mats.values():
         for d in range(mesh.dim):
-            expect = _along_reference(mesh, M[d], f, d)
+            expect = _along_oracle(mesh, M[d], f, d)
             stack = np.full((nf, 3, mesh.npts), np.nan)
             ops.along(M[d], f, d, out=stack[:, 1])
             assert np.array_equal(stack[:, 1], expect)
@@ -259,22 +272,22 @@ def test_operators_write_out_bit_for_bit(out_mesh, nf):
     grads = np.full((nf, mesh.dim, mesh.npts), np.nan)
     assert ops.grad(f, out=grads) is grads
     for d in range(mesh.dim):
-        assert np.array_equal(grads[:, d], _along_reference(mesh, D[d], f, d))
+        assert np.array_equal(grads[:, d], _along_oracle(mesh, D[d], f, d))
     assert np.array_equal(ops.grad(f), grads)
     assert np.array_equal(ops.grad(f[0]), grads[0])
 
-    lap = _along_reference(mesh, L[0], f, 0)
+    lap = _along_oracle(mesh, L[0], f, 0)
     for d in range(1, mesh.dim):
-        lap += _along_reference(mesh, L[d], f, d)
+        lap += _along_oracle(mesh, L[d], f, d)
     out = np.full_like(f, np.nan)
     assert ops.laplacian(f, out=out) is out
     assert np.array_equal(out, lap)
     assert np.array_equal(ops.laplacian(f), lap)
 
     vec = f[0] * np.arange(1.0, mesh.dim + 1.0)[:, None]
-    div = _along_reference(mesh, D[0], vec[0], 0)
+    div = _along_oracle(mesh, D[0], vec[0], 0)
     for d in range(1, mesh.dim):
-        div += _along_reference(mesh, D[d], vec[d], d)
+        div += _along_oracle(mesh, D[d], vec[d], d)
     out = np.full(mesh.npts, np.nan)
     assert ops.div(vec, out=out) is out
     assert np.array_equal(out, div)
@@ -283,7 +296,7 @@ def test_operators_write_out_bit_for_bit(out_mesh, nf):
     F = mats["filter"]
     filt = f
     for d in range(mesh.dim):
-        filt = _along_reference(mesh, F[d], filt, d)
+        filt = _along_oracle(mesh, F[d], filt, d)
     assert np.array_equal(filter_field(mesh, f, 0.3), filt)
     assert np.array_equal(f, before)
     in_place = f.copy()
@@ -301,3 +314,78 @@ def test_csr_kernel_matches_public_product():
         y = np.full((40, k), np.nan)
         _csr_times_dense(A, x, y)
         assert np.array_equal(y, A @ x)
+
+
+# -- the dense x product against the CSR one it replaces on short axes --
+
+DENSE_MESHES = {
+    # name: (extents, elements, orders, periodic); x widths 40, 64, 65, 68
+    "2d_x40_periodic": ((20e3, 12e3), (10, 4), 4, (True,)),
+    "2d_x64_periodic": ((20e3, 12e3), (16, 4), 4, (True,)),
+    "2d_x65": ((20e3, 12e3), (16, 4), 4, (False,)),
+    "2d_x68_periodic": ((20e3, 12e3), (17, 4), 4, (True,)),
+    "3d_x13": ((2e3, 3e3, 4e3), (3, 2, 2), 4, (False, True)),
+    "3d_x12_periodic": ((2e3, 3e3, 4e3), (3, 2, 2), 4, (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_MESHES))
+def test_dense_x_product_matches_csr(name, monkeypatch):
+    """x axes of at most DENSE_X_MAX points take one dgemm per stack,
+    every other (direction, width) the CSR kernel; both agree with the
+    public `A @ x` to rounding, per field row."""
+    extents, elems, order, periodic = DENSE_MESHES[name]
+    mesh = build_box_mesh(extents, elems, order, periodicity=periodic)
+    ops = get_ops(mesh)
+    calls = []
+    monkeypatch.setattr(operators, "dgemm", lambda *a, _f=operators.dgemm, **k:
+                        calls.append("dense") or _f(*a, **k))
+    monkeypatch.setattr(operators, "_csr_times_dense", lambda *a, _f=operators._csr_times_dense:
+                        calls.append("csr") or _f(*a))
+    f = np.random.default_rng(5).standard_normal((6, mesh.npts))
+    for M in (mesh.weak_derivative_1d, mesh.weak_laplacian_1d, mesh.modal_filter_1d(0.3)):
+        for d in range(mesh.dim):
+            n = mesh.npts_1d[d]
+            dense = d == 0 and n <= DENSE_X_MAX
+            assert (M[d].dense is not None) == dense
+            if dense:
+                assert M[d].dense.flags.f_contiguous and np.array_equal(M[d].dense, M[d].toarray())
+            calls.clear()
+            got = ops.along(M[d], f, d)
+            # one dense call for the stack; CSR runs per row along z
+            assert calls == ["dense"] if dense else set(calls) == {"csr"}
+            expect = _along_reference(mesh, M[d], f, d)
+            for row_got, row_expect in zip(got, expect):
+                assert np.max(np.abs(row_got - row_expect)) <= 1e-14 * np.max(np.abs(row_expect))
+            # strided rows take one call each
+            calls.clear()
+            stack = np.empty((6, 2, mesh.npts))
+            ops.along(M[d], f, d, out=stack[:, 0])
+            assert np.array_equal(stack[:, 0], got)
+            if dense:
+                assert calls == ["dense"] * 6
+
+
+def test_dense_x_product_independent_of_blas_threads():
+    """The dense x product gives the same bytes on one BLAS thread and two,
+    on an embedded squall grid's 40 x 121 points, for the 2- and 6-field
+    stacks that a step multiplies."""
+    script = (
+        "import sys, numpy as np\n"
+        "from mmfsim.grid import build_box_mesh\n"
+        "from mmfsim.operators import get_ops\n"
+        "mesh = build_box_mesh((20e3, 24e3), (10, 30), 4, periodicity=(True,))\n"
+        "for nf in (2, 6):\n"
+        "    f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))\n"
+        "    out = get_ops(mesh).along(mesh.weak_derivative_1d[0], f, 0)\n"
+        "    sys.stdout.buffer.write(out.tobytes())\n")
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == (2 + 6) * 40 * 121 * 8
+    assert outputs[0] == outputs[1]
