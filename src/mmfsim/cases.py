@@ -313,7 +313,7 @@ def build_case(case_id: str, tier: str = "coarse", *,
     sponge = ov.get("sponge",
                     SpongeConfig(z_top - _SPONGE_THICKNESS, z_top,
                                  _SPONGE_RMAX))
-    rw = sponge_profile(mesh.coords[:, -1], sponge)
+    rw = mesh.field_from_profile(sponge_profile(mesh.coords_1d[-1], sponge))
 
     state = PrognosticState.zeros(mesh)
     state.theta_vp = bubble_theta(mesh.coords, bubble)

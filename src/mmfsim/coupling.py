@@ -98,19 +98,19 @@ class Simulator:
             state = self.state
         if self.dynamics_enabled:
             # S and L write into one buffer, which step_ark2 is done
-            # with before it asks for the next tendency; L's pair scratch
-            # is the operator layer's buffer
+            # with before it asks for the next tendency; L's scratch rows
+            # are the operator layer's buffer
             work = self.mesh.work
             tend = PrognosticState.from_vector(
                 work.array("Simulator.step.tendency", (state.data.size,)), state.dim)
-            pair = work.array("operator", (4, self.mesh.npts))
+            scratch = work.array("operator", (2, self.mesh.npts))
             # GMRES iterates on (rho', u, theta_v'), the rows L couples
             coupled = tend.data[:2 + state.dim]
             ref = self.reference
 
             def lin(q):
                 return linear_operator(q, ref, self.mesh, self.constants,
-                                       sponge_rw=self.sponge_rw, scratch=pair,
+                                       sponge_rw=self.sponge_rw, scratch=scratch,
                                        out=tend if isinstance(q, PrognosticState) else coupled)
 
             split = ImexOperatorSplit(
@@ -340,7 +340,7 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
     ssp_ref = build_reference(lsp.sounding, ssp_mesh, lsp.constants)
     ssp_rw = None
     if lsp.sponge_cfg is not None:
-        ssp_rw = sponge_profile(ssp_mesh.coords[:, -1], lsp.sponge_cfg)
+        ssp_rw = ssp_mesh.field_from_profile(sponge_profile(ssp_mesh.coords_1d[-1], lsp.sponge_cfg))
 
     # every slab starts from its element column's mean coarse column (the
     # coarse v of a 3D run has no slab counterpart)

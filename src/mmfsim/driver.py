@@ -226,15 +226,16 @@ def _check_finite(state: PrognosticState, where: str):
 # snapshots
 
 def _replace_all(files) -> None:
-    """Write each (path, bytes) pair to a temp file beside its path, then
-    rename every temp file into place; on failure no temp file is left
-    and every path keeps its old contents."""
+    """Write each (path, buffers) pair to a temp file beside its path, the
+    buffers one after another, then rename every temp file into place;
+    on failure no temp file is left and every path keeps its old contents."""
     tmps = []
     try:
-        for path, data in files:
+        for path, buffers in files:
             tmps.append(f"{path}.tmp")
             with open(tmps[-1], "wb") as fh:
-                fh.write(data)
+                for data in buffers:
+                    fh.write(data)
         for (path, _), tmp in zip(files, tmps):
             os.replace(tmp, path)
     except BaseException:
@@ -265,14 +266,16 @@ def write_snapshot(state: PrognosticState, mesh: Mesh, t: float, path) -> None:
         "data float64 little-endian",
         "end-header",
     ]) + "\n"
-    blob = header.encode("ascii") + arrays.tobytes()
-    meta = [f"file {os.path.basename(path)}",
-            f"sha256 {hashlib.sha256(blob).hexdigest()}"]
+    # hashed and written from the array itself, as a bytes copy of the
+    # state would raise the run's peak memory at every snapshot
+    head = header.encode("ascii")
+    whole = hashlib.sha256(head)
+    whole.update(arrays)
+    meta = [f"file {os.path.basename(path)}", f"sha256 {whole.hexdigest()}"]
     for name, a in zip(names, arrays):
-        digest = hashlib.sha256(a.tobytes()).hexdigest()
-        meta.append(f"field {name} sha256 {digest}")
-    _replace_all([(path, blob),
-                  (path + ".meta", ("\n".join(meta) + "\n").encode("ascii"))])
+        meta.append(f"field {name} sha256 {hashlib.sha256(a).hexdigest()}")
+    _replace_all([(path, (head, arrays)),
+                  (path + ".meta", [("\n".join(meta) + "\n").encode("ascii")])])
 
 
 def read_snapshot(path) -> dict:

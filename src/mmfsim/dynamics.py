@@ -160,6 +160,8 @@ class ReferenceState:
 
     rho0 satisfies the theta_v-form equation of state against p0 exactly
     at the nodes, so a zero-perturbation state has p' identically zero.
+    The rows that the linear operator L multiplies by (gamma = c_p/c_v,
+    signs folded in) are formed once, on the profiles, from `constants`.
     """
 
     rho0: np.ndarray       # kg/m3
@@ -168,6 +170,11 @@ class ReferenceState:
     p0: np.ndarray         # Pa
     dtheta_v0_dz: np.ndarray
     dq_v0_dz: np.ndarray
+    gamma_p0_rho0: np.ndarray      # gamma p0/rho0, m2/s2
+    gamma_p0_theta_v0: np.ndarray  # gamma p0/theta_v0, Pa/K
+    neg_inv_rho0: np.ndarray       # -1/rho0
+    neg_g_rho0: np.ndarray         # -g/rho0
+    constants: PhysConstants
     u0_1d: np.ndarray      # sounding wind at the vertical nodes, m/s
     v0_1d: np.ndarray
     p0_1d: np.ndarray
@@ -221,11 +228,16 @@ def build_reference(sounding: Sounding, mesh: Mesh,
     rho0 = constants.p00 * pi ** (constants.c_v / constants.R_d) / (constants.R_d * theta_v)
 
     dth, dqv = (mesh.weak_derivative_1d[-1] @ np.stack((theta_v, qv), axis=-1)).T
-    rho0_n, theta_v_n, qv_n, p0_n, dth_n, dqv_n = mesh.field_from_profile(
-        np.stack((rho0, theta_v, qv, p0, dth, dqv)))
+    gam = constants.c_p / constants.c_v
+    (rho0_n, theta_v_n, qv_n, p0_n, dth_n, dqv_n,
+     p_rho, p_theta, inv_rho, g_rho) = mesh.field_from_profile(np.stack(
+         (rho0, theta_v, qv, p0, dth, dqv,
+          gam * p0 / rho0, gam * p0 / theta_v, -1.0 / rho0, -constants.g / rho0)))
     return ReferenceState(
         rho0=rho0_n, theta_v0=theta_v_n, q_v0=qv_n, p0=p0_n,
         dtheta_v0_dz=dth_n, dq_v0_dz=dqv_n,
+        gamma_p0_rho0=p_rho, gamma_p0_theta_v0=p_theta,
+        neg_inv_rho0=inv_rho, neg_g_rho0=g_rho, constants=constants,
         u0_1d=u0, v0_1d=v0, p0_1d=p0,
         p_surf=float(sounding.p_surf),
         rho0_surf=float(rho0[0]),

@@ -155,7 +155,7 @@ class SemOps:
         dense = getattr(A, "dense", None)
         if dense is not None:
             pairs = (((f, out),) if out.flags.c_contiguous else
-                     zip(f.reshape(-1, npts), np.reshape(out, (-1, npts), copy=False)))
+                     zip(f.reshape(-1, npts), _rows_of(out)))
             for x, y in pairs:
                 res = dgemm(1.0, dense, x.reshape(-1, n).T, beta=0.0,
                             c=y.reshape(-1, n).T, overwrite_c=1)
@@ -163,7 +163,7 @@ class SemOps:
                 if not np.may_share_memory(res, y):
                     raise RuntimeError("along: dgemm did not write into out")
             return out
-        rows, out_rows = f.reshape(-1, npts), np.reshape(out, (-1, npts), copy=False)
+        rows, out_rows = f.reshape(-1, npts), _rows_of(out)
         stride = math.prod(self.mesh.npts_1d[:d])
         if d == self.dim - 1:
             # z runs slowest, so each field already is an (n, stride)
@@ -190,8 +190,7 @@ class SemOps:
         if out is None:
             out = np.empty(f.shape)
         tmp = self.mesh.work.array("operator", (min(self.dim - 1, 2), f.shape[-1]))
-        for row, out_row in zip(f.reshape(-1, f.shape[-1]),
-                                np.reshape(out, (-1, f.shape[-1]), copy=False)):
+        for row, out_row in zip(f.reshape(-1, f.shape[-1]), _rows_of(out)):
             for d in range(self.dim):
                 row = self.along(mats[d], row, d,
                                  out=out_row if d == self.dim - 1 else tmp[d % 2])
@@ -221,6 +220,15 @@ class SemOps:
         for d in range(1, self.dim):
             acc += self.along(mats[d], fs[d], d, out=tmp)
         return acc
+
+
+def _rows_of(out):
+    """`out` as a (rows, npts) view: `ndarray.reshape` up to 2D, where it
+    cannot copy and costs a third of `np.reshape(..., copy=False)`, which
+    higher ranks take so that a strided `out` is never silently copied."""
+    if out.ndim <= 2:
+        return out.reshape(-1, out.shape[-1])
+    return np.reshape(out, (-1, out.shape[-1]), copy=False)
 
 
 def _csr_times_dense(A, x, y):

@@ -203,7 +203,8 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = resnorm
-        np.divide(r, resnorm, out=V[0])
+        # basis vectors are scaled by a reciprocal: half the cost of a divide
+        np.multiply(r, 1.0 / resnorm, out=V[0])
         k_used = 0
         for k in range(m):
             w = _owned(apply_A(V[k]), V)
@@ -228,7 +229,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             happy = H[k + 1, k] <= 1e-14 * max(1.0, abs(H[k, k]))
             if resnorm <= target or happy:
                 break
-            np.divide(w, H[k + 1, k], out=V[k + 1])
+            np.multiply(w, 1.0 / H[k + 1, k], out=V[k + 1])
         y = np.linalg.solve(np.triu(H[:k_used, :k_used]), g[:k_used])
         dgemv(1.0, V[:k_used].T, y, beta=1.0, y=x, overwrite_y=True)
         if resnorm <= target:
@@ -266,20 +267,29 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     `out` (an array of their shape) or a new array. `out` must not
     overlap the increment.
 
-    Each direction takes one derivative call on the stacked pair
-    (p'_lin, rho0 u_d), which with its derivative lives in `scratch`, a
-    (4, npts) array, or else in the mesh's "operator" buffer. The 1D
-    matrices sum each stacked column in the same order, so this is
-    bit-identical to separate gradient and divergence calls.
+    The coefficients are the reference's precomputed rows, so a call
+    does no divide and no arithmetic on the reference alone; `constants`
+    must agree with the reference's in c_p, c_v and g (ConfigurationError
+    otherwise). Each direction takes one derivative call on the stacked
+    pair (p'_lin, rho0 u_d), which lives in `scratch`, a (2, npts)
+    array, or else in the mesh's "operator" buffer. The pair's
+    derivatives land in the momentum row of d and the row after it,
+    from which the continuity row takes the flux term before anything
+    overwrites it. The 1D matrices sum each stacked column in the same
+    order, so this is bit-identical to separate gradient and divergence
+    calls.
     """
+    ref_c = reference.constants
+    if constants is not ref_c and ((constants.c_p, constants.c_v, constants.g)
+                                   != (ref_c.c_p, ref_c.c_v, ref_c.g)):
+        raise ConfigurationError(
+            "linear_operator: constants differ from the reference's in c_p, c_v or g")
     ops = get_ops(mesh)
     D = mesh.weak_derivative_1d
     dim = mesh.dim
     full = isinstance(state_increment, PrognosticState)
     q = state_increment.data if full else state_increment
-    rho_p, u, theta_vp = q[0], q[1:1 + dim], q[1 + dim]
-    rho0 = reference.rho0
-    gam = constants.c_p / constants.c_v
+    rho_p, u, theta_vp, w = q[0], q[1:1 + dim], q[1 + dim], q[dim]
     if out is None:
         out = (PrognosticState.from_vector(np.empty(q.size), dim) if full
                else np.empty((2 + dim, q.shape[1])))
@@ -287,36 +297,28 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     if np.may_share_memory(res, q):
         raise ValueError("linear_operator: out must not overlap the increment")
     if scratch is None:
-        scratch = mesh.work.array("operator", (4, q.shape[1]))
-    d_rho, du, d_th, w = res[0], res[1:1 + dim], res[1 + dim], u[-1]
-    # the flux row of the pair doubles as scratch after the last direction
-    dpair, pair = scratch[:2], scratch[2:]
-    p_lin, tmp = pair
-    np.divide(reference.p0, rho0, out=p_lin)
-    p_lin *= rho_p
-    np.divide(reference.p0, reference.theta_v0, out=tmp)
-    tmp *= theta_vp
+        scratch = mesh.work.array("operator", (2, q.shape[1]))
+    d_rho, du, d_th, dw = res[0], res[1:1 + dim], res[1 + dim], res[dim]
+    pair = scratch[:2]
+    p_lin, tmp = pair   # the flux row doubles as scratch outside the loop
+    np.multiply(reference.gamma_p0_rho0, rho_p, out=p_lin)
+    np.multiply(reference.gamma_p0_theta_v0, theta_vp, out=tmp)
     p_lin += tmp
-    p_lin *= gam
     for d in range(dim):
-        np.multiply(rho0, u[d], out=tmp)
-        dp, dflux = ops.along(D[d], pair, d, out=dpair)
-        np.negative(dp, out=du[d])
-        du[d] /= rho0
+        np.multiply(reference.rho0, u[d], out=tmp)
+        ops.along(D[d], pair, d, out=res[1 + d:3 + d])
         if d:
-            d_rho += dflux
+            d_rho -= res[2 + d]
         else:
-            d_rho[:] = dflux
-    np.negative(d_rho, out=d_rho)
-
-    np.multiply(constants.g, rho_p, out=tmp)
-    tmp /= rho0
-    du[-1] -= tmp
+            np.negative(res[2], out=d_rho)
+    du *= reference.neg_inv_rho0
+    np.multiply(reference.neg_g_rho0, rho_p, out=tmp)
+    dw += tmp
     if sponge_rw is not None:
         np.multiply(sponge_rw, w, out=tmp)
-        du[-1] -= tmp
-    du[-1][mesh.bottom_nodes] = 0.0
-    du[-1][mesh.top_nodes] = 0.0
+        dw -= tmp
+    dw[mesh.bottom_nodes] = 0.0
+    dw[mesh.top_nodes] = 0.0
     np.negative(w, out=d_th)
     d_th *= reference.dtheta_v0_dz
     if full:

@@ -304,6 +304,25 @@ def test_operators_write_out_bit_for_bit(out_mesh, nf):
     assert np.array_equal(in_place, filt)
 
 
+def test_along_never_writes_into_a_copy_of_out(out_mesh):
+    """A rank-3 `out` is viewed as one stack of rows when its layout
+    allows and refused when it does not, so a product never lands in a
+    copy that the caller cannot see."""
+    mesh = out_mesh
+    ops = get_ops(mesh)
+    f = np.random.default_rng(4).standard_normal((2, 2, mesh.npts))
+    for d, D in enumerate(mesh.weak_derivative_1d):
+        expect = ops.along(D, f.reshape(4, -1), d).reshape(f.shape)
+        whole = np.full(f.shape, np.nan)
+        assert ops.along(D, f, d, out=whole) is whole
+        assert np.array_equal(whole, expect)
+        # the first two rows of each block of three: no stride merges
+        # the leading axes into one
+        blocks = np.full((2, 3, mesh.npts), np.nan)
+        with pytest.raises(ValueError):
+            ops.along(D, f, d, out=blocks[:, :2])
+
+
 def test_csr_kernel_matches_public_product():
     """`along` calls scipy's CSR times dense kernel directly; it must give
     the bits of the public `A @ x`, which allocates its result."""

@@ -490,14 +490,17 @@ def operator_case(request):
 
 
 def _separate_calls_operator(q, ref, mesh, sponge_rw):
-    """L as separate gradient and divergence calls, row by row: the
-    expressions the fused operator must reproduce bit for bit."""
-    ops, c, rho0 = get_ops(mesh), DEFAULT_CONSTANTS, ref.rho0
-    p_lin = (c.c_p / c.c_v) * (ref.p0 / rho0 * q.rho_p + ref.p0 / ref.theta_v0 * q.theta_vp)
+    """L as separate gradient and divergence calls, row by row, in the
+    fused operator's order on the reference's coefficient rows: the
+    expressions it must reproduce bit for bit. Negating the summed
+    divergence equals subtracting each direction's term from the first
+    one's negation, bit for bit."""
+    ops, rho0 = get_ops(mesh), ref.rho0
+    p_lin = ref.gamma_p0_rho0 * q.rho_p + ref.gamma_p0_theta_v0 * q.theta_vp
     d_rho = -ops.div(rho0 * q.u)
-    du = -ops.grad(p_lin) / rho0
+    du = ops.grad(p_lin) * ref.neg_inv_rho0
     w = q.u[-1]
-    du[-1] -= c.g * q.rho_p / rho0
+    du[-1] += ref.neg_g_rho0 * q.rho_p
     if sponge_rw is not None:
         du[-1] -= sponge_rw * w
     du[-1][mesh.bottom_nodes] = 0.0
@@ -539,6 +542,40 @@ def test_linear_operator_matches_separate_calls_bit_for_bit(operator_case):
     out = PrognosticState.zeros(mesh)
     assert linear_operator(q, ref, mesh, sponge_rw=rw, out=out) is out
     assert np.array_equal(out.data, got.data)
+
+
+@pytest.mark.parametrize("name", OPERATOR_MESHES)
+def test_reference_operator_rows_match_their_formulas(name):
+    """The rows L multiplies by are its formulas on the broadcast
+    reference, to rounding, and constant within each level."""
+    extents, elems, orders, periodic = OPERATOR_MESHES[name]
+    mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
+    c = DEFAULT_CONSTANTS
+    ref = build_reference(isothermal_sounding(), mesh, c)
+    gam = c.c_p / c.c_v
+    for row, expect in ((ref.gamma_p0_rho0, gam * ref.p0 / ref.rho0),
+                        (ref.gamma_p0_theta_v0, gam * ref.p0 / ref.theta_v0),
+                        (ref.neg_inv_rho0, -1.0 / ref.rho0),
+                        (ref.neg_g_rho0, -c.g / ref.rho0)):
+        assert row.shape == (mesh.npts,)
+        assert np.max(np.abs(row - expect)) <= 1e-15 * np.max(np.abs(expect))
+        levels = row.reshape(mesh.npts_1d[-1], -1)
+        assert np.all(levels == levels[:, :1])
+    assert ref.constants is c
+
+
+def test_linear_operator_rejects_constants_unlike_the_reference(operator_case):
+    """gamma and g come from the reference, so other c_p, c_v or g must
+    fail loudly; nu does not enter L."""
+    mesh, ref, rw, q = operator_case
+    C = DEFAULT_CONSTANTS
+    expect = linear_operator(q, ref, mesh, C, sponge_rw=rw).data
+    got = linear_operator(q, ref, mesh, C.with_nu(150.0), sponge_rw=rw).data
+    assert np.array_equal(got, expect)
+    for other in (dataclasses.replace(C, g=9.8), dataclasses.replace(C, c_p=1005.0),
+                  dataclasses.replace(C, R_d=287.05)):
+        with pytest.raises(ConfigurationError, match="c_p, c_v or g"):
+            linear_operator(q, ref, mesh, other, sponge_rw=rw)
 
 
 def test_linear_operator_matches_assembled_matrix(operator_case):
