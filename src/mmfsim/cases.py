@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import build_box_mesh
 from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, Sounding, SpongeConfig,
-                       build_reference, read_sounding, sponge_profile)
+                       build_reference, read_sounding)
 from .microphysics import KesslerParams, saturation_mixing_ratio
 from .operators import PrognosticState
 from .coupling import MmfConfig, Simulator, spawn_ssp_instances
@@ -307,13 +307,11 @@ def build_case(case_id: str, tier: str = "coarse", *,
     dim = len(dims.extents)
     mesh = build_box_mesh(dims.extents, dims.elems, (_ORDER,) * dim,
                           periodicity=(True,) * (dim - 1))
-    reference = build_reference(snd, mesh, constants)
-
     z_top = dims.extents[-1]
     sponge = ov.get("sponge",
                     SpongeConfig(z_top - _SPONGE_THICKNESS, z_top,
                                  _SPONGE_RMAX))
-    rw = mesh.field_from_profile(sponge_profile(mesh.coords_1d[-1], sponge))
+    reference = build_reference(snd, mesh, constants, sponge)
 
     state = PrognosticState.zeros(mesh)
     state.theta_vp = bubble_theta(mesh.coords, bubble)
@@ -324,7 +322,6 @@ def build_case(case_id: str, tier: str = "coarse", *,
     # in the split-grid tier the coarse model carries no microphysics of
     # its own: moist tendencies reach it only through the feedback
     sim = Simulator(mesh=mesh, reference=reference, state=state,
-                    constants=constants, sponge_rw=rw, sponge_cfg=sponge,
                     filter_strength=filt,
                     kessler=None if tier == "mmf" else kessler,
                     sounding=snd)

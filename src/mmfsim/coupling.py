@@ -19,9 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, ReferenceState, Sounding,
-                       SpongeConfig, apply_filter, build_reference, evaluate_rhs,
-                       sponge_profile)
+from .dynamics import ReferenceState, Sounding, apply_filter, build_reference, evaluate_rhs
 from .errors import ConfigurationError, SolverError, StateError
 from .grid import Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
@@ -68,14 +66,12 @@ class MmfConfig:
 
 @dataclass
 class Simulator:
-    """State and operators of a single (coarse or fine) model."""
+    """State and physics switches of a single (coarse or fine) model; its
+    grid's fixed data is the reference's, shared by a mesh's simulators."""
 
     mesh: Mesh
     reference: ReferenceState
     state: PrognosticState
-    constants: PhysConstants = DEFAULT_CONSTANTS
-    sponge_rw: Optional[np.ndarray] = None
-    sponge_cfg: Optional[SpongeConfig] = None
     filter_strength: float = 0.0
     kessler: Optional[KesslerParams] = None
     dynamics_enabled: bool = True
@@ -96,26 +92,22 @@ class Simulator:
         """
         if state is None:
             state = self.state
+        mesh, ref = self.mesh, self.reference
         if self.dynamics_enabled:
             # S and L write into one buffer, which step_ark2 is done
-            # with before it asks for the next tendency; L's scratch rows
-            # are the operator layer's buffer
-            work = self.mesh.work
+            # with before it asks for the next tendency
+            work = mesh.work
             tend = PrognosticState.from_vector(
                 work.array("Simulator.step.tendency", (state.data.size,)), state.dim)
-            scratch = work.array("operator", (2, self.mesh.npts))
             # GMRES iterates on (rho', u, theta_v'), the rows L couples
             coupled = tend.data[:2 + state.dim]
-            ref = self.reference
 
             def lin(q):
-                return linear_operator(q, ref, self.mesh, self.constants,
-                                       sponge_rw=self.sponge_rw, scratch=scratch,
-                                       out=tend if isinstance(q, PrognosticState) else coupled)
+                return linear_operator(
+                    q, ref, mesh, out=tend if isinstance(q, PrognosticState) else coupled)
 
             split = ImexOperatorSplit(
-                s=lambda q: evaluate_rhs(q, self.reference, self.mesh, self.constants,
-                                         sponge_rw=self.sponge_rw, out=tend),
+                s=lambda q: evaluate_rhs(q, ref, mesh, out=tend),
                 lin=lin, coupling=coupling, implicit_rows=coupled.shape[0],
                 lin_rest=lambda q, out: linear_moisture_rows(q.u[-1], ref, out))
             try:
@@ -129,19 +121,18 @@ class Simulator:
 
         np.maximum(new.q_c, 0.0, out=new.q_c)
         np.maximum(new.q_r, 0.0, out=new.q_r)
-        np.maximum(new.q_vp, -self.reference.q_v0, out=new.q_vp)
+        np.maximum(new.q_vp, -ref.q_v0, out=new.q_vp)
 
         precip = None
         if self.kessler is not None:
             try:
-                new, precip = apply_microphysics(new, self.reference, self.mesh, dt,
-                                                 self.kessler, self.constants, out=new)
+                new, precip = apply_microphysics(new, ref, mesh, dt, self.kessler, out=new)
             except (SolverError, StateError) as exc:
                 raise exc.prefixed("microphysics") from exc
         if self.filter_strength > 0.0:
-            apply_filter(new, self.filter_strength, self.mesh, out=new)
-            new.u[-1][self.mesh.bottom_nodes] = 0.0
-            new.u[-1][self.mesh.top_nodes] = 0.0
+            apply_filter(new, self.filter_strength, mesh, out=new)
+            new.u[-1][mesh.bottom_nodes] = 0.0
+            new.u[-1][mesh.top_nodes] = 0.0
         return new, precip
 
 
@@ -337,10 +328,8 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         (cfg.ssp_elems_x, cfg.ssp_elems_z),
         (cfg.ssp_order, cfg.ssp_order),
         periodicity=(True,))
-    ssp_ref = build_reference(lsp.sounding, ssp_mesh, lsp.constants)
-    ssp_rw = None
-    if lsp.sponge_cfg is not None:
-        ssp_rw = ssp_mesh.field_from_profile(sponge_profile(ssp_mesh.coords_1d[-1], lsp.sponge_cfg))
+    ssp_ref = build_reference(lsp.sounding, ssp_mesh, lsp.reference.constants,
+                              lsp.reference.sponge)
 
     # every slab starts from its element column's mean coarse column (the
     # coarse v of a 3D run has no slab counterpart)
@@ -364,8 +353,6 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
                 pspec, st.theta_vp, instance=idx)
 
         sim = Simulator(mesh=ssp_mesh, reference=ssp_ref, state=st,
-                        constants=lsp.constants, sponge_rw=ssp_rw,
-                        sponge_cfg=lsp.sponge_cfg,
                         kessler=kessler,
                         dynamics_enabled=lsp.dynamics_enabled,
                         sounding=lsp.sounding)

@@ -17,13 +17,14 @@ applied as an operator-split update by the microphysics module.
 """
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, StateError
 from .grid import Mesh, boyd_vandeven_transfer
-from .operators import PrognosticState, get_ops
+from .operators import PrognosticState, SemOps
 
 __all__ = [
     "PhysConstants",
@@ -75,7 +76,8 @@ DEFAULT_CONSTANTS = PhysConstants()
 
 @dataclass
 class Sounding:
-    """Vertical profile table: z (m), theta (K), qv (kg/kg), u, v (m/s)."""
+    """Vertical profile table: z (m), theta (K), qv (kg/kg), u, v (m/s);
+    outside input, so every value is checked."""
 
     z: np.ndarray
     theta: np.ndarray
@@ -85,8 +87,16 @@ class Sounding:
     p_surf: float  # Pa
 
     def __post_init__(self):
-        if self.z.ndim != 1 or np.any(np.diff(self.z) <= 0):
-            raise ConfigurationError("sounding heights must be strictly increasing")
+        columns = (self.z, self.theta, self.qv, self.u, self.v)
+        if self.z.ndim != 1 or any(c.shape != self.z.shape for c in columns):
+            raise ConfigurationError("sounding columns must be 1D and of one length")
+        for bad, what in ((not all(np.isfinite(c).all() for c in columns), "values must be finite"),
+                          (np.any(np.diff(self.z) <= 0), "heights must be strictly increasing"),
+                          (np.any(self.theta <= 0.0), "theta must be positive"),
+                          (np.any(self.qv < 0.0), "qv must be non-negative"),
+                          (not 0.0 < self.p_surf < np.inf, "surface pressure must lie in (0, inf)")):
+            if bad:
+                raise ConfigurationError(f"sounding {what}")
 
 
 def read_sounding(path) -> Sounding:
@@ -96,21 +106,20 @@ def read_sounding(path) -> Sounding:
     first data row carries the surface pressure in Pa as a sixth column.
     """
     rows = []
-    p_surf = None
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 3:
         raise ConfigurationError(f"sounding file {path} is too short")
     for k, ln in enumerate(lines[1:]):
         parts = ln.split()
-        if k == 0:
-            if len(parts) != 6:
-                raise ConfigurationError("first sounding row must carry p_surf_Pa as a 6th column")
-            p_surf = float(parts[5])
-            parts = parts[:5]
-        if len(parts) != 5:
-            raise ConfigurationError(f"bad sounding row: {ln!r}")
-        rows.append([float(v) for v in parts])
+        if len(parts) != (6 if k == 0 else 5):
+            raise ConfigurationError("first sounding row must carry p_surf_Pa as a 6th column"
+                                     if k == 0 else f"bad sounding row: {ln!r}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ConfigurationError(f"bad sounding row: {ln!r}") from None
+    p_surf = rows[0].pop()
     arr = np.array(rows)
     return Sounding(z=arr[:, 0], theta=arr[:, 1], qv=arr[:, 2],
                     u=arr[:, 3], v=arr[:, 4], p_surf=p_surf)
@@ -152,6 +161,27 @@ def exner_function(p, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
 
 
 # ---------------------------------------------------------------------------
+# sponge layer
+
+@dataclass(frozen=True)
+class SpongeConfig:
+    z_b: float    # m, bottom of the damping layer
+    z_t: float    # m, model top
+    R_max: float  # 1/s
+
+    def __post_init__(self):
+        if not (0.0 <= self.z_b < self.z_t) or not 0.0 <= self.R_max < np.inf:
+            raise ConfigurationError(f"bad sponge config {self}")
+
+
+def sponge_profile(z, cfg: SpongeConfig):
+    """R_w(z) = R_max sin^2((pi/2)(z - z_b)/(z_t - z_b)), zero below z_b."""
+    z = np.asarray(z, dtype=float)
+    s = np.sin(0.5 * np.pi * (z - cfg.z_b) / (cfg.z_t - cfg.z_b)) ** 2
+    return np.where(z <= cfg.z_b, 0.0, cfg.R_max * s)
+
+
+# ---------------------------------------------------------------------------
 # reference state
 
 @dataclass
@@ -162,6 +192,8 @@ class ReferenceState:
     at the nodes, so a zero-perturbation state has p' identically zero.
     The rows that the linear operator L multiplies by (gamma = c_p/c_v,
     signs folded in) are formed once, on the profiles, from `constants`.
+    It is a grid's one home for fixed data, shared by the simulators on a
+    mesh: S(q), L and Kessler read `constants` and the sponge row from it.
     """
 
     rho0: np.ndarray       # kg/m3
@@ -175,10 +207,10 @@ class ReferenceState:
     neg_inv_rho0: np.ndarray       # -1/rho0
     neg_g_rho0: np.ndarray         # -g/rho0
     constants: PhysConstants
+    sponge: Optional[SpongeConfig]
+    sponge_rw: Optional[np.ndarray]  # R_w(z), 1/s
     u0_1d: np.ndarray      # sounding wind at the vertical nodes, m/s
     v0_1d: np.ndarray
-    p0_1d: np.ndarray
-    p_surf: float
     rho0_surf: float
 
 
@@ -192,7 +224,8 @@ def _antiderivative_matrix(rule) -> np.ndarray:
 
 
 def build_reference(sounding: Sounding, mesh: Mesh,
-                    constants: PhysConstants = DEFAULT_CONSTANTS) -> ReferenceState:
+                    constants: PhysConstants = DEFAULT_CONSTANTS,
+                    sponge: Optional[SpongeConfig] = None) -> ReferenceState:
     """Interpolate the sounding and integrate hydrostatic balance.
 
     theta_v0 and q_v0 come from monotone piecewise-cubic interpolation at
@@ -201,7 +234,8 @@ def build_reference(sounding: Sounding, mesh: Mesh,
     exactly with one element antiderivative matrix and a running sum of
     element totals; rho0 follows from the equation of state so the
     discrete balance is consistent to rounding. The vertical gradients
-    use the mesh's weak vertical derivative.
+    use the mesh's weak vertical derivative. The sponge row, when
+    `sponge` is given, is `sponge_profile` on the vertical nodes.
     """
     Lz = mesh.extents[-1]
     if sounding.z[0] > 0.0 or sounding.z[-1] < Lz:
@@ -229,61 +263,42 @@ def build_reference(sounding: Sounding, mesh: Mesh,
 
     dth, dqv = (mesh.weak_derivative_1d[-1] @ np.stack((theta_v, qv), axis=-1)).T
     gam = constants.c_p / constants.c_v
+    profiles = [rho0, theta_v, qv, p0, dth, dqv,
+                gam * p0 / rho0, gam * p0 / theta_v, -1.0 / rho0, -constants.g / rho0]
+    if sponge is not None:
+        profiles.append(sponge_profile(mesh.coords_1d[-1], sponge))
     (rho0_n, theta_v_n, qv_n, p0_n, dth_n, dqv_n,
-     p_rho, p_theta, inv_rho, g_rho) = mesh.field_from_profile(np.stack(
-         (rho0, theta_v, qv, p0, dth, dqv,
-          gam * p0 / rho0, gam * p0 / theta_v, -1.0 / rho0, -constants.g / rho0)))
+     p_rho, p_theta, inv_rho, g_rho, *rw) = mesh.field_from_profile(np.stack(profiles))
     return ReferenceState(
         rho0=rho0_n, theta_v0=theta_v_n, q_v0=qv_n, p0=p0_n,
         dtheta_v0_dz=dth_n, dq_v0_dz=dqv_n,
         gamma_p0_rho0=p_rho, gamma_p0_theta_v0=p_theta,
         neg_inv_rho0=inv_rho, neg_g_rho0=g_rho, constants=constants,
-        u0_1d=u0, v0_1d=v0, p0_1d=p0,
-        p_surf=float(sounding.p_surf),
-        rho0_surf=float(rho0[0]),
+        sponge=sponge, sponge_rw=rw[0] if rw else None,
+        u0_1d=u0, v0_1d=v0, rho0_surf=float(rho0[0]),
     )
-
-
-# ---------------------------------------------------------------------------
-# sponge layer
-
-@dataclass(frozen=True)
-class SpongeConfig:
-    z_b: float    # m, bottom of the damping layer
-    z_t: float    # m, model top
-    R_max: float  # 1/s
-
-    def __post_init__(self):
-        if not (0.0 <= self.z_b < self.z_t) or not 0.0 <= self.R_max < np.inf:
-            raise ConfigurationError(f"bad sponge config {self}")
-
-
-def sponge_profile(z, cfg: SpongeConfig):
-    """R_w(z) = R_max sin^2((pi/2)(z - z_b)/(z_t - z_b)), zero below z_b."""
-    z = np.asarray(z, dtype=float)
-    s = np.sin(0.5 * np.pi * (z - cfg.z_b) / (cfg.z_t - cfg.z_b)) ** 2
-    return np.where(z <= cfg.z_b, 0.0, cfg.R_max * s)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear tendency
 
-def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
-                 constants: PhysConstants = DEFAULT_CONSTANTS,
-                 sponge_rw=None, out=None) -> PrognosticState:
+def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, *,
+                 out=None) -> PrognosticState:
     """Full nonlinear tendency S(q); no microphysical sources.
 
-    sponge_rw is the nodal damping profile R_w(z) (or None). Vertical
-    velocity tendencies at the impermeable bottom/top boundaries are
-    zeroed (strong no-normal-flow). The tendency is written into `out`
-    (a PrognosticState that must not overlap `state`) when given, else
+    The constants and the nodal damping profile R_w(z) (when there is a
+    sponge) are the reference's. Vertical velocity tendencies at the
+    impermeable bottom/top boundaries are zeroed (strong
+    no-normal-flow). The tendency is written into `out` (a
+    PrognosticState that must not overlap `state`) when given, else
     into a new state; intermediates live in the mesh's "kernel" buffer.
     """
     if out is None:
         out = PrognosticState.from_vector(np.empty(state.data.size), state.dim)
     elif np.may_share_memory(out.data, state.data):
         raise ValueError("evaluate_rhs: out must not overlap the state")
-    ops = get_ops(mesh)
+    constants, sponge_rw = reference.constants, reference.sponge_rw
+    ops = SemOps(mesh)
     D = mesh.weak_derivative_1d
     dim, npts = mesh.dim, mesh.npts
     fields, u, w = state.data[1:], state.u, state.u[-1]
@@ -363,7 +378,7 @@ def filter_field(mesh: Mesh, field: np.ndarray, strength: float, out=None) -> np
     if strength == 0.0:
         np.copyto(out, field)
         return out
-    return get_ops(mesh).tensor(mesh.modal_filter_1d(strength), field, out=out)
+    return SemOps(mesh).tensor(mesh.modal_filter_1d(strength), field, out=out)
 
 
 def apply_filter(state: PrognosticState, strength: float, mesh: Mesh,

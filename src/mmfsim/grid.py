@@ -303,10 +303,11 @@ class Mesh:
     @cached_property
     def work(self) -> WorkBuffers:
         """Scratch arrays of the stepping hot path, made on the first step
-        and kept with the mesh (the embedded grids share one set, so
-        simulators on one mesh must not step concurrently). One name per
-        layer, as `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler),
-        "operator" (SemOps.div/laplacian/tensor, linear_operator), the
+        and kept with the mesh (the embedded grids share their mesh and
+        reference, and so one set: simulators on one mesh must not step
+        concurrently). Each layer fetches its own buffer by name, as
+        `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler), "operator"
+        (SemOps.div/laplacian/tensor, linear_operator's stacked pair), the
         stepper's tendency, stage vectors and Krylov basis, and "along"
         (SemOps.along's transposed copies for the CSR product along y or
         an x axis over `DENSE_X_MAX` points; a short x axis multiplies in

@@ -320,9 +320,8 @@ def kessler_column_step(column: ColumnView, dt, params: KesslerParams,
 
 
 def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: Mesh,
-                       dt, params: KesslerParams,
-                       constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
-    """Kessler update over every column of the mesh.
+                       dt, params: KesslerParams, *, out=None):
+    """Kessler update over every column of the mesh, with the reference's constants.
 
     Returns (new_state, precip) where precip is mm of rain through the
     surface during dt for each horizontal grid point (column ordering
@@ -347,7 +346,7 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     theta_v += theta_v0
     q_v += q_v0
     precip = _kessler_batch(mesh.lumped_1d[-1], rho, theta_v, q_v, q_c, q_r,
-                            reference.rho0_surf, dt, params, constants, buf[1:])
+                            reference.rho0_surf, dt, params, reference.constants, buf[1:])
     theta_v -= theta_v0
     q_v -= q_v0
     return out, precip

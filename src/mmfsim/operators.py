@@ -37,7 +37,6 @@ __all__ = [
     "build_mass",
     "integrate",
     "SemOps",
-    "get_ops",
 ]
 
 
@@ -241,10 +240,6 @@ def _csr_times_dense(A, x, y):
     y.fill(0.0)
     n = A.shape[1]
     csr_matvecs(n, n, x.size // n, A.indptr, A.indices, A.data, x, y)
-
-
-def get_ops(mesh: Mesh) -> SemOps:
-    return SemOps(mesh)
 
 
 def build_mass(mesh: Mesh) -> DiagonalMass:

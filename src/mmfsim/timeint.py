@@ -38,10 +38,10 @@ import numpy as np
 # other's and made multithreaded runs about ten times slower
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
-from .dynamics import DEFAULT_CONSTANTS, PhysConstants
+from .dynamics import PhysConstants
 from .errors import ConfigurationError, SolverError
 from .grid import Mesh, WorkBuffers
-from .operators import PrognosticState, get_ops
+from .operators import PrognosticState, SemOps
 
 __all__ = [
     "Ark2Tableau",
@@ -249,8 +249,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 # linearized operator about the reference state
 
 def linear_operator(state_increment, reference, mesh: Mesh,
-                    constants: PhysConstants = DEFAULT_CONSTANTS,
-                    sponge_rw=None, out=None, scratch=None):
+                    constants: Optional[PhysConstants] = None, out=None):
     """Constant-coefficient linearization L of the fast-wave terms.
 
     Rows: continuity -div(rho0 u); momentum -(1/rho0) grad p'_lin with
@@ -267,24 +266,24 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     `out` (an array of their shape) or a new array. `out` must not
     overlap the increment.
 
-    The coefficients are the reference's precomputed rows, so a call
-    does no divide and no arithmetic on the reference alone; `constants`
-    must agree with the reference's in c_p, c_v and g (ConfigurationError
-    otherwise). Each direction takes one derivative call on the stacked
-    pair (p'_lin, rho0 u_d), which lives in `scratch`, a (2, npts)
-    array, or else in the mesh's "operator" buffer. The pair's
-    derivatives land in the momentum row of d and the row after it,
-    from which the continuity row takes the flux term before anything
-    overwrites it. The 1D matrices sum each stacked column in the same
-    order, so this is bit-identical to separate gradient and divergence
-    calls.
+    The coefficients and the sponge row are the reference's, made once,
+    so a call does no divide and no arithmetic on the reference alone.
+    `constants` is optional, for callers that name theirs (the
+    acceptance gate does); when given, it must agree with the
+    reference's in c_p, c_v and g (ConfigurationError otherwise). Each direction takes one
+    derivative call on the stacked pair (p'_lin, rho0 u_d), which lives
+    in the mesh's "operator" buffer. The pair's derivatives land in the
+    momentum row of d and the row after it, from which the continuity
+    row takes the flux term before anything overwrites it. The 1D
+    matrices sum each stacked column in the same order, so this is
+    bit-identical to separate gradient and divergence calls.
     """
     ref_c = reference.constants
-    if constants is not ref_c and ((constants.c_p, constants.c_v, constants.g)
-                                   != (ref_c.c_p, ref_c.c_v, ref_c.g)):
+    if constants is not None and (constants.c_p, constants.c_v, constants.g) != (
+            ref_c.c_p, ref_c.c_v, ref_c.g):
         raise ConfigurationError(
             "linear_operator: constants differ from the reference's in c_p, c_v or g")
-    ops = get_ops(mesh)
+    ops = SemOps(mesh)
     D = mesh.weak_derivative_1d
     dim = mesh.dim
     full = isinstance(state_increment, PrognosticState)
@@ -296,10 +295,8 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     res = out.data if full else out
     if np.may_share_memory(res, q):
         raise ValueError("linear_operator: out must not overlap the increment")
-    if scratch is None:
-        scratch = mesh.work.array("operator", (2, q.shape[1]))
     d_rho, du, d_th, dw = res[0], res[1:1 + dim], res[1 + dim], res[dim]
-    pair = scratch[:2]
+    pair = mesh.work.array("operator", (2, q.shape[1]))
     p_lin, tmp = pair   # the flux row doubles as scratch outside the loop
     np.multiply(reference.gamma_p0_rho0, rho_p, out=p_lin)
     np.multiply(reference.gamma_p0_theta_v0, theta_vp, out=tmp)
@@ -314,8 +311,8 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     du *= reference.neg_inv_rho0
     np.multiply(reference.neg_g_rho0, rho_p, out=tmp)
     dw += tmp
-    if sponge_rw is not None:
-        np.multiply(sponge_rw, w, out=tmp)
+    if reference.sponge_rw is not None:
+        np.multiply(reference.sponge_rw, w, out=tmp)
         dw -= tmp
     dw[mesh.bottom_nodes] = 0.0
     dw[mesh.top_nodes] = 0.0

@@ -4,6 +4,7 @@ import pytest
 from mmfsim.cases import (CASE_IDS, TIERS, BubbleSpec, PerturbationSpec,
                           analytic_sounding, bubble_theta, build_case,
                           perturbation_rng, random_theta_perturbation)
+from mmfsim.dynamics import SpongeConfig, build_reference, sponge_profile
 from mmfsim.errors import ConfigurationError
 
 
@@ -113,7 +114,7 @@ def test_case_tables_desk_squall():
     assert coarse.instances is None
     assert coarse.simulator.kessler is not None
     assert coarse.simulator.filter_strength == 0.01
-    assert coarse.simulator.constants.nu == 200.0
+    assert coarse.simulator.reference.constants.nu == 200.0
 
 
 def test_case_tables_full_squall_fine():
@@ -158,7 +159,7 @@ def test_case_bubble_seeds_initial_state():
 
 def test_case_sponge_and_seed_plumbing():
     case = build_case("squall", tier="mmf", preset="desk", seed=11)
-    cfg = case.simulator.sponge_cfg
+    cfg = case.simulator.reference.sponge
     assert cfg is not None
     assert cfg.z_t == 24e3 and cfg.z_b == 18e3 and cfg.R_max == 0.25
     # the seed reaches the embedded grids' spawn noise, in every instance
@@ -167,6 +168,24 @@ def test_case_sponge_and_seed_plumbing():
     for inst, twin, diff in zip(case.instances, same.instances, other.instances):
         assert np.array_equal(inst.sim.state.theta_vp, twin.sim.state.theta_vp)
         assert not np.array_equal(inst.sim.state.theta_vp, diff.sim.state.theta_vp)
+
+
+def test_reference_holds_sponge_row_and_constants():
+    """build_reference forms the sponge row as the profile broadcast to
+    every node; every embedded grid's reference takes the coarse grid's
+    sponge and its constants object."""
+    case = build_case("squall", tier="mmf", preset="desk")
+    lsp = case.simulator
+    cfg = lsp.reference.sponge
+    assert cfg == SpongeConfig(18e3, 24e3, 0.25)
+    for sim in (lsp, case.instances[0].sim):
+        mesh = sim.mesh
+        want = mesh.field_from_profile(sponge_profile(mesh.coords_1d[-1], cfg))
+        assert sim.reference.sponge_rw.tobytes() == want.tobytes()
+        assert build_reference(sim.sounding, mesh).sponge_rw is None
+    for inst in case.instances:
+        assert inst.sim.reference.sponge == cfg
+        assert inst.sim.reference.constants is lsp.reference.constants
 
 
 def test_case_overrides():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,34 @@ def test_run_rejects_out_of_range_settings(tmp_path, capsys, line):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
     assert "error[config]" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+SOUNDING = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "sounding_idealized.txt")
+
+
+@pytest.mark.parametrize("row, column, value", [
+    (0, 5, "nan"),      # surface pressure
+    (30, 1, "nan"),     # theta at 3000 m
+    (4, 1, "-5"),       # theta at 400 m
+    (4, 2, "-0.5"),     # qv at 400 m
+    (4, 1, "3O1.2"),    # theta at 400 m, not a number
+], ids=["nan_p_surf", "nan_theta", "negative_theta", "negative_qv", "non_numeric_theta"])
+def test_run_rejects_bad_sounding_values(tmp_path, capsys, row, column, value):
+    with open(SOUNDING) as fh:
+        header, *rows = fh.read().splitlines()
+    parts = rows[row].split()
+    parts[column] = value
+    rows[row] = " ".join(parts)
+    snd = tmp_path / "sounding.txt"
+    snd.write_text("\n".join([header] + rows) + "\n")
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.case = squall\nrun.preset = desk\n"
+                              f"run.duration = 4\nrun.sounding = {snd}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "sounding" in err
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -561,7 +561,7 @@ def test_work_buffers_are_one_per_layer(dim):
     snd = isothermal_sounding(z_top=14e3)
     mesh = build_box_mesh((20e3,) * (dim - 1) + (12e3,), (2,) * (dim - 1) + (3,), 3,
                           periodicity=(True,) * (dim - 1))
-    sim = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C), constants=C.with_nu(200.0),
+    sim = Simulator(mesh=mesh, reference=build_reference(snd, mesh, C.with_nu(200.0)),
                     state=PrognosticState.zeros(mesh), filter_strength=0.2,
                     kessler=KesslerParams(), sounding=snd)
     sim.state.theta_vp[:] = 0.5 * np.sin(2.0 * np.pi * mesh.coords[:, 0] / 20e3)

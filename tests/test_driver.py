@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 
@@ -381,24 +380,33 @@ def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsy
     # embedded grid 1 gets a linear operator that returns NaN, so its
     # first implicit solve cannot converge; the failure must name the
     # step, the grid and the substep, and every CSV must be marked
+    # all embedded grids share one mesh and reference, so the grid is
+    # marked by its Simulator, known to L while that simulator steps
     real_build, real_lin = driver.build_case, coupling.linear_operator
-    marked = []
+    real_step = coupling.Simulator.step
+    marked, stepping = [], []
 
     def build(*args, **kwargs):
         setup = real_build(*args, **kwargs)
-        sim = setup.instances[1].sim
-        sim.constants = dataclasses.replace(sim.constants)
-        marked.append(sim.constants)
+        marked.append(setup.instances[1].sim)
         return setup
 
-    def lin(q, reference, mesh, constants=None, **kwargs):
-        out = real_lin(q, reference, mesh, constants, **kwargs)
-        if any(constants is c for c in marked):
+    def step(self, *args, **kwargs):
+        stepping.append(self)
+        try:
+            return real_step(self, *args, **kwargs)
+        finally:
+            stepping.pop()
+
+    def lin(*args, **kwargs):
+        out = real_lin(*args, **kwargs)
+        if any(stepping[-1] is sim for sim in marked):
             # a state, or the array of the rows GMRES iterates on
             (out.data if isinstance(out, PrognosticState) else out)[:] = np.nan
         return out
 
     monkeypatch.setattr(driver, "build_case", build)
+    monkeypatch.setattr(coupling.Simulator, "step", step)
     monkeypatch.setattr(coupling, "linear_operator", lin)
     cfg = run_cfg(tmp_path, mode="mmf", duration=4.0)
     assert run(cfg) == EXIT_NUMERICAL

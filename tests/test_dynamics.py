@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
                              write_sounding)
 from mmfsim.errors import ConfigurationError, StateError
 from mmfsim.grid import build_box_mesh
-from mmfsim.operators import PrognosticState, get_ops, integrate
+from mmfsim.operators import PrognosticState, SemOps, integrate
 
 from conftest import isothermal_sounding
 
@@ -53,12 +55,43 @@ def test_sounding_rejects_disorder():
         snd.__post_init__()
 
 
+def _edited(column, k, value):
+    def edit(snd):
+        col = getattr(snd, column).copy()
+        col[k] = value
+        return {column: col}
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda snd: {"qv": snd.qv[:-1]},
+    _edited("theta", 4, np.nan),
+    _edited("u", 0, np.inf),
+    _edited("z", -1, np.nan),
+    _edited("theta", 4, 0.0),
+    _edited("theta", 4, -5.0),
+    _edited("qv", 4, -0.5),
+    lambda snd: {"p_surf": np.nan},
+    lambda snd: {"p_surf": np.inf},
+    lambda snd: {"p_surf": 0.0},
+    lambda snd: {"p_surf": -1e5},
+], ids=["short_qv", "nan_theta", "inf_u", "nan_z", "zero_theta", "negative_theta",
+        "negative_qv", "nan_p_surf", "inf_p_surf", "zero_p_surf", "negative_p_surf"])
+def test_sounding_rejects_bad_values(edit):
+    snd = isothermal_sounding()
+    with pytest.raises(ConfigurationError, match="sounding"):
+        dataclasses.replace(snd, **edit(snd))
+    # the bounds are theta > 0 and qv >= 0, so dry air passes
+    dataclasses.replace(snd, qv=np.zeros_like(snd.qv))
+
+
 def test_reference_surface_values(small_mesh, small_reference):
     ref = small_reference
-    assert abs(ref.p_surf - 1.0e5) < 1e-9
+    p0_levels = small_mesh.column_view(ref.p0)[0]
+    assert abs(p0_levels[0] - isothermal_sounding().p_surf) < 1e-9
     assert ref.rho0_surf > 1.0
     assert np.all(ref.rho0 > 0.0)
-    assert np.all(np.diff(ref.p0_1d) < 0.0)  # pressure decreases with height
+    assert np.all(np.diff(p0_levels) < 0.0)  # pressure decreases with height
 
 
 def test_reference_eos_consistency(small_reference):
@@ -114,10 +147,10 @@ def test_reference_matches_per_element_oracles(name):
     ne, N, rule = mesh.elem_counts[-1], mesh.orders[-1], mesh.rules[-1]
     h = mesh.extents[-1] / ne
     theta_v, q_v = (mesh.column_view(f)[0] for f in (ref.theta_v0, ref.q_v0))
-    pi = ((ref.p_surf / C.p00) ** (C.R_d / C.c_p)
+    pi = ((sim.sounding.p_surf / C.p00) ** (C.R_d / C.c_p)
           + per_element_legendre_integral(-C.g / (C.c_p * theta_v), ne, N, h, rule))
     p0 = C.p00 * pi ** (C.c_p / C.R_d)
-    assert np.max(np.abs(ref.p0_1d - p0)) <= 1e-14 * np.max(p0)
+    assert np.max(np.abs(mesh.column_view(ref.p0)[0] - p0)) <= 1e-14 * np.max(p0)
     for got, vals in ((ref.dtheta_v0_dz, theta_v), (ref.dq_v0_dz, q_v)):
         want = per_element_weak_ddz(vals, ne, N, h, rule)
         assert np.max(np.abs(mesh.column_view(got) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -144,7 +177,7 @@ def test_rhs_zero_state_is_zero(small_mesh, small_reference):
     """A resting, unperturbed atmosphere must have no tendency at all:
     the reference is discretely balanced, so p' = 0 identically."""
     st = PrognosticState.zeros(small_mesh)
-    rhs = evaluate_rhs(st, small_reference, small_mesh, C)
+    rhs = evaluate_rhs(st, small_reference, small_mesh)
     assert np.max(np.abs(rhs.as_vector())) < 1e-10
 
 
@@ -152,7 +185,7 @@ def test_rhs_buoyancy_direction(small_mesh, small_reference):
     st = PrognosticState.zeros(small_mesh)
     st.rho_p = -1e-3 * np.exp(-((small_mesh.coords[:, 0] - 25e3) / 5e3) ** 2
                               - ((small_mesh.coords[:, 1] - 5e3) / 2e3) ** 2)
-    rhs = evaluate_rhs(st, small_reference, small_mesh, C)
+    rhs = evaluate_rhs(st, small_reference, small_mesh)
     # light air accelerates upward somewhere in the interior
     assert rhs.u[-1].max() > 0.0
     assert np.all(rhs.u[-1][small_mesh.bottom_nodes] == 0.0)
@@ -166,7 +199,7 @@ def test_rhs_mass_tendency_integrates_to_zero(small_mesh, small_reference):
     st.u[1] = rng.standard_normal(small_mesh.npts)
     st.u[1][small_mesh.bottom_nodes] = 0.0
     st.u[1][small_mesh.top_nodes] = 0.0
-    rhs = evaluate_rhs(st, small_reference, small_mesh, C)
+    rhs = evaluate_rhs(st, small_reference, small_mesh)
     total = integrate(small_mesh, rhs.rho_p)
     scale = integrate(small_mesh, np.abs(rhs.rho_p)) + 1.0
     assert abs(total) < 1e-11 * scale
@@ -176,17 +209,17 @@ def test_rhs_rejects_vacuum(small_mesh, small_reference):
     st = PrognosticState.zeros(small_mesh)
     st.rho_p = -2.0 * small_reference.rho0
     with pytest.raises(StateError):
-        evaluate_rhs(st, small_reference, small_mesh, C)
+        evaluate_rhs(st, small_reference, small_mesh)
 
 
 def test_sponge_damps_w(small_mesh, small_reference):
     cfg = SpongeConfig(z_b=18e3, z_t=24e3, R_max=0.25)
-    rw = sponge_profile(small_mesh.coords[:, -1], cfg)
+    sponged = build_reference(isothermal_sounding(), small_mesh, C, sponge=cfg)
     st = PrognosticState.zeros(small_mesh)
     st.u[-1] = np.where(small_mesh.coords[:, -1] > 20e3, 1.0, 0.0)
     st.u[-1][small_mesh.top_nodes] = 0.0
-    plain = evaluate_rhs(st, small_reference, small_mesh, C)
-    damped = evaluate_rhs(st, small_reference, small_mesh, C, sponge_rw=rw)
+    plain = evaluate_rhs(st, small_reference, small_mesh)
+    damped = evaluate_rhs(st, sponged, small_mesh)
     diff = damped.u[-1] - plain.u[-1]
     inside = (small_mesh.coords[:, -1] > 20e3) & (st.u[-1] > 0.0)
     assert np.all(diff[inside] <= 0.0)
@@ -197,7 +230,7 @@ def _rhs_reference(state, reference, mesh, constants, sponge_rw):
     """S(q) as one allocating expression per row, with one batched
     gradient call: the formula the buffered `evaluate_rhs` must
     reproduce bit for bit."""
-    ops, dim, u = get_ops(mesh), mesh.dim, state.u
+    ops, dim, u = SemOps(mesh), mesh.dim, state.u
     rho = reference.rho0 + state.rho_p
     p = equation_of_state(rho, theta_v=reference.theta_v0 + state.theta_vp, constants=constants)
     grads = ops.grad(np.concatenate((state.data[1:], (p - reference.p0)[None, :])))
@@ -245,10 +278,9 @@ RHS_MESHES = {
 
 @pytest.fixture(scope="module", params=sorted(RHS_MESHES))
 def rhs_case(request):
-    """(mesh, reference, two random moist states)."""
+    """(mesh, two random moist states)."""
     extents, elems, orders, periodic = RHS_MESHES[request.param]
     mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
-    ref = build_reference(isothermal_sounding(), mesh, C)
     rng = np.random.default_rng(len(request.param))
     states = []
     for _ in range(2):
@@ -258,30 +290,34 @@ def rhs_case(request):
         st.q_c = 1e-3 * np.abs(st.q_c)
         st.q_r = 1e-3 * np.abs(st.q_r)
         states.append(st)
-    return mesh, ref, states
+    return mesh, states
 
 
 @pytest.mark.parametrize("nu", [0.0, 200.0])
 @pytest.mark.parametrize("sponge", [False, True])
 def test_evaluate_rhs_matches_reference_formula(rhs_case, sponge, nu):
-    mesh, ref, (st, other) = rhs_case
+    mesh, (st, other) = rhs_case
     constants = C.with_nu(nu)
-    rw = None
-    if sponge:
-        rw = sponge_profile(mesh.coords[:, -1], SpongeConfig(18e3, 24e3, 0.25))
+    cfg = SpongeConfig(18e3, 24e3, 0.25) if sponge else None
+    ref = build_reference(isothermal_sounding(), mesh, constants, sponge=cfg)
+    # the oracle's sponge row is the profile on every node, not the reference's
+    rw = sponge_profile(mesh.coords[:, -1], cfg) if sponge else None
     before = st.data.copy()
-    got = evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw)
+    got = evaluate_rhs(st, ref, mesh)
     kept = got.data.copy()
     assert np.array_equal(got.data, _rhs_reference(st, ref, mesh, constants, rw).data)
     assert np.array_equal(st.data, before)
     # a second call, into a new state or a given one, leaves the first alone
-    evaluate_rhs(other, ref, mesh, constants, sponge_rw=rw)
+    evaluate_rhs(other, ref, mesh)
     assert np.array_equal(got.data, kept)
     out = PrognosticState.zeros(mesh)
-    assert evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw, out=out) is out
+    assert evaluate_rhs(st, ref, mesh, out=out) is out
     assert np.array_equal(out.data, kept)
     with pytest.raises(ValueError):
-        evaluate_rhs(st, ref, mesh, constants, sponge_rw=rw, out=st)
+        evaluate_rhs(st, ref, mesh, out=st)
+    # out is keyword-only, so a stale positional argument fails loudly
+    with pytest.raises(TypeError):
+        evaluate_rhs(st, ref, mesh, constants)
 
 
 def test_transfer_function_shape():

@@ -94,7 +94,7 @@ def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference
         return equation_of_state(*args, **kwargs)
 
     monkeypatch.setattr(microphysics, "equation_of_state", counted)
-    out, precip = apply_microphysics(st, ref, small_mesh, 5.0, P, C)
+    out, precip = apply_microphysics(st, ref, small_mesh, 5.0, P)
     assert np.array_equal(out.theta_vp, (ref.theta_v0 + st.theta_vp) - ref.theta_v0)
     assert np.array_equal(out.q_vp, (ref.q_v0 + st.q_vp) - ref.q_v0)
     assert np.all(out.q_c == 0.0) and np.all(out.q_r == 0.0)
@@ -102,7 +102,7 @@ def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference
     assert len(calls) == 1
 
     st.q_c[:] = 1e-4
-    apply_microphysics(st, ref, small_mesh, 5.0, P, C)
+    apply_microphysics(st, ref, small_mesh, 5.0, P)
     assert len(calls) > 3
 
 
@@ -192,7 +192,7 @@ def test_apply_microphysics_leaves_dynamics_alone(small_mesh, small_reference):
     st = PrognosticState.zeros(small_mesh)
     st.u[0] = 3.0
     st.q_vp = np.full(small_mesh.npts, 0.02)  # push well past saturation
-    new, precip = apply_microphysics(st, small_reference, small_mesh, 2.0, P, C)
+    new, precip = apply_microphysics(st, small_reference, small_mesh, 2.0, P)
     assert np.array_equal(new.rho_p, st.rho_p)
     assert np.array_equal(new.u, st.u)
     assert precip.shape == (small_mesh.ncols,)
@@ -208,15 +208,18 @@ def test_apply_microphysics_grid_budget(small_mesh, small_reference):
     st.q_r = 0.001 * rng.random(small_mesh.npts)
     rho = small_reference.rho0
     before = integrate(small_mesh, rho * (small_reference.q_v0 + st.q_vp + st.q_c + st.q_r))
-    new, precip = apply_microphysics(st, small_reference, small_mesh, 2.0, P, C)
+    new, precip = apply_microphysics(st, small_reference, small_mesh, 2.0, P)
     after = integrate(small_mesh, rho * (small_reference.q_v0 + new.q_vp + new.q_c + new.q_r))
     area = np.asarray(small_mesh.lumped_1d[0])
     assert abs(after - before + float(area @ precip)) < 1e-8 * before
     # the same update in place
-    same, precip_same = apply_microphysics(st, small_reference, small_mesh, 2.0, P, C, out=st)
+    same, precip_same = apply_microphysics(st, small_reference, small_mesh, 2.0, P, out=st)
     assert same is st
     assert np.array_equal(st.data, new.data)
     assert np.array_equal(precip_same, precip)
+    # out is keyword-only, so a stale positional argument fails loudly
+    with pytest.raises(TypeError):
+        apply_microphysics(st, small_reference, small_mesh, 2.0, P, C)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def test_apply_microphysics_matches_column_major_oracle(dim, cloudy, target):
     assert not cloudy or (np.any(want_precip > 0.0) and np.any(want.q_c > 0.0))
     out = {"new": None, "state": st,
            "other": PrognosticState.from_vector(np.full(st.data.size, np.nan), mesh.dim)}[target]
-    got, precip = apply_microphysics(st, ref, mesh, 30.0, P, C, out=out)
+    got, precip = apply_microphysics(st, ref, mesh, 30.0, P, out=out)
     assert out is None or got is out
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(precip, want_precip)
@@ -389,11 +392,11 @@ def test_warm_in_place_update_allocates_less_than_a_field():
     mesh = build_box_mesh((8e3, 24e3), (10, 30), (4, 4), periodicity=(True,))
     ref = build_reference(isothermal_sounding(), mesh, C)
     st = moist_state(mesh, cloudy=True, seed=7)
-    apply_microphysics(st, ref, mesh, 2.0, P, C, out=st)
+    apply_microphysics(st, ref, mesh, 2.0, P, out=st)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        apply_microphysics(st, ref, mesh, 2.0, P, C, out=st)
+        apply_microphysics(st, ref, mesh, 2.0, P, out=st)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

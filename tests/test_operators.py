@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from mmfsim import operators
 from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
 from mmfsim.grid import DENSE_X_MAX, build_box_mesh, dss_sum, scatter_to_elements
-from mmfsim.operators import PrognosticState, _csr_times_dense, build_mass, get_ops, integrate
+from mmfsim.operators import PrognosticState, SemOps, _csr_times_dense, build_mass, integrate
 
 
 def test_mass_totals_domain_measure(unit_mesh_2d, unit_mesh_3d):
@@ -37,7 +37,7 @@ def test_weak_gradient_exact_on_polynomials(unit_mesh_2d):
     mesh = unit_mesh_2d
     x, z = mesh.coords[:, 0], mesh.coords[:, 1]
     f = x ** 3 * z ** 2 + 2.0 * z - x
-    g = get_ops(mesh).grad(f)
+    g = SemOps(mesh).grad(f)
     assert np.max(np.abs(g[0] - (3.0 * x ** 2 * z ** 2 - 1.0))) < 1e-11
     assert np.max(np.abs(g[1] - (2.0 * x ** 3 * z + 2.0))) < 1e-11
 
@@ -46,7 +46,7 @@ def test_weak_gradient_3d(unit_mesh_3d):
     mesh = unit_mesh_3d
     x, y, z = mesh.coords.T
     f = x * y + y * z ** 2 + x ** 2
-    g = get_ops(mesh).grad(f)
+    g = SemOps(mesh).grad(f)
     assert np.max(np.abs(g[0] - (y + 2.0 * x))) < 1e-11
     assert np.max(np.abs(g[1] - (x + z ** 2))) < 1e-11
     assert np.max(np.abs(g[2] - 2.0 * y * z)) < 1e-11
@@ -56,12 +56,12 @@ def test_weak_divergence_of_linear_field(unit_mesh_2d):
     mesh = unit_mesh_2d
     x, z = mesh.coords[:, 0], mesh.coords[:, 1]
     vec = np.stack([3.0 * x + z, -2.0 * z])
-    d = get_ops(mesh).div(vec)
+    d = SemOps(mesh).div(vec)
     assert np.max(np.abs(d - 1.0)) < 1e-12
 
 
 def test_gradient_of_constant_vanishes(small_mesh):
-    g = get_ops(small_mesh).grad(np.full(small_mesh.npts, 7.25))
+    g = SemOps(small_mesh).grad(np.full(small_mesh.npts, 7.25))
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_laplacian_symmetric_negative(unit_mesh_2d):
     rng = np.random.default_rng(11)
     f = rng.standard_normal(mesh.npts)
     g = rng.standard_normal(mesh.npts)
-    lap = get_ops(mesh).laplacian
+    lap = SemOps(mesh).laplacian
     lhs = float((mass * lap(f)) @ g)
     rhs = float((mass * lap(g)) @ f)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -82,13 +82,13 @@ def test_laplacian_symmetric_negative(unit_mesh_2d):
 
 
 def test_laplacian_kills_constants(small_mesh):
-    lap = get_ops(small_mesh).laplacian(np.ones(small_mesh.npts))
+    lap = SemOps(small_mesh).laplacian(np.ones(small_mesh.npts))
     assert np.max(np.abs(lap)) < 1e-10
 
 
 def test_diffusion_scales_linearly(small_mesh):
     f = np.sin(2.0 * np.pi * small_mesh.coords[:, 0] / 50e3)
-    lap = get_ops(small_mesh).laplacian
+    lap = SemOps(small_mesh).laplacian
     assert np.allclose(lap(200.0 * f), 200.0 * lap(f))
 
 
@@ -96,9 +96,9 @@ def test_batched_gradient_matches_single(unit_mesh_2d):
     mesh = unit_mesh_2d
     rng = np.random.default_rng(4)
     fields = rng.standard_normal((3, mesh.npts))
-    batched = get_ops(mesh).grad(fields)
+    batched = SemOps(mesh).grad(fields)
     for i in range(3):
-        single = get_ops(mesh).grad(fields[i])
+        single = SemOps(mesh).grad(fields[i])
         assert np.max(np.abs(batched[i] - single)) < 1e-13
 
 
@@ -197,7 +197,7 @@ def test_1d_operators_match_element_assembly(mesh_name, request):
     else:
         mesh = request.getfixturevalue(mesh_name)
     grad, div, laplacian, modal_filter = _element_reference(mesh, 0.3)
-    ops = get_ops(mesh)
+    ops = SemOps(mesh)
     f = np.random.default_rng(8).standard_normal((2, mesh.npts))
     vec = np.random.default_rng(9).standard_normal((mesh.dim, mesh.npts))
     stacked_grad = ops.grad(f)
@@ -229,7 +229,7 @@ def _along_oracle(mesh, A, f, d):
     `A @ x` where it runs CSR, and its own result into a new array from
     contiguous rows where it runs the dense x product."""
     if d == 0 and mesh.npts_1d[0] <= DENSE_X_MAX:
-        return get_ops(mesh).along(A, np.ascontiguousarray(f), d)
+        return SemOps(mesh).along(A, np.ascontiguousarray(f), d)
     return _along_reference(mesh, A, f, d)
 
 
@@ -249,7 +249,7 @@ def out_mesh(request):
 @pytest.mark.parametrize("nf", [1, 2, 7])
 def test_operators_write_out_bit_for_bit(out_mesh, nf):
     mesh = out_mesh
-    ops = get_ops(mesh)
+    ops = SemOps(mesh)
     f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))
     before = f.copy()
     mats = {"derivative": mesh.weak_derivative_1d, "laplacian": mesh.weak_laplacian_1d,
@@ -309,7 +309,7 @@ def test_along_never_writes_into_a_copy_of_out(out_mesh):
     allows and refused when it does not, so a product never lands in a
     copy that the caller cannot see."""
     mesh = out_mesh
-    ops = get_ops(mesh)
+    ops = SemOps(mesh)
     f = np.random.default_rng(4).standard_normal((2, 2, mesh.npts))
     for d, D in enumerate(mesh.weak_derivative_1d):
         expect = ops.along(D, f.reshape(4, -1), d).reshape(f.shape)
@@ -355,7 +355,7 @@ def test_dense_x_product_matches_csr(name, monkeypatch):
     public `A @ x` to rounding, per field row."""
     extents, elems, order, periodic = DENSE_MESHES[name]
     mesh = build_box_mesh(extents, elems, order, periodicity=periodic)
-    ops = get_ops(mesh)
+    ops = SemOps(mesh)
     calls = []
     monkeypatch.setattr(operators, "dgemm", lambda *a, _f=operators.dgemm, **k:
                         calls.append("dense") or _f(*a, **k))
@@ -392,11 +392,11 @@ def test_dense_x_product_independent_of_blas_threads():
     script = (
         "import sys, numpy as np\n"
         "from mmfsim.grid import build_box_mesh\n"
-        "from mmfsim.operators import get_ops\n"
+        "from mmfsim.operators import SemOps\n"
         "mesh = build_box_mesh((20e3, 24e3), (10, 30), 4, periodicity=(True,))\n"
         "for nf in (2, 6):\n"
         "    f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))\n"
-        "    out = get_ops(mesh).along(mesh.weak_derivative_1d[0], f, 0)\n"
+        "    out = SemOps(mesh).along(mesh.weak_derivative_1d[0], f, 0)\n"
         "    sys.stdout.buffer.write(out.tobytes())\n")
     src = os.path.dirname(os.path.dirname(operators.__file__))
     outputs = []

@@ -10,7 +10,7 @@ from mmfsim.cases import build_case
 from mmfsim.dynamics import DEFAULT_CONSTANTS, SpongeConfig, build_reference, sponge_profile
 from mmfsim.errors import ConfigurationError, SolverError
 from mmfsim.grid import WorkBuffers, build_box_mesh
-from mmfsim.operators import PrognosticState, get_ops
+from mmfsim.operators import PrognosticState, SemOps
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
                             solve_implicit, stability_function, step_ark2)
@@ -447,14 +447,13 @@ def test_linear_operator_moisture_rows():
     rng = np.random.default_rng(12)
     for extents, elems, orders, periodic in OPERATOR_MESHES.values():
         mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
-        ref = build_reference(snd, mesh, DEFAULT_CONSTANTS)
+        ref = build_reference(snd, mesh, DEFAULT_CONSTANTS,
+                              SpongeConfig(extents[-1] - 6e3, extents[-1], 0.25))
         assert np.any(ref.dq_v0_dz != 0.0)
-        rw = sponge_profile(mesh.coords[:, -1],
-                            SpongeConfig(extents[-1] - 6e3, extents[-1], 0.25))
         nc = 2 + mesh.dim
         q = PrognosticState.from_vector(rng.standard_normal((5 + mesh.dim) * mesh.npts),
                                         mesh.dim)
-        L = linear_operator(q, ref, mesh, sponge_rw=rw)
+        L = linear_operator(q, ref, mesh)
         assert np.array_equal(L.q_vp, -q.u[-1] * ref.dq_v0_dz)
         assert np.all(L.q_c == 0.0)
         assert np.all(L.q_r == 0.0)
@@ -463,11 +462,11 @@ def test_linear_operator_moisture_rows():
         for fill in (rng.standard_normal((3, mesh.npts)), np.nan):
             other = q.copy()
             other.data[nc:] = fill
-            assert np.array_equal(linear_operator(other, ref, mesh, sponge_rw=rw).data[:nc],
+            assert np.array_equal(linear_operator(other, ref, mesh).data[:nc],
                                   L.data[:nc])
         # the coupled rows alone give the coupled rows of L, and only those
         out = np.full((nc, mesh.npts), np.nan)
-        assert linear_operator(q.data[:nc].copy(), ref, mesh, sponge_rw=rw, out=out) is out
+        assert linear_operator(q.data[:nc].copy(), ref, mesh, out=out) is out
         assert np.array_equal(out, L.data[:nc])
 
 
@@ -475,15 +474,15 @@ def test_linear_operator_moisture_rows():
                 params=[(m, s) for m in OPERATOR_MESHES for s in (False, True)],
                 ids=lambda p: f"{p[0]}-{'sponge' if p[1] else 'nosponge'}")
 def operator_case(request):
-    """(mesh, reference, sponge_rw or None, random increment)."""
+    """(mesh, reference with or without a sponge, the sponge profile on
+    every node or None, random increment)."""
     name, sponge = request.param
     extents, elems, orders, periodic = OPERATOR_MESHES[name]
     mesh = build_box_mesh(extents, elems, orders, periodicity=periodic)
-    ref = build_reference(isothermal_sounding(), mesh, DEFAULT_CONSTANTS)
-    rw = None
-    if sponge:
-        z_top = extents[-1]
-        rw = sponge_profile(mesh.coords[:, -1], SpongeConfig(z_top - 6e3, z_top, 0.25))
+    z_top = extents[-1]
+    cfg = SpongeConfig(z_top - 6e3, z_top, 0.25) if sponge else None
+    ref = build_reference(isothermal_sounding(), mesh, DEFAULT_CONSTANTS, sponge=cfg)
+    rw = sponge_profile(mesh.coords[:, -1], cfg) if sponge else None
     rng = np.random.default_rng(len(name) + 10 * sponge)
     q = PrognosticState.from_vector(rng.standard_normal((5 + mesh.dim) * mesh.npts), mesh.dim)
     return mesh, ref, rw, q
@@ -495,7 +494,7 @@ def _separate_calls_operator(q, ref, mesh, sponge_rw):
     expressions it must reproduce bit for bit. Negating the summed
     divergence equals subtracting each direction's term from the first
     one's negation, bit for bit."""
-    ops, rho0 = get_ops(mesh), ref.rho0
+    ops, rho0 = SemOps(mesh), ref.rho0
     p_lin = ref.gamma_p0_rho0 * q.rho_p + ref.gamma_p0_theta_v0 * q.theta_vp
     d_rho = -ops.div(rho0 * q.u)
     du = ops.grad(p_lin) * ref.neg_inv_rho0
@@ -537,10 +536,10 @@ def _assembled_operator(ref, mesh, sponge_rw):
 
 def test_linear_operator_matches_separate_calls_bit_for_bit(operator_case):
     mesh, ref, rw, q = operator_case
-    got = linear_operator(q, ref, mesh, sponge_rw=rw)
+    got = linear_operator(q, ref, mesh)
     assert np.array_equal(got.data, _separate_calls_operator(q, ref, mesh, rw).data)
     out = PrognosticState.zeros(mesh)
-    assert linear_operator(q, ref, mesh, sponge_rw=rw, out=out) is out
+    assert linear_operator(q, ref, mesh, out=out) is out
     assert np.array_equal(out.data, got.data)
 
 
@@ -569,18 +568,18 @@ def test_linear_operator_rejects_constants_unlike_the_reference(operator_case):
     fail loudly; nu does not enter L."""
     mesh, ref, rw, q = operator_case
     C = DEFAULT_CONSTANTS
-    expect = linear_operator(q, ref, mesh, C, sponge_rw=rw).data
-    got = linear_operator(q, ref, mesh, C.with_nu(150.0), sponge_rw=rw).data
-    assert np.array_equal(got, expect)
+    expect = linear_operator(q, ref, mesh).data
+    for same in (C, C.with_nu(150.0)):
+        assert np.array_equal(linear_operator(q, ref, mesh, same).data, expect)
     for other in (dataclasses.replace(C, g=9.8), dataclasses.replace(C, c_p=1005.0),
                   dataclasses.replace(C, R_d=287.05)):
         with pytest.raises(ConfigurationError, match="c_p, c_v or g"):
-            linear_operator(q, ref, mesh, other, sponge_rw=rw)
+            linear_operator(q, ref, mesh, other)
 
 
 def test_linear_operator_matches_assembled_matrix(operator_case):
     mesh, ref, rw, q = operator_case
-    got = linear_operator(q, ref, mesh, sponge_rw=rw).data
+    got = linear_operator(q, ref, mesh).data
     expect = (_assembled_operator(ref, mesh, rw) @ q.as_vector()).reshape(got.shape)
     for row_got, row_expect in zip(got, expect):
         scale = np.max(np.abs(row_expect))
@@ -593,6 +592,6 @@ def test_linear_operator_matches_assembled_matrix(operator_case):
 def test_linear_operator_leaves_its_input_alone(operator_case):
     mesh, ref, rw, q = operator_case
     before = q.data.copy()
-    got = linear_operator(q, ref, mesh, sponge_rw=rw)
+    got = linear_operator(q, ref, mesh)
     assert not np.shares_memory(got.data, q.data)
     assert np.array_equal(q.data, before)
