@@ -460,6 +460,22 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
         vals += [residual_max.get(v, 0.0) for v in COUPLED_VARS]
         diag_csv.row(",".join(_fmt(v) for v in vals))
 
+    # one "%" template of a step's residual rows per block shape
+    # ((instance, variable, levels) per block), which is fixed in a run
+    resid_templates = {}
+
+    def record_resid(t, diag):
+        shape = tuple((i, v, resid.size) for i, v, resid, _ in diag)
+        template = resid_templates.get(shape)
+        if template is None:
+            template = resid_templates[shape] = "\n".join(
+                f"%.17e,{i},{v},{lev},%.17e,%.17e" for i, v, n in shape for lev in range(n))
+        cols = np.empty((3, sum(n for _, _, n in shape)))
+        cols[0] = t
+        np.concatenate([resid for _, _, resid, _ in diag], out=cols[1])
+        np.concatenate([absq for _, _, _, absq in diag], out=cols[2])
+        resid_csv.row(template % tuple(cols.T.ravel().tolist()))
+
     def record_precip(t):
         for key in sorted(accum):
             vals = accum[key]
@@ -478,12 +494,11 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
             except (SolverError, StateError) as exc:
                 raise exc.prefixed(f"step {k}") from exc
             residual_max = {}
-            for inst_idx, var, resid, absq in diag:
+            for _, var, resid, _ in diag:
                 residual_max[var] = max(residual_max.get(var, 0.0),
                                         float(np.max(resid)))
-                for lev in range(resid.size):
-                    resid_csv.row(f"{_fmt(t)},{inst_idx},{var},{lev},"
-                                  f"{_fmt(resid[lev])},{_fmt(absq[lev])}")
+            if diag:
+                record_resid(t, diag)
             for key, pr in precip.items():
                 accum[key] += pr
             t = k * dt

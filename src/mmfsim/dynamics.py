@@ -166,7 +166,7 @@ def exner_function(p, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
 @dataclass(frozen=True)
 class SpongeConfig:
     z_b: float    # m, bottom of the damping layer
-    z_t: float    # m, model top
+    z_t: float    # m, top of the ramp (the model top in the cases)
     R_max: float  # 1/s
 
     def __post_init__(self):
@@ -175,9 +175,13 @@ class SpongeConfig:
 
 
 def sponge_profile(z, cfg: SpongeConfig):
-    """R_w(z) = R_max sin^2((pi/2)(z - z_b)/(z_t - z_b)), zero below z_b."""
+    """R_w(z) = R_max sin^2((pi/2)(z - z_b)/(z_t - z_b)), zero below z_b
+    and held at R_max above z_t."""
     z = np.asarray(z, dtype=float)
-    s = np.sin(0.5 * np.pi * (z - cfg.z_b) / (cfg.z_t - cfg.z_b)) ** 2
+    # the phase is clipped at pi/2, not the ratio at 1, so that below z_t
+    # the rounding is that of the unclipped formula
+    phase = 0.5 * np.pi * (z - cfg.z_b) / (cfg.z_t - cfg.z_b)
+    s = np.sin(np.minimum(phase, 0.5 * np.pi)) ** 2
     return np.where(z <= cfg.z_b, 0.0, cfg.R_max * s)
 
 

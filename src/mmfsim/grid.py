@@ -15,9 +15,9 @@ and the mass is lumped, every assembled operator (weak derivative, weak
 Laplacian, projected modal filter) factors into one assembled 1D matrix
 per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
-with the mesh, as CSR and, on an x axis of at most `DENSE_X_MAX` points,
-also dense: x runs fastest, so there a field stack is a matrix that one
-BLAS product multiplies where it lies, which on short axes beats the
+with the mesh, as CSR and, on an axis of at most `DENSE_MAX` points,
+also dense: a field stack is then a matrix (x) or a stack of blocks (y,
+z) that BLAS multiplies where it lies, which on short axes beats the
 sparse product. The mesh alone knows the field layout (`column_view`,
 `field_from_profile`, the boundary levels) and owns the stepping hot
 path's work buffers (`Mesh.work`), one per layer of the step: that
@@ -108,13 +108,21 @@ def build_lgl_rule(N: int) -> LglRule:
 
 _FILTER_ORDER = 12
 
-# x axes of at most this many points apply their 1D operators as one dense
-# matrix product (`SemOps.along`). Per point the dense product costs O(n)
+# axes of at most this many points apply their 1D operators as dense
+# matrix products (`SemOps.along`). Per point the dense product costs O(n)
 # and CSR O(stencil width), but dense runs at BLAS speed and needs no
-# transposed copies; measured at 121 levels on one BLAS thread, dense is
-# 1.8-5x faster up to 64 points, within 1.6x either way at 80-128 and
-# about 2x slower at 252
-DENSE_X_MAX = 64
+# transposed copies; measured along x at 121 levels on one BLAS thread,
+# dense is 1.8-5x faster up to 64 points, within 1.6x either way at 80-128
+# and about 2x slower at 252
+DENSE_MAX = 64
+
+# y and z products go through numpy's matmul, whose OpenBLAS has its own
+# thread pool, not scipy's (see `timeint`); one gemm per (n, stride) block,
+# so a block of n * n * stride multiply-adds at most this many stays under
+# OpenBLAS's single-thread bound for gemm (m n k <= 65536 * 4) and never
+# wakes numpy's pool. At two BLAS threads a 60 x 40 x 49 coarse step took
+# 1.0-1.2 s with its 49 x 49 x 2400 z blocks dense, 0.4-0.5 s on CSR
+DENSE_BLOCK_MAX = 2 ** 18
 
 
 def boyd_vandeven_transfer(eta):
@@ -255,8 +263,9 @@ class Mesh:
         `local` is the (N+1, N+1) element matrix, already weighted by the
         element's quadrature masses h/2 w; duplicates at shared (and
         periodically wrapped) nodes are summed in a fixed order. The
-        matrix's `dense` attribute is its dense form on x axes of at most
-        `DENSE_X_MAX` points, else None.
+        matrix's `dense` attribute is its dense form on axes of at most
+        `DENSE_MAX` points (y and z: also within `DENSE_BLOCK_MAX`), else
+        None.
         """
         N = self.orders[d]
         g, n = _index_1d(self.elem_counts[d], N, (self.periodic + (False,))[d])
@@ -265,9 +274,11 @@ class Mesh:
         vals = np.tile(local.ravel(), g.shape[0])
         A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         A.data *= np.repeat(1.0 / self.lumped_1d[d], np.diff(A.indptr))
-        # Fortran order is what `SemOps.along`'s dgemm takes without a
+        # Fortran order is what `SemOps.along`'s x dgemm takes without a
         # copy; at most 64^2 * 8 B = 32 KB per matrix
-        A.dense = np.asfortranarray(A.toarray()) if d == 0 and n <= DENSE_X_MAX else None
+        stride = math.prod(self.npts_1d[:d])
+        short = n <= DENSE_MAX and (d == 0 or n * n * stride <= DENSE_BLOCK_MAX)
+        A.dense = np.asfortranarray(A.toarray()) if short else None
         return A
 
     def _elem_weights(self, d: int) -> np.ndarray:
@@ -309,9 +320,9 @@ class Mesh:
         `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler), "operator"
         (SemOps.div/laplacian/tensor, linear_operator's stacked pair), the
         stepper's tendency, stage vectors and Krylov basis, and "along"
-        (SemOps.along's transposed copies for the CSR product along y or
-        an x axis over `DENSE_X_MAX` points; a short x axis multiplies in
-        place and z needs no copy, so a 2D mesh with a short x has none)."""
+        (SemOps.along's transposed copies for the CSR product along an x
+        or y axis without a dense form; dense axes and z multiply in
+        place, so a mesh whose x and y are dense has none)."""
         return WorkBuffers()
 
     def modal_filter_1d(self, strength: float) -> tuple:

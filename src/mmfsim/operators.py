@@ -3,13 +3,15 @@
 On the structured affine meshes every weak operator factors into one
 assembled 1D matrix per direction (see `Mesh.weak_derivative_1d`,
 `Mesh.weak_laplacian_1d`, `Mesh.modal_filter_1d`); `SemOps` applies
-those matrices along the grid axes. x runs fastest in a field, so on an
-x axis of at most 64 points (`grid.DENSE_X_MAX`) a field stack is one
-Fortran-ordered matrix that a single BLAS dgemm multiplies by the
-matrix's dense form where it lies, about 2-3x faster than the sparse
-product there; z is multiplied where it lies by the CSR kernel, and
-longer x axes and y by the CSR kernel on transposed copies, where a
-dense product would cost more than the stencil.
+those matrices along the grid axes. On an axis of at most 64 points
+(`grid.DENSE_MAX`) the matrix's dense form multiplies a field stack
+where it lies, about 2-3x faster than the sparse product there: x runs
+fastest, so a stack is one Fortran-ordered matrix for a single scipy
+dgemm, and along y or z it is a stack of row-major (n, stride) blocks
+for one numpy matmul, small enough to stay on one BLAS thread
+(`grid.DENSE_BLOCK_MAX`). Longer axes take the CSR kernel: z where it
+lies, x and y on transposed copies, where a dense product would cost
+more than the stencil.
 
 The weak gradient/divergence are the collocation derivatives projected
 back onto the continuous space; the Laplacian is the usual
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy's BLAS, not numpy's: the solver's vector operations use it too,
 # and the two libraries' thread pools must not alternate (see timeint)
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import ddot, dgemm
 # the CSR times dense kernel behind `A @ x`, called directly so that it
 # writes into a caller's array; tests pin it to `A @ x` bit for bit
 from scipy.sparse._sparsetools import csr_matvecs
@@ -36,6 +38,7 @@ __all__ = [
     "DiagonalMass",
     "build_mass",
     "integrate",
+    "fixed_order_dot",
     "SemOps",
 ]
 
@@ -138,13 +141,14 @@ class SemOps:
         f is (npts,) or (nf, npts), and so is `out`, whose rows may be
         strided (a slice of a larger stack). The product takes one of
         three forms, by where the axis lies in memory:
-        - x on a short axis (A has a `dense` form, see `Mesh._assemble_1d`):
-          x runs fastest, so a field is a Fortran (n, lines) matrix that
-          one BLAS dgemm multiplies by dense A where it lies, one call
-          per stack (per row when `out`'s rows are strided);
-        - z: each field is an (n, stride) row-major block that the CSR
-          kernel multiplies where it lies, one call per row;
-        - a long x axis, and y: the CSR kernel on a copy with the axis
+        - a short axis (A has a `dense` form, see `Mesh._assemble_1d`),
+          multiplied by dense A where it lies. Along x a field is a
+          Fortran (n, lines) matrix for one scipy dgemm per stack (per
+          row when `out`'s rows are strided); along y or z it is a stack
+          of row-major (n, stride) blocks for one numpy matmul;
+        - z on a long axis: each field is an (n, stride) row-major block
+          that the CSR kernel multiplies where it lies, one call per row;
+        - x and y on a long axis: the CSR kernel on a copy with the axis
           brought to the front, through the "along" work buffer.
         """
         if out is None:
@@ -152,27 +156,33 @@ class SemOps:
         npts = f.shape[-1]
         n = A.shape[0]
         dense = getattr(A, "dense", None)
-        if dense is not None:
+        if dense is not None and d == 0:
             pairs = (((f, out),) if out.flags.c_contiguous else
                      zip(f.reshape(-1, npts), _rows_of(out)))
             for x, y in pairs:
-                res = dgemm(1.0, dense, x.reshape(-1, n).T, beta=0.0,
-                            c=y.reshape(-1, n).T, overwrite_c=1)
-                # f2py copies a `c` that is not Fortran-contiguous float64
-                if not np.may_share_memory(res, y):
+                c = y.reshape(-1, n).T
+                # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: f2py
+                # parses keywords about 0.7 us slower. It returns `c` itself
+                # unless it had to copy one not Fortran-contiguous float64
+                if dgemm(1.0, dense, x.reshape(-1, n).T, 0.0, c, 0, 0, 1) is not c:
                     raise RuntimeError("along: dgemm did not write into out")
             return out
-        rows, out_rows = f.reshape(-1, npts), _rows_of(out)
         stride = math.prod(self.mesh.npts_1d[:d])
+        # (rows, lines, n, stride) views: splitting the point axis never
+        # copies, so what is written through them reaches `out`
+        blocks = (-1, npts // (n * stride), n, stride)
+        out_rows = _rows_of(out)
+        if dense is not None:
+            np.matmul(dense, f.reshape(blocks), out=out_rows.reshape(blocks))
+            return out
+        rows = f.reshape(-1, npts)
         if d == self.dim - 1:
             # z runs slowest, so each field already is an (n, stride)
             # row-major block that A multiplies where it lies
             for row, out_row in zip(rows, out_rows):
                 _csr_times_dense(A, row, out_row)
             return out
-        # bring direction d to the front through two transposed copies;
-        # splitting the point axis never copies, so the writes reach `out`
-        blocks = (rows.shape[0], npts // (n * stride), n, stride)
+        # bring direction d to the front through two transposed copies
         src = rows.reshape(blocks).transpose(2, 0, 1, 3)
         x, y = self.mesh.work.array("along", (2,) + src.shape)
         np.copyto(x, src)
@@ -247,6 +257,23 @@ def build_mass(mesh: Mesh) -> DiagonalMass:
     return DiagonalMass(entries=mesh.mass.copy())
 
 
+# OpenBLAS's ddot splits a vector over its threads above 10,000 elements,
+# which changes the order of the sum with the thread count; chunks of this
+# size run on one thread wherever they run
+_DOT_CHUNK = 8192
+
+
+def fixed_order_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat vectors, as BLAS ddot sums over `_DOT_CHUNK`
+    chunks added in order: the same bits at any BLAS thread count."""
+    if a.size <= _DOT_CHUNK:
+        return ddot(a, b)
+    total = 0.0
+    for i in range(0, a.size, _DOT_CHUNK):
+        total += ddot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK])
+    return total
+
+
 def integrate(mesh: Mesh, nodal_field: np.ndarray) -> float:
     """Quadrature of a nodal field over the domain, sum_e sum_q w J f."""
-    return float(np.dot(mesh.mass, nodal_field))
+    return fixed_order_dot(mesh.mass, nodal_field)

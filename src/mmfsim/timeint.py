@@ -19,6 +19,8 @@ granularity, so it is frozen across stages).
 The vector arithmetic works in place: Gram-Schmidt updates and stage
 sums are BLAS axpy calls on buffers this module owns, so an Arnoldi
 iteration allocates nothing of state size but its operator's result.
+Dot products sum fixed chunks in order (`operators.fixed_order_dot`),
+so the iterates do not depend on the BLAS thread count.
 The stage vectors and the Krylov basis are named buffers of a
 `WorkBuffers` store (a mesh's, when the caller passes one), so
 repeated steps reuse them. Results that a GMRES operator returns are
@@ -36,12 +38,12 @@ import numpy as np
 # solver's vector operations all go through scipy's, because alternating
 # between the two pools leaves one pool's threads spinning against the
 # other's and made multithreaded runs about ten times slower
-from scipy.linalg.blas import daxpy, ddot, dgemv
+from scipy.linalg.blas import daxpy, dgemv
 
 from .dynamics import PhysConstants
 from .errors import ConfigurationError, SolverError
 from .grid import Mesh, WorkBuffers
-from .operators import PrognosticState, SemOps
+from .operators import PrognosticState, SemOps, fixed_order_dot
 
 __all__ = [
     "Ark2Tableau",
@@ -177,7 +179,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         raise ValueError("gmres_solve: out must be a contiguous float64 array apart from b")
     x = out
     x.fill(0.0)
-    bnorm = math.sqrt(ddot(b, b))
+    bnorm = math.sqrt(fixed_order_dot(b, b))
     if bnorm == 0.0:
         return x
     target = config.tol * bnorm
@@ -193,7 +195,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     resnorm = bnorm
     while matvecs < config.maxiter:
         r = residual() if matvecs else b
-        resnorm = math.sqrt(ddot(r, r))
+        resnorm = math.sqrt(fixed_order_dot(r, r))
         if resnorm <= target:
             return x
         m = min(config.restart, config.maxiter - matvecs)
@@ -210,9 +212,9 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             w = _owned(apply_A(V[k]), V)
             matvecs += 1
             for j in range(k + 1):
-                H[j, k] = ddot(V[j], w)
+                H[j, k] = fixed_order_dot(V[j], w)
                 daxpy(V[j], w, a=-H[j, k])
-            H[k + 1, k] = math.sqrt(ddot(w, w))
+            H[k + 1, k] = math.sqrt(fixed_order_dot(w, w))
             # previously accumulated Givens rotations
             for j in range(k):
                 t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
@@ -235,7 +237,7 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         if resnorm <= target:
             # trust but verify: the rotated-residual estimate can drift
             r = residual()
-            true_res = math.sqrt(ddot(r, r))
+            true_res = math.sqrt(fixed_order_dot(r, r))
             if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
                 return x
             resnorm = true_res

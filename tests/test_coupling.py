@@ -25,9 +25,10 @@ C = DEFAULT_CONSTANTS
 
 # the work buffers of a step, one per layer (see `WorkBuffers`), by
 # dimension: "along" holds the CSR product's transposed copies, so it
-# exists only where a y axis or an x axis longer than 64 points does
+# exists only where an x or y axis without a dense form does, and these
+# meshes' short x and y axes have one
 WORK_BUFFERS = {dim: ("Simulator.step.tendency", "step_ark2.stages", "gmres_solve.basis",
-                      "kernel", "operator") + ("along",) * (dim == 3) for dim in (2, 3)}
+                      "kernel", "operator") for dim in (2, 3)}
 
 
 def column_nodes(n_elem, order, height):

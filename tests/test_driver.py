@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -417,3 +419,60 @@ def test_embedded_solve_failure_names_grid_and_step(tmp_path, monkeypatch, capsy
         last = (out / name).read_text().splitlines()[-1]
         assert last.startswith(
             "# truncated: step 1: embedded grid 1, substep 1: dynamics: GMRES")
+
+
+@pytest.mark.parametrize("mode, tier, duration", [("mmf", "coarse", 10.0),
+                                                  ("standard", "fine", 2.0)])
+def test_outputs_independent_of_blas_threads(tmp_path, mode, tier, duration):
+    """A desk squall run writes the same bytes on one BLAS/OpenMP thread
+    and two: the solver's dot products sum fixed chunks in order, and the
+    dense 1D products stay on one thread (on one CPU type; another's SIMD
+    kernels may round differently)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"run.mode = {mode}\nrun.case = squall\nrun.preset = desk\n"
+                   f"run.tier = {tier}\nrun.duration = {duration}\n")
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "mmfsim.cli", "run", "--config", str(cfg),
+                        "--output-dir", str(out)], env=env, check=True, timeout=300)
+        outputs.append({name: (out / name).read_bytes() for name in
+                        ("snapshot_final.dat", "diagnostics.csv", "precip.csv")
+                        + ("coupling_residuals.csv",) * (mode == "mmf")})
+    assert outputs[0] == outputs[1]
+
+
+def _old_residual_rows(steps):
+    """The residual writer that formatted one row at a time, as a
+    reference for the template one: (t, diagnostics) per step."""
+    lines = []
+    for t, diag in steps:
+        for inst_idx, var, resid, absq in diag:
+            for lev in range(resid.size):
+                lines.append(f"{driver._fmt(t)},{inst_idx},{var},{lev},"
+                             f"{driver._fmt(resid[lev])},{driver._fmt(absq[lev])}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("case", ["squall", "supercell"])
+def test_residual_rows_match_per_row_writer(tmp_path, monkeypatch, case):
+    """coupling_residuals.csv holds the bytes the per-row writer gave for
+    the same coupling diagnostics, step for step."""
+    steps = []
+
+    def recorded(lsp, instances, dt, **kwargs):
+        diag, precip = mmf_step(lsp, instances, dt, **kwargs)
+        steps.append((len(steps) * dt, [(i, v, r.copy(), a.copy()) for i, v, r, a in diag]))
+        return diag, precip
+
+    mmf_step = driver.mmf_step
+    monkeypatch.setattr(driver, "mmf_step", recorded)
+    cfg = run_cfg(tmp_path, mode="mmf", case=case, duration=4.0)
+    assert run(cfg) == EXIT_OK
+    assert len(steps) == 2 and len(steps[0][1]) > 1
+    text = (tmp_path / "out" / "coupling_residuals.csv").read_text()
+    assert text == ("time,instance,variable,level,abs_residual,abs_q\n"
+                    + _old_residual_rows(steps))

@@ -166,6 +166,19 @@ def test_sponge_profile_endpoints():
     assert abs(rw[3] - 0.25) < 1e-15
 
 
+def test_sponge_profile_holds_r_max_above_z_t():
+    """A ramp that ends below the model top damps at R_max from z_t up,
+    not in bands; below z_t the profile is the sine ramp unchanged."""
+    cfg = SpongeConfig(z_b=8e3, z_t=10e3, R_max=0.25)
+    z = np.linspace(0.0, 24e3, 97)
+    rw = sponge_profile(z, cfg)
+    assert np.all(rw[z >= 10e3] == 0.25)
+    below = (z > 8e3) & (z < 10e3)
+    ramp = 0.25 * np.sin(0.5 * np.pi * (z[below] - 8e3) / 2e3) ** 2
+    assert np.array_equal(rw[below], ramp)
+    assert np.all(np.diff(rw) >= 0.0)
+
+
 def test_sponge_config_validation():
     with pytest.raises(ConfigurationError):
         SpongeConfig(z_b=10.0, z_t=5.0, R_max=0.1)

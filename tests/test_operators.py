@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import ddot
 
 from mmfsim import operators
 from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
-from mmfsim.grid import DENSE_X_MAX, build_box_mesh, dss_sum, scatter_to_elements
+from mmfsim.grid import DENSE_BLOCK_MAX, DENSE_MAX, build_box_mesh, dss_sum, scatter_to_elements
 from mmfsim.operators import PrognosticState, SemOps, _csr_times_dense, build_mass, integrate
 
 
@@ -224,19 +225,37 @@ def _along_reference(mesh, A, f, d):
     return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
 
 
+def _dense_axis(mesh, d):
+    """The rule of `Mesh._assemble_1d`: an axis of at most DENSE_MAX points
+    is dense along x, and along y or z when its (n, stride) block is within
+    DENSE_BLOCK_MAX multiply-adds."""
+    n = mesh.npts_1d[d]
+    return n <= DENSE_MAX and (d == 0 or n * n * math.prod(mesh.npts_1d[:d]) <= DENSE_BLOCK_MAX)
+
+
 def _along_oracle(mesh, A, f, d):
     """What `along` must reproduce bit for bit from any layout: the public
-    `A @ x` where it runs CSR, and its own result into a new array from
-    contiguous rows where it runs the dense x product."""
-    if d == 0 and mesh.npts_1d[0] <= DENSE_X_MAX:
-        return SemOps(mesh).along(A, np.ascontiguousarray(f), d)
-    return _along_reference(mesh, A, f, d)
+    `A @ x` where it runs CSR; on a dense axis, its own result into a new
+    array from contiguous rows along x, and numpy's `@` of the dense
+    matrix over the contiguous (n, stride) blocks along y and z."""
+    if not _dense_axis(mesh, d):
+        return _along_reference(mesh, A, f, d)
+    f = np.ascontiguousarray(f)
+    if d == 0:
+        return SemOps(mesh).along(A, f, d)
+    n = A.shape[0]
+    return (A.dense @ f.reshape(-1, n, math.prod(mesh.npts_1d[:d]))).reshape(f.shape)
 
 
 OUT_MESHES = {
+    # every axis dense
     "2d": ((2.0, 1.0), (3, 2), (4, 3), (False,)),
     "3d_periodic": ((1.0, 2.0, 1.5), (2, 2, 2), (3, 2, 3), (True, True)),
     "3d_mixed": ((1.0, 2.0, 1.5), (3, 2, 2), (2, 4, 3), (True, False)),
+    # CSR where it lies along a 67-point z, on transposed copies along a
+    # 68-point x and a 69-point y
+    "2d_long": ((2.0, 1.0), (17, 22), (4, 3), (True,)),
+    "3d_long_y": ((1.0, 2.0, 1.5), (2, 17, 2), (2, 4, 3), (True, False)),
 }
 
 
@@ -343,68 +362,112 @@ DENSE_MESHES = {
     "2d_x64_periodic": ((20e3, 12e3), (16, 4), 4, (True,)),
     "2d_x65": ((20e3, 12e3), (16, 4), 4, (False,)),
     "2d_x68_periodic": ((20e3, 12e3), (17, 4), 4, (True,)),
+    # z of 65 points, over DENSE_MAX
+    "2d_z65": ((20e3, 12e3), (4, 16), 4, (True,)),
     "3d_x13": ((2e3, 3e3, 4e3), (3, 2, 2), 4, (False, True)),
     "3d_x12_periodic": ((2e3, 3e3, 4e3), (3, 2, 2), 4, (True, False)),
+    # 12 x 12 x 49: z is short, but its 49 x 49 x 144 block is over
+    # DENSE_BLOCK_MAX, so it stays on CSR
+    "3d_z49_block": ((2e3, 3e3, 10e3), (3, 3, 12), 4, (True, True)),
+    # y of 68 points, over DENSE_MAX
+    "3d_y68": ((2e3, 9e3, 2e3), (2, 17, 1), 4, (True, True)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_MESHES))
 def test_dense_x_product_matches_csr(name, monkeypatch):
-    """x axes of at most DENSE_X_MAX points take one dgemm per stack,
-    every other (direction, width) the CSR kernel; both agree with the
-    public `A @ x` to rounding, per field row."""
+    """Axes of at most DENSE_MAX points take a dense product, along y and
+    z only when the (n, stride) block is within DENSE_BLOCK_MAX: one scipy
+    dgemm per stack along x, one numpy matmul along y and z. Every other
+    (direction, width) takes the CSR kernel. Both agree with the public
+    `A @ x` to rounding, per field row."""
     extents, elems, order, periodic = DENSE_MESHES[name]
     mesh = build_box_mesh(extents, elems, order, periodicity=periodic)
     ops = SemOps(mesh)
     calls = []
     monkeypatch.setattr(operators, "dgemm", lambda *a, _f=operators.dgemm, **k:
-                        calls.append("dense") or _f(*a, **k))
+                        calls.append("dgemm") or _f(*a, **k))
+    monkeypatch.setattr(operators.np, "matmul", lambda *a, _f=np.matmul, **k:
+                        calls.append("matmul") or _f(*a, **k))
     monkeypatch.setattr(operators, "_csr_times_dense", lambda *a, _f=operators._csr_times_dense:
                         calls.append("csr") or _f(*a))
     f = np.random.default_rng(5).standard_normal((6, mesh.npts))
     for M in (mesh.weak_derivative_1d, mesh.weak_laplacian_1d, mesh.modal_filter_1d(0.3)):
         for d in range(mesh.dim):
-            n = mesh.npts_1d[d]
-            dense = d == 0 and n <= DENSE_X_MAX
+            dense = _dense_axis(mesh, d)
             assert (M[d].dense is not None) == dense
             if dense:
                 assert M[d].dense.flags.f_contiguous and np.array_equal(M[d].dense, M[d].toarray())
+            kernel = ["dgemm" if d == 0 else "matmul"] if dense else None
             calls.clear()
             got = ops.along(M[d], f, d)
             # one dense call for the stack; CSR runs per row along z
-            assert calls == ["dense"] if dense else set(calls) == {"csr"}
+            assert calls == kernel if dense else set(calls) == {"csr"}
             expect = _along_reference(mesh, M[d], f, d)
             for row_got, row_expect in zip(got, expect):
                 assert np.max(np.abs(row_got - row_expect)) <= 1e-14 * np.max(np.abs(row_expect))
-            # strided rows take one call each
+            # strided rows: one dgemm each along x, one matmul for them all
             calls.clear()
             stack = np.empty((6, 2, mesh.npts))
             ops.along(M[d], f, d, out=stack[:, 0])
             assert np.array_equal(stack[:, 0], got)
             if dense:
-                assert calls == ["dense"] * 6
+                assert calls == kernel * (6 if d == 0 else 1)
+
+
+def test_dense_meshes_hold_a_short_axis_over_the_block_bound():
+    """The dispatch cases include a 3D axis of at most DENSE_MAX points
+    that DENSE_BLOCK_MAX keeps on CSR."""
+    meshes = [build_box_mesh(e, n, o, periodicity=p)
+              for e, n, o, p in DENSE_MESHES.values() if len(e) == 3]
+    assert any(m.npts_1d[d] <= DENSE_MAX and not _dense_axis(m, d)
+               for m in meshes for d in (1, 2))
 
 
 def test_dense_x_product_independent_of_blas_threads():
-    """The dense x product gives the same bytes on one BLAS thread and two,
-    on an embedded squall grid's 40 x 121 points, for the 2- and 6-field
-    stacks that a step multiplies."""
+    """The dense products give the same bytes on one BLAS thread and two,
+    for the 2- and 6-field stacks that a step multiplies: along x on an
+    embedded squall grid's 40 x 121 points, along y and z on the desk
+    supercell coarse grid (12 x 8 x 49) and embedded grid (16 x 49)."""
     script = (
         "import sys, numpy as np\n"
+        "from mmfsim.cases import build_case\n"
         "from mmfsim.grid import build_box_mesh\n"
         "from mmfsim.operators import SemOps\n"
-        "mesh = build_box_mesh((20e3, 24e3), (10, 30), 4, periodicity=(True,))\n"
-        "for nf in (2, 6):\n"
-        "    f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))\n"
-        "    out = SemOps(mesh).along(mesh.weak_derivative_1d[0], f, 0)\n"
-        "    sys.stdout.buffer.write(out.tobytes())\n")
+        "setup = build_case('supercell', 'mmf', preset='desk')\n"
+        "products = [(build_box_mesh((20e3, 24e3), (10, 30), 4, periodicity=(True,)), 0)]\n"
+        "products += [(setup.simulator.mesh, 1), (setup.simulator.mesh, 2),\n"
+        "             (setup.instances[0].sim.mesh, 1)]\n"
+        "for mesh, d in products:\n"
+        "    A = mesh.weak_derivative_1d[d]\n"
+        "    assert A.dense is not None\n"
+        "    for nf in (2, 6):\n"
+        "        f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))\n"
+        "        out = SemOps(mesh).along(A, f, d)\n"
+        "        sys.stdout.buffer.write(out.tobytes())\n")
     src = os.path.dirname(os.path.dirname(operators.__file__))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, check=True, timeout=120)
         outputs.append(proc.stdout)
-    assert len(outputs[0]) == (2 + 6) * 40 * 121 * 8
+    assert len(outputs[0]) == (2 + 6) * (40 * 121 + 2 * 12 * 8 * 49 + 16 * 49) * 8
     assert outputs[0] == outputs[1]
+
+
+def test_fixed_order_dot_sums_chunks_in_order():
+    """The dot product sums 8192-element BLAS dots in order, so it is one
+    fixed sum at any BLAS thread count, and agrees with np.dot to
+    rounding."""
+    rng = np.random.default_rng(6)
+    for n in (1, 8192, 8193, 33880):
+        a, b = rng.standard_normal((2, n))
+        expect = 0.0
+        for i in range(0, n, 8192):
+            expect += ddot(a[i:i + 8192], b[i:i + 8192])
+        assert operators.fixed_order_dot(a, b) == expect
+        assert abs(expect - np.dot(a, b)) <= 1e-13 * np.dot(np.abs(a), np.abs(b))
+    mesh = build_box_mesh((2.0, 1.0), (3, 2), (4, 3))
+    assert integrate(mesh, np.ones(mesh.npts)) == operators.fixed_order_dot(mesh.mass, np.ones(mesh.npts))
