@@ -10,14 +10,13 @@ evolution is checked by properties rather than field-by-field values.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Interval, check
 from .grid import build_box_mesh
 from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, Sounding, SpongeConfig,
                        build_reference, read_sounding)
@@ -27,6 +26,7 @@ from .coupling import MmfConfig, Simulator, spawn_ssp_instances
 
 CASE_IDS = ("squall", "supercell")
 TIERS = ("fine", "coarse", "mmf")
+SEEDS = Interval("[0, 18446744073709551616)")  # a Philox key word has 64 bits
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,8 @@ class PerturbationSpec:
     theta_scale: float = 3.0  # K, the bubble's theta_c
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ConfigurationError(
-                f"perturbation amplitude must be finite and >= 0, got {self.amplitude:g}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"perturbation seed must lie in [0, 2**64), got {self.seed}")
+        check("perturbation amplitude", self.amplitude, float, Interval("[0, inf)"))
+        check("perturbation seed", self.seed, int, SEEDS)
 
 
 def perturbation_rng(seed: int, instance: int = 0) -> np.random.Generator:
@@ -289,15 +286,8 @@ def build_case(case_id: str, tier: str = "coarse", *,
 
     dt = float(ov.get("dt", dims.dt))
     duration = float(ov.get("duration", dims.duration))
-    if not (0.0 < dt < math.inf and 0.0 < duration < math.inf):
-        raise ConfigurationError(
-            f"dt and duration must be positive and finite, got dt={dt:g}, duration={duration:g}")
     nu = float(ov.get("nu", _NU))
-    if not 0.0 <= nu < math.inf:
-        raise ConfigurationError(f"viscosity nu must be finite and >= 0, got {nu:g}")
     filt = float(ov.get("filter_strength", dims.filter_strength))
-    if not 0.0 <= filt <= 1.0:
-        raise ConfigurationError(f"filter strength must lie in [0, 1], got {filt:g}")
     bubble = ov.get("bubble", dims.bubble)
     amplitude = float(ov.get("amplitude", 0.3))
     microphysics = bool(ov.get("microphysics", True))

@@ -10,10 +10,9 @@ are lateral only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Interval, check
 
 # model constants: flop kernel is Np^3 (FLOP_A * Np + FLOP_B) per element
 # per step, and each lateral boundary point moves BYTES_PER_POINT bytes
@@ -23,6 +22,16 @@ FLOP_B = 4635.0
 BYTES_PER_POINT = 784.0
 
 _MODES = ("standard", "mmf")
+
+# each CostModelInput field's (type, domain), in field order; the cost.*
+# config keys are checked against the same table
+INPUT_DOMAINS = {
+    "n_p": (int, Interval("[2, inf)")),
+    **dict.fromkeys(("l_x", "l_y", "l_z", "dx", "dy", "dz", "duration", "dt"),
+                    (float, Interval("(0, inf)"))),
+    **dict.fromkeys(("r_t", "r_x", "r_z"), (float, Interval("[1, inf)"))),
+    **dict.fromkeys(("n_rx", "n_ry"), (int, Interval("[1, inf)"))),
+}
 
 
 @dataclass(frozen=True)
@@ -51,21 +60,8 @@ class CostModelInput:
     n_ry: int = 1
 
     def __post_init__(self):
-        if self.n_p < 2:
-            raise ConfigurationError(f"n_p must be >= 2, got {self.n_p}")
-        for name in ("l_x", "l_y", "l_z", "dx", "dy", "dz", "duration", "dt"):
-            v = getattr(self, name)
-            if not 0.0 < v < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite, got {v}")
-        for name in ("r_t", "r_x", "r_z"):
-            v = getattr(self, name)
-            if not 1.0 <= v < math.inf:
-                raise ConfigurationError(
-                    f"refinement ratio {name} must be finite and >= 1, got {v}")
-        for name in ("n_rx", "n_ry"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigurationError(f"{name} must be an integer >= 1")
+        for name, (typ, domain) in INPUT_DOMAINS.items():
+            check(name, getattr(self, name), typ, domain)
 
     @property
     def n_r(self) -> int:

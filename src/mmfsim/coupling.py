@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ReferenceState, Sounding, apply_filter, build_reference, evaluate_rhs
-from .errors import ConfigurationError, SolverError, StateError
+from .errors import ConfigurationError, Interval, SolverError, StateError, check
 from .grid import Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
@@ -57,8 +57,7 @@ class MmfConfig:
     perturbation_theta_scale: float = 3.0  # envelope normalization (bubble amplitude)
 
     def __post_init__(self):
-        if self.substeps < 1:
-            raise ConfigurationError("substeps must be >= 1")
+        check("substeps", self.substeps, int, Interval("[1, inf)"))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +317,8 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         raise ConfigurationError("fine and coarse vertical orders must match")
     if cfg.ssp_elems_z % ne_z_l != 0:
         raise ConfigurationError(
-            f"fine vertical element count {cfg.ssp_elems_z} must be an integer "
-            f"multiple of the coarse count {ne_z_l}")
+            f"mmf.ssp_elems_z = {cfg.ssp_elems_z}: expected a multiple of the coarse "
+            f"vertical element count {ne_z_l}")
     n_sl = cfg.ssp_elems_z // ne_z_l
     proj = build_vertical_projection(cfg.ssp_order, n_sl)
 
@@ -391,13 +390,13 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
         M = cfg.substeps
     dt_f = dT / M
     mesh = lsp.mesh
-    ne_z_l = mesh.elem_counts[-1]
-    fine_mesh = instances[0].sim.mesh
-    proj = instances[0].projection
     W = mesh.element_column_weights
     if [inst.index for inst in instances] != list(range(W.shape[0])):
         raise ConfigurationError(
             f"need one instance per coarse element column, indices 0..{W.shape[0] - 1} in order")
+    ne_z_l = mesh.elem_counts[-1]
+    fine_mesh = instances[0].sim.mesh
+    proj = instances[0].projection
     rows_l = _rows(lsp.state, COUPLED_VARS)
     rows_s = _rows(instances[0].sim.state, COUPLED_VARS)
 

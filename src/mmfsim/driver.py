@@ -9,20 +9,24 @@ file.  All floating-point output uses %.17e so reruns are byte-stable.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, StateError
+from .errors import (ConfigurationError, Interval, SolverError, StateError, check,
+                     describe, format_value)
 from .grid import Mesh
 from .operators import PrognosticState, integrate
 from .dynamics import SpongeConfig
-from .complexity import CostModelInput, CostReport, cost_report
+from .complexity import INPUT_DOMAINS, CostModelInput, CostReport, cost_report
 from .coupling import COUPLED_VARS, mmf_step
-from .cases import CaseSetup, build_case
+from .cases import CASE_IDS, SEEDS, CaseSetup, build_case
 
 OUTPUT_DIR_ENV = "MMFSIM_OUTPUT_DIR"
 
@@ -41,139 +45,102 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
+# A config key: its name in the file, the field that holds its value (of
+# RunConfig, or of CostModelInput for cost.*), its type, and its domain: a
+# tuple of choices, an Interval, or None for a path. KEYS lists every key.
+Key = namedtuple("Key", "name attr type domain")
+
+
+def _key(name: str, typ: type, domain=None, default=None):
+    """A RunConfig field that config key `name` sets."""
+    return field(default=default, metadata={"key": Key(name, None, typ, domain)})
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_PARSERS = {str: str, bool: lambda s: _BOOLS[s.lower()], int: int, float: float}
+
+
+def _value(cfg, key: Key):
+    """`key`'s value in `cfg`, None where unset."""
+    return getattr(cfg.cost if key.name.startswith("cost.") else cfg, key.attr, None)
+
+
 @dataclass
 class RunConfig:
-    """Flat key=value run description (section prefixes, no nesting)."""
+    """Flat key=value run description (section prefixes, no nesting); each
+    field gives its config key, the key's type and domain, and a default."""
 
-    mode: str = "standard"            # standard | mmf | analyze
-    case: str = "squall"
-    preset: str = "desk"              # desk | full
-    tier: str = "coarse"              # fine | coarse, standard mode only
-    seed: int = 0
-    workers: int = 1                  # accepted, no effect: embedded grids step serially
-    duration: Optional[float] = None  # s, overrides the case default
-    snapshot_interval: float = 0.0    # s, 0 = final snapshot only
-    output_dir: str = "out"
-    sounding: Optional[str] = None
-    dt: Optional[float] = None
-    substeps: Optional[int] = None
-    ssp_elems_x: Optional[int] = None
-    ssp_elems_z: Optional[int] = None
-    ssp_length: Optional[float] = None
-    amplitude: Optional[float] = None
-    filter_strength: Optional[float] = None
-    nu: Optional[float] = None
-    microphysics: bool = True
-    sponge_z_bottom: Optional[float] = None
-    sponge_z_top: Optional[float] = None
-    sponge_r_max: Optional[float] = None
+    mode: str = _key("run.mode", str, ("standard", "mmf", "analyze"), "standard")
+    case: str = _key("run.case", str, CASE_IDS, "squall")
+    preset: str = _key("run.preset", str, ("desk", "full"), "desk")
+    tier: str = _key("run.tier", str, ("fine", "coarse"), "coarse")  # standard mode only
+    seed: int = _key("run.seed", int, SEEDS, 0)
+    workers: int = _key("run.workers", int, Interval("[1, inf)"), 1)  # accepted, no effect
+    duration: Optional[float] = _key("run.duration", float, Interval("(0, inf)"))  # s
+    snapshot_interval: float = _key("run.snapshot_interval", float, Interval("[0, inf)"), 0.0)  # s
+    output_dir: str = _key("run.output_dir", str, None, "out")
+    sounding: Optional[str] = _key("run.sounding", str)
+    dt: Optional[float] = _key("time.dt", float, Interval("(0, inf)"))
+    substeps: Optional[int] = _key("mmf.substeps", int, Interval("[1, inf)"))
+    ssp_elems_x: Optional[int] = _key("mmf.ssp_elems_x", int, Interval("[1, inf)"))
+    ssp_elems_z: Optional[int] = _key("mmf.ssp_elems_z", int, Interval("[1, inf)"))
+    ssp_length: Optional[float] = _key("mmf.ssp_length", float, Interval("(0, inf)"))
+    amplitude: Optional[float] = _key("mmf.amplitude", float, Interval("[0, inf)"))
+    filter_strength: Optional[float] = _key("filter.strength", float, Interval("[0, 1]"))
+    nu: Optional[float] = _key("viscosity.nu", float, Interval("[0, inf)"))
+    microphysics: bool = _key("micro.enabled", bool, (False, True), True)
+    sponge_z_bottom: Optional[float] = _key("sponge.z_bottom", float, Interval("[0, inf)"))
+    sponge_z_top: Optional[float] = _key("sponge.z_top", float, Interval("(0, inf)"))
+    sponge_r_max: Optional[float] = _key("sponge.r_max", float, Interval("[0, inf)"))
+    # parse_config passes the cost.* values as a namespace of CostModelInput
+    # fields, so that they are checked here before the model is built
     cost: Optional[CostModelInput] = None
 
     def __post_init__(self):
-        if self.mode not in ("standard", "mmf", "analyze"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.preset not in ("desk", "full"):
-            raise ConfigurationError(f"unknown preset {self.preset!r}")
-        if self.tier not in ("fine", "coarse"):
-            raise ConfigurationError(f"unknown tier {self.tier!r}")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if not 0.0 <= self.snapshot_interval < np.inf:
-            raise ConfigurationError("snapshot_interval must be finite and >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        for key in KEYS:
+            if (v := _value(self, key)) is not None:
+                check(key.name, v, key.type, key.domain)
+        if isinstance(self.cost, SimpleNamespace):
+            given = vars(self.cost)
+            missing = [f"cost.{f.name}" for f in fields(CostModelInput)
+                       if f.default is MISSING and f.name not in given]
+            if missing:
+                raise ConfigurationError(f"the cost model needs {', '.join(missing)}")
+            self.cost = CostModelInput(**given)
 
 
-# key in file -> (attribute, type); cost.* handled separately
-_KEYMAP = {
-    "run.mode": ("mode", str),
-    "run.case": ("case", str),
-    "run.preset": ("preset", str),
-    "run.tier": ("tier", str),
-    "run.seed": ("seed", int),
-    "run.workers": ("workers", int),
-    "run.duration": ("duration", float),
-    "run.snapshot_interval": ("snapshot_interval", float),
-    "run.output_dir": ("output_dir", str),
-    "run.sounding": ("sounding", str),
-    "time.dt": ("dt", float),
-    "mmf.substeps": ("substeps", int),
-    "mmf.ssp_elems_x": ("ssp_elems_x", int),
-    "mmf.ssp_elems_z": ("ssp_elems_z", int),
-    "mmf.ssp_length": ("ssp_length", float),
-    "mmf.amplitude": ("amplitude", float),
-    "filter.strength": ("filter_strength", float),
-    "viscosity.nu": ("nu", float),
-    "micro.enabled": ("microphysics", bool),
-    "sponge.z_bottom": ("sponge_z_bottom", float),
-    "sponge.z_top": ("sponge_z_top", float),
-    "sponge.r_max": ("sponge_r_max", float),
-}
-
-_COST_KEYS = ("n_p", "l_x", "l_y", "l_z", "dx", "dy", "dz",
-              "duration", "dt", "r_t", "r_x", "r_z", "n_rx", "n_ry")
-_COST_INTS = ("n_p", "n_rx", "n_ry")
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "yes", "1"):
-        return True
-    if s.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {s!r}")
+KEYS = (
+    *(f.metadata["key"]._replace(attr=f.name) for f in fields(RunConfig) if f.metadata),
+    *(Key(f"cost.{name}", name, *kind) for name, kind in INPUT_DOMAINS.items()),
+)
+_BY_NAME = {key.name: key for key in KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat `section.key = value` lines; unknown keys are errors."""
-    values = {}
-    cost_values = {}
+    values, cost = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key.startswith("cost.") and key[5:] in _COST_KEYS:
-            target, attr = cost_values, key[5:]
-            typ = int if attr in _COST_INTS else float
-        elif key in _KEYMAP:
-            target = values
-            attr, typ = _KEYMAP[key]
-        else:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        name, _, val = (part.strip() for part in line.partition("="))
+        key = _BY_NAME.get(name)
+        if key is None:
+            raise ConfigurationError(f"line {lineno}: unknown key {name!r}")
         try:
-            target[attr] = _parse_bool(val) if typ is bool else typ(val)
-        except ValueError as exc:
-            raise ConfigurationError(f"line {lineno}: {exc}") from None
-    if cost_values:
-        try:
-            values["cost"] = CostModelInput(**cost_values)
-        except TypeError as exc:
-            raise ConfigurationError(f"incomplete cost model: {exc}") from None
-    return RunConfig(**values)
+            (cost if name.startswith("cost.") else values)[key.attr] = _PARSERS[key.type](val)
+        except (KeyError, ValueError):
+            raise ConfigurationError(f"line {lineno}: {name} = {val}: expected "
+                                     f"{describe(key.type, key.domain)}") from None
+    return RunConfig(**values, cost=SimpleNamespace(**cost) if cost else None)
 
 
 def format_config(cfg: RunConfig) -> str:
     """Serialize so that parse_config(format_config(cfg)) == cfg."""
-    lines = []
-    for key, (attr, typ) in _KEYMAP.items():
-        v = getattr(cfg, attr)
-        if v is None:
-            continue
-        if typ is bool:
-            lines.append(f"{key} = {'true' if v else 'false'}")
-        elif typ is float:
-            lines.append(f"{key} = {v!r}")
-        else:
-            lines.append(f"{key} = {v}")
-    if cfg.cost is not None:
-        for ck in _COST_KEYS:
-            v = getattr(cfg.cost, ck)
-            lines.append(f"cost.{ck} = {v if ck in _COST_INTS else repr(v)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key.name} = {format_value(v)}\n" for key in KEYS
+                   if (v := _value(cfg, key)) is not None)
 
 
 def read_config(path) -> RunConfig:
@@ -181,19 +148,21 @@ def read_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+_SPONGE_KEYS = "sponge.z_bottom, sponge.z_top, sponge.r_max"
+
+
 def _case_overrides(cfg: RunConfig) -> dict:
-    ov = {}
-    for name in ("duration", "dt", "substeps", "ssp_elems_x", "ssp_elems_z",
-                 "ssp_length", "amplitude", "nu", "microphysics", "filter_strength"):
-        v = getattr(cfg, name)
-        if v is not None and not (name == "microphysics" and v is True):
-            ov[name] = v
+    names = ("duration", "dt", "substeps", "ssp_elems_x", "ssp_elems_z",
+             "ssp_length", "amplitude", "nu", "microphysics", "filter_strength")
+    ov = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     sponge_keys = (cfg.sponge_z_bottom, cfg.sponge_z_top, cfg.sponge_r_max)
     if any(v is not None for v in sponge_keys):
         if any(v is None for v in sponge_keys):
-            raise ConfigurationError(
-                "sponge overrides need all of z_bottom, z_top, r_max")
-        ov["sponge"] = SpongeConfig(*sponge_keys)
+            raise ConfigurationError(f"set all of {_SPONGE_KEYS} or none")
+        try:
+            ov["sponge"] = SpongeConfig(*sponge_keys)
+        except ConfigurationError as exc:
+            raise exc.prefixed(_SPONGE_KEYS) from None
     return ov
 
 
@@ -424,7 +393,10 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
     sim = setup.simulator
     mesh = sim.mesh
     dt = setup.dt
-    n_steps = max(1, int(round(setup.duration / dt)))
+    if not math.isfinite(steps := setup.duration / dt):
+        raise ConfigurationError(f"time.dt = {format_value(dt)} and run.duration = "
+                                 f"{format_value(setup.duration)} give {steps} steps")
+    n_steps = max(1, int(round(steps)))
     instances = setup.instances or []
 
     def advance():

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the check of a setting
+against the values it admits.
 
 `driver.exit_code_of` maps these onto process exit codes: configuration
 problems exit with 2, numerical failures (bad state, solver breakdown,
@@ -6,6 +7,8 @@ NaN) with 3, and IO errors with 4.
 """
 
 import copy
+import numbers
+import os
 
 
 class MmfsimError(Exception):
@@ -33,3 +36,39 @@ class SolverError(MmfsimError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class Interval(str):
+    """An interval in the usual notation, "(0, inf)" or "[0, 1]": a square
+    bracket puts its end in the interval, a round one leaves it out."""
+
+    def __contains__(self, v) -> bool:
+        lo, hi = (float(end) for end in self[1:-1].split(","))
+        return (lo <= v if self[0] == "[" else lo < v) and (v <= hi if self[-1] == "]" else v < hi)
+
+
+_KINDS = {str: (str, os.PathLike), bool: bool, int: numbers.Integral, float: numbers.Real}
+_NOUNS = {str: "a path", int: "an integer", float: "a number"}
+
+
+def format_value(v) -> str:
+    """`v` as a config file writes it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def describe(typ: type, domain) -> str:
+    """The values of type `typ` in `domain` (a tuple of choices, an
+    Interval, or None for any), as messages and the README state them."""
+    if isinstance(domain, tuple):
+        return "one of " + ", ".join(map(format_value, domain))
+    return _NOUNS[typ] + ("" if domain is None else f" in {domain}")
+
+
+def check(name: str, value, typ: type, domain) -> None:
+    """Raise a ConfigurationError that names `name` and `value` unless the
+    value is of type `typ` and in `domain`."""
+    if not (isinstance(value, _KINDS[typ]) and (domain is None or value in domain)):
+        raise ConfigurationError(
+            f"{name} = {format_value(value)}: expected {describe(typ, domain)}")

@@ -1,10 +1,12 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from mmfsim.cli import main
-from mmfsim.driver import read_snapshot, write_snapshot
+from mmfsim.driver import KEYS, read_snapshot, write_snapshot
+from mmfsim.errors import Interval
 from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState
 
@@ -54,7 +56,20 @@ def test_run_rejects_nonpositive_time(tmp_path, capsys, line):
                               "run.duration = 4\n" + line + "\n")
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
-    assert "error[config]: dt and duration must be positive" in capsys.readouterr().err
+    key = line.partition(" =")[0]
+    assert f"error[config]: {key} = " in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_run_rejects_a_step_count_that_overflows(tmp_path, capsys):
+    # 4 s / 1e-320 s is not a finite step count; it used to escape as an
+    # OverflowError traceback
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.preset = desk\n"
+                              "run.duration = 4\ntime.dt = 1e-320\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]: time.dt = 1e-320" in err and "run.duration = 4.0" in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -73,6 +88,45 @@ def test_run_rejects_out_of_range_settings(tmp_path, capsys, line):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
     assert "error[config]" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+# a whole sponge triple, so that one bad sponge value is the only fault
+RUN_BASE = ("run.mode = mmf\nrun.preset = desk\nrun.duration = 4\n"
+            "sponge.z_bottom = 18000\nsponge.z_top = 24000\nsponge.r_max = 0.25\n")
+COST_BASE = ("cost.n_p = 5\ncost.l_x = 100e3\ncost.l_y = 100e3\n"
+             "cost.l_z = 20e3\ncost.dx = 250\ncost.dy = 250\n"
+             "cost.dz = 250\ncost.duration = 600\ncost.dt = 1\n")
+
+
+def out_of_domain_lines():
+    """For every numeric key: NaN and both infinities, each open finite
+    edge of its domain, and the nearest value outside each closed edge."""
+    for key in KEYS:
+        if not isinstance(key.domain, Interval):
+            continue
+        lo, hi = key.domain[1:-1].split(", ")
+        values = ["nan", "inf", "-inf"]
+        for edge, closed, outward in ((lo, key.domain[0] == "[", -math.inf),
+                                      (hi, key.domain[-1] == "]", math.inf)):
+            if closed:
+                values.append(str(int(edge) + (1 if outward > 0 else -1)) if key.type is int
+                              else repr(float(np.nextafter(float(edge), outward))))
+            elif edge != "inf":
+                values.append(edge if key.type is int else repr(float(edge)))
+        for v in values:
+            yield pytest.param(key.name, v, id=f"{key.name} = {v}")
+
+
+@pytest.mark.parametrize("name, value", out_of_domain_lines())
+def test_run_rejects_every_value_outside_a_key_domain(tmp_path, capsys, name, value):
+    out = tmp_path / "o"
+    command = "analyze" if name.startswith("cost.") else "run"
+    base = f"run.output_dir = {out}\n" + (COST_BASE if command == "analyze" else RUN_BASE)
+    cfg = write_cfg(tmp_path, base + f"{name} = {value}\n")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and f"{name} = {value}" in err
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -595,6 +595,6 @@ def test_warm_step_peaks_within_eight_states():
 def test_mmf_step_needs_every_element_column_in_order():
     # instance i couples to row i of the coarse element-column weights
     lsp, cfg, instances = make_mmf()
-    for bad in (instances[::-1], instances[:1]):
+    for bad in (instances[::-1], instances[:1], []):
         with pytest.raises(ConfigurationError, match="one instance per coarse element column"):
             mmf_step(lsp, bad, 2.0, cfg=cfg)

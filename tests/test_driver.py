@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from mmfsim import coupling, driver
-from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+from mmfsim.driver import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, KEYS,
                            OUTPUT_DIR_ENV, RunConfig, compute_kinetic_energy,
                            diff_snapshots, format_config, parse_config,
                            read_config, read_snapshot, run, write_snapshot)
 from mmfsim.cases import build_case
 from mmfsim.dynamics import build_reference
-from mmfsim.errors import ConfigurationError
+from mmfsim.errors import ConfigurationError, describe
 from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState
 
@@ -51,10 +51,10 @@ def test_parse_config_unknown_key_names_the_line():
 
 
 def test_parse_config_bad_value():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="line 1: run.seed = three: expected an integer"):
         parse_config("run.seed = three\n")
-    with pytest.raises(ConfigurationError):
-        parse_config("micro.enabled = maybe\n")
+    with pytest.raises(ConfigurationError, match="line 2: micro.enabled = maybe"):
+        parse_config("run.seed = 3\nmicro.enabled = maybe\n")
 
 
 def test_parse_config_validates_choices():
@@ -82,6 +82,24 @@ def test_config_round_trip_with_cost_block():
     cfg = parse_config(text)
     assert cfg.cost is not None and cfg.cost.n_p == 5
     assert parse_config(format_config(cfg)) == cfg
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if n.endswith(".cfg")))
+def test_shipped_configs_parse_and_round_trip(name):
+    cfg = read_config(os.path.join(CONFIGS, name))
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_readme_lists_every_key_with_its_domain():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration keys")[1].split("\n## ")[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    assert [(r[0].strip("| `"), r[1]) for r in rows] == [
+        (key.name, describe(key.type, key.domain)) for key in KEYS]
 
 
 def unit_box():
