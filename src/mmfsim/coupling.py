@@ -12,6 +12,9 @@ by per-element L2 projection matrices.
 The exchange treats all instances and variables as one stacked
 (instance, variable, level) array, gathered and scattered through the
 coarse mesh's element-column weights; the SSPs then step serially.
+A simulator steps in its mesh's step plan (`Mesh.plan`), made on its
+first step and gone with its mesh; the SSPs share one mesh, and so one
+plan: simulators on one mesh must not step concurrently.
 """
 
 from dataclasses import dataclass
@@ -93,13 +96,11 @@ class Simulator:
             state = self.state
         mesh, ref = self.mesh, self.reference
         if self.dynamics_enabled:
-            # S and L write into one buffer, which step_ark2 is done
-            # with before it asks for the next tendency
-            work = mesh.work
-            tend = PrognosticState.from_vector(
-                work.array("Simulator.step.tendency", (state.data.size,)), state.dim)
-            # GMRES iterates on (rho', u, theta_v'), the rows L couples
-            coupled = tend.data[:2 + state.dim]
+            # S and L write into the plan's tendency, which step_ark2 is
+            # done with before it asks for the next one; GMRES iterates
+            # on its (rho', u, theta_v') rows, the ones L couples
+            plan = mesh.plan
+            tend, coupled = plan.tendency, plan.coupled
 
             def lin(q):
                 return linear_operator(
@@ -110,7 +111,7 @@ class Simulator:
                 lin=lin, coupling=coupling, implicit_rows=coupled.shape[0],
                 lin_rest=lambda q, out: linear_moisture_rows(q.u[-1], ref, out))
             try:
-                new = step_ark2(state, dt, split, work=work)
+                new = step_ark2(state, dt, split, stages=plan.stages, basis=plan.basis)
             except (SolverError, StateError) as exc:
                 raise exc.prefixed("dynamics") from exc
         else:

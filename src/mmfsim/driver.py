@@ -30,6 +30,10 @@ from .cases import CASE_IDS, SEEDS, CaseSetup, build_case
 
 OUTPUT_DIR_ENV = "MMFSIM_OUTPUT_DIR"
 
+# a run steps at most this many times: each step appends output rows,
+# so a tiny time.dt would otherwise fill the disk
+MAX_STEPS = 10 ** 6
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -393,9 +397,11 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
     sim = setup.simulator
     mesh = sim.mesh
     dt = setup.dt
-    if not math.isfinite(steps := setup.duration / dt):
+    steps = setup.duration / dt
+    if not math.isfinite(steps) or round(steps) > MAX_STEPS:
         raise ConfigurationError(f"time.dt = {format_value(dt)} and run.duration = "
-                                 f"{format_value(setup.duration)} give {steps} steps")
+                                 f"{format_value(setup.duration)} give {steps:.6g} steps, "
+                                 f"more than the {MAX_STEPS} a run may take")
     n_steps = max(1, int(round(steps)))
     instances = setup.instances or []
 

@@ -295,7 +295,8 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     impermeable bottom/top boundaries are zeroed (strong
     no-normal-flow). The tendency is written into `out` (a
     PrognosticState that must not overlap `state`) when given, else
-    into a new state; intermediates live in the mesh's "kernel" buffer.
+    into a new state; intermediates live in the kernel buffer of the
+    mesh's step plan.
     """
     if out is None:
         out = PrognosticState.from_vector(np.empty(state.data.size), state.dim)
@@ -303,11 +304,9 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
         raise ValueError("evaluate_rhs: out must not overlap the state")
     constants, sponge_rw = reference.constants, reference.sponge_rw
     ops = SemOps(mesh)
-    D = mesh.weak_derivative_1d
-    dim, npts = mesh.dim, mesh.npts
+    dim = mesh.dim
     fields, u, w = state.data[1:], state.u, state.u[-1]
-    block = mesh.work.array("kernel", (2 * dim + 7, npts))
-    (rho, tmp, p_prime), derivs, gp_rho = block[:3], block[3:dim + 7], block[dim + 7:]
+    rho, tmp, p_prime, derivs, gp_rho = ops.plan.rhs_rows
     np.add(reference.rho0, state.rho_p, out=rho)
     if np.min(rho) <= 0.0:
         raise StateError("vacuum: rho0 + rho' <= 0 somewhere")
@@ -323,9 +322,9 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     # -u . grad of velocity and scalars into rows 1.. of out, summed over
     # directions in order; the pressure gradient over rho beside it
     adv = out.data[1:]
-    for d in range(dim):
-        ops.along(D[d], fields, d, out=derivs)
-        ops.along(D[d], p_prime, d, out=gp_rho[d])
+    for d, product in enumerate(ops.plan.derivative):
+        product(fields, derivs)()
+        ops.plan.pressure_gradient[d]()
         gp_rho[d] /= rho
         if d:
             derivs *= u[d]

@@ -19,9 +19,10 @@ with the mesh, as CSR and, on an axis of at most `DENSE_MAX` points,
 also dense: a field stack is then a matrix (x) or a stack of blocks (y,
 z) that BLAS multiplies where it lies, which on short axes beats the
 sparse product. The mesh alone knows the field layout (`column_view`,
-`field_from_profile`, the boundary levels) and owns the stepping hot
-path's work buffers (`Mesh.work`), one per layer of the step: that
-layer's functions share it, as none calls another while holding it.
+`field_from_profile`, the boundary levels) and keeps its step plan
+(`Mesh.plan`): the stepping hot path's buffers, their row views and the
+product form of each 1D matrix, made on the first step and gone with
+the mesh, so simulators sharing a mesh must not step concurrently.
 `dss_sum` and `scatter_to_elements` move data between the element-local
 and global views; they remain the general assembly tool and the test
 oracle for the 1D operators. All reductions run in a fixed order so
@@ -41,7 +42,6 @@ from .errors import ConfigurationError
 __all__ = [
     "LglRule",
     "Mesh",
-    "WorkBuffers",
     "build_lgl_rule",
     "build_box_mesh",
     "boyd_vandeven_transfer",
@@ -139,29 +139,6 @@ def boyd_vandeven_transfer(eta):
     return sigma
 
 
-class WorkBuffers:
-    """Named scratch arrays, each kept at the largest size asked for.
-
-    A name belongs to one layer of the step, and a function of that
-    layer never calls another of the same layer while it holds the
-    buffer. Each fills the array and reads it back before it returns,
-    so a buffer may be lent to a callee but is dead between calls. A
-    request for fewer elements gets a prefix of the array, so a
-    buffer's pages are touched (and made resident) only as far as used.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def array(self, name: str, shape) -> np.ndarray:
-        """The buffer `name` as a C-contiguous float64 array of `shape`."""
-        size = math.prod(shape)
-        buf = self._arrays.get(name)
-        if buf is None or buf.size < size:
-            buf = self._arrays[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured affine tensor-product spectral-element mesh.
@@ -233,19 +210,16 @@ class Mesh:
         W = [self._element_weights_1d(d) for d in range(self.dim - 1)]
         return W[0] if self.dim == 2 else np.kron(W[1], W[0])
 
-    @property
+    @cached_property
     def ncols(self) -> int:
-        n = 1
-        for k in self.npts_1d[:-1]:
-            n *= k
-        return n
+        return math.prod(self.npts_1d[:-1])
 
-    @property
+    @cached_property
     def bottom_nodes(self) -> slice:
         """The bottom level's nodes: z runs slowest, so the first ncols."""
         return slice(0, self.ncols)
 
-    @property
+    @cached_property
     def top_nodes(self) -> slice:
         """The top level's nodes, the last ncols."""
         return slice(self.npts - self.ncols, self.npts)
@@ -312,18 +286,12 @@ class Mesh:
         return {}
 
     @cached_property
-    def work(self) -> WorkBuffers:
-        """Scratch arrays of the stepping hot path, made on the first step
-        and kept with the mesh (the embedded grids share their mesh and
-        reference, and so one set: simulators on one mesh must not step
-        concurrently). Each layer fetches its own buffer by name, as
-        `WorkBuffers` says: "kernel" (evaluate_rhs, Kessler), "operator"
-        (SemOps.div/laplacian/tensor, linear_operator's stacked pair), the
-        stepper's tendency, stage vectors and Krylov basis, and "along"
-        (SemOps.along's transposed copies for the CSR product along an x
-        or y axis without a dense form; dense axes and z multiply in
-        place, so a mesh whose x and y are dense has none)."""
-        return WorkBuffers()
+    def plan(self):
+        """The step plan: the stepping hot path's buffers, row views and
+        1D product forms, made on first use and kept with the mesh (see
+        `mmfsim.plan`)."""
+        from .plan import StepPlan
+        return StepPlan(self)
 
     def modal_filter_1d(self, strength: float) -> tuple:
         """Per direction, the projected modal filter M_d^-1 sum_e R_e^T W F_d R_e.

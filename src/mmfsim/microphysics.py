@@ -329,9 +329,10 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     new state is `out` when given (`state` itself updates in place),
     else a copy. The chain runs on the new state's own (nz, ncols)
     rows, with the theta_v and q_v references added in place and taken
-    off again; the density and the intermediates live in the mesh's
-    "kernel" buffer. If it raises, the rows of `out` are unspecified
-    (`Simulator.step` passes only a state it has not committed).
+    off again; the density and the intermediates live in the kernel
+    buffer of the mesh's step plan. If it raises, the rows of `out` are
+    unspecified (`Simulator.step` passes only a state it has not
+    committed).
     """
     if out is None:
         out = state.copy()
@@ -341,12 +342,13 @@ def apply_microphysics(state: PrognosticState, reference: ReferenceState, mesh: 
     rho0, theta_v0, q_v0 = (f.reshape(shape) for f in
                             (reference.rho0, reference.theta_v0, reference.q_v0))
     rho_p, *_, theta_v, q_v, q_c, q_r = out.data.reshape((-1,) + shape)
-    buf = mesh.work.array("kernel", (1 + _SCRATCH_ROWS,) + shape)
-    rho = np.add(rho0, rho_p, out=buf[0])
+    plan = mesh.plan
+    rho = np.add(rho0, rho_p, out=plan.kessler_rho)
     theta_v += theta_v0
     q_v += q_v0
     precip = _kessler_batch(mesh.lumped_1d[-1], rho, theta_v, q_v, q_c, q_r,
-                            reference.rho0_surf, dt, params, reference.constants, buf[1:])
+                            reference.rho0_surf, dt, params, reference.constants,
+                            plan.kessler_scratch)
     theta_v -= theta_v0
     q_v -= q_v0
     return out, precip

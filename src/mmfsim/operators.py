@@ -11,7 +11,9 @@ dgemm, and along y or z it is a stack of row-major (n, stride) blocks
 for one numpy matmul, small enough to stay on one BLAS thread
 (`grid.DENSE_BLOCK_MAX`). Longer axes take the CSR kernel: z where it
 lies, x and y on transposed copies, where a dense product would cost
-more than the stencil.
+more than the stencil. Each matrix's form along each direction is chosen
+once and kept on the mesh's step plan (`Mesh.plan`), which also binds
+the products whose operands are its own buffers.
 
 The weak gradient/divergence are the collocation derivatives projected
 back onto the continuous space; the Laplacian is the usual
@@ -22,6 +24,7 @@ the mass inner product.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 # scipy's BLAS, not numpy's: the solver's vector operations use it too,
@@ -124,111 +127,130 @@ class DiagonalMass:
 class SemOps:
     """Weak operators of one mesh, applied one direction at a time.
 
-    The 1D matrices live on the mesh, so this object is cheap to make.
-    All public methods take flat global fields; a leading axis stacks
-    several fields into one call. Each writes its result into `out` when
-    given (which must not overlap the input unless a method says so)
-    and returns it, or returns a new array.
+    The 1D matrices live on the mesh and their products on its step plan
+    (`Mesh.plan`), so this object is cheap to make. All public methods
+    take flat global fields; a leading axis stacks several fields into
+    one call. Each writes its result into `out` when given (which must
+    not overlap the input unless a method says so) and returns it, or
+    returns a new array.
     """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         self.dim = mesh.dim
+        self.plan = mesh.plan
 
     def along(self, A, f, d, out=None):
-        """Apply the 1D matrix A along direction d (0=x, ..., dim-1=z).
-
-        f is (npts,) or (nf, npts), and so is `out`, whose rows may be
-        strided (a slice of a larger stack). The product takes one of
-        three forms, by where the axis lies in memory:
-        - a short axis (A has a `dense` form, see `Mesh._assemble_1d`),
-          multiplied by dense A where it lies. Along x a field is a
-          Fortran (n, lines) matrix for one scipy dgemm per stack (per
-          row when `out`'s rows are strided); along y or z it is a stack
-          of row-major (n, stride) blocks for one numpy matmul;
-        - z on a long axis: each field is an (n, stride) row-major block
-          that the CSR kernel multiplies where it lies, one call per row;
-        - x and y on a long axis: the CSR kernel on a copy with the axis
-          brought to the front, through the "along" work buffer.
-        """
-        if out is None:
-            out = np.empty(f.shape)
-        npts = f.shape[-1]
-        n = A.shape[0]
-        dense = getattr(A, "dense", None)
-        if dense is not None and d == 0:
-            pairs = (((f, out),) if out.flags.c_contiguous else
-                     zip(f.reshape(-1, npts), _rows_of(out)))
-            for x, y in pairs:
-                c = y.reshape(-1, n).T
-                # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: f2py
-                # parses keywords about 0.7 us slower. It returns `c` itself
-                # unless it had to copy one not Fortran-contiguous float64
-                if dgemm(1.0, dense, x.reshape(-1, n).T, 0.0, c, 0, 0, 1) is not c:
-                    raise RuntimeError("along: dgemm did not write into out")
-            return out
-        stride = math.prod(self.mesh.npts_1d[:d])
-        # (rows, lines, n, stride) views: splitting the point axis never
-        # copies, so what is written through them reaches `out`
-        blocks = (-1, npts // (n * stride), n, stride)
-        out_rows = _rows_of(out)
-        if dense is not None:
-            np.matmul(dense, f.reshape(blocks), out=out_rows.reshape(blocks))
-            return out
-        rows = f.reshape(-1, npts)
-        if d == self.dim - 1:
-            # z runs slowest, so each field already is an (n, stride)
-            # row-major block that A multiplies where it lies
-            for row, out_row in zip(rows, out_rows):
-                _csr_times_dense(A, row, out_row)
-            return out
-        # bring direction d to the front through two transposed copies
-        src = rows.reshape(blocks).transpose(2, 0, 1, 3)
-        x, y = self.mesh.work.array("along", (2,) + src.shape)
-        np.copyto(x, src)
-        _csr_times_dense(A, x, y)
-        np.copyto(out_rows.reshape(blocks).transpose(2, 0, 1, 3), y)
+        """Apply the 1D matrix A along direction d (0=x, ..., dim-1=z) to
+        (npts,) or (nf, npts) f, into `out` of that shape, whose rows may
+        be strided (a slice of a larger stack)."""
+        out = np.empty(f.shape) if out is None else out
+        self.plan.product(A, d)(f, out)()
         return out
 
     def tensor(self, mats, f, out=None):
         """Tensor-product operator: mats[d] applied along each direction d.
 
         Each field runs through all directions on its own, the ones
-        before the last through work buffers, so `out` may be f itself.
+        before the last through the plan's operator rows, so `out` may
+        be f itself.
         """
-        if out is None:
-            out = np.empty(f.shape)
-        tmp = self.mesh.work.array("operator", (min(self.dim - 1, 2), f.shape[-1]))
+        out = np.empty(f.shape) if out is None else out
+        products = list(map(self.plan.product, mats, range(self.dim)))
+        tmp = self.plan.operator[:2]
         for row, out_row in zip(f.reshape(-1, f.shape[-1]), _rows_of(out)):
-            for d in range(self.dim):
-                row = self.along(mats[d], row, d,
-                                 out=out_row if d == self.dim - 1 else tmp[d % 2])
+            for d, product in enumerate(products):
+                target = out_row if d == self.dim - 1 else tmp[d % 2]
+                product(row, target)()
+                row = target
         return out
 
     def grad(self, f, out=None):
         """Weak gradient; (npts,) -> (dim, npts), (nf, npts) -> (nf, dim, npts)."""
-        D = self.mesh.weak_derivative_1d
-        if out is None:
-            out = np.empty(f.shape[:-1] + (self.dim, f.shape[-1]))
-        for d in range(self.dim):
-            self.along(D[d], f, d, out=out[..., d, :])
+        out = np.empty(f.shape[:-1] + (self.dim, f.shape[-1])) if out is None else out
+        for d, product in enumerate(self.plan.derivative):
+            product(f, out[..., d, :])()
         return out
 
     def div(self, vec, out=None):
         """Weak divergence of a (dim, npts) vector field."""
-        return self._sum_along(self.mesh.weak_derivative_1d, vec, out)
+        return self._sum_along(self.plan.derivative, vec, out)
 
     def laplacian(self, f, out=None):
         """Weak Laplacian of (npts,) or stacked (nf, npts) fields."""
-        return self._sum_along(self.mesh.weak_laplacian_1d, (f,) * self.dim, out)
+        return self._sum_along(self.plan.laplacian, (f,) * self.dim, out)
 
-    def _sum_along(self, mats, fs, out):
-        """mats[d] along d applied to fs[d], summed over d in order."""
-        acc = self.along(mats[0], fs[0], 0, out=out)
-        tmp = self.mesh.work.array("operator", acc.shape)
+    def _sum_along(self, products, fs, out):
+        """products[d] applied to fs[d], summed over d in order."""
+        acc = np.empty(fs[0].shape) if out is None else out
+        products[0](fs[0], acc)()
+        tmp = _prefix(self.plan.operator, acc.shape)
         for d in range(1, self.dim):
-            acc += self.along(mats[d], fs[d], d, out=tmp)
+            products[d](fs[d], tmp)()
+            acc += tmp
         return acc
+
+
+def _product(A, d, npts_1d, pair):
+    """A along direction d, in the form its axis takes (see the module
+    docstring), as bind(f, out): it cuts the views of the operands, (npts,)
+    or (nf, npts) stacks of which `out`'s rows may be strided, and returns
+    a call with no arguments that writes A along d of f into out; made
+    again, the call reads f anew where f's rows are contiguous, as the
+    plan's own buffers are. Along x a dense A takes one dgemm per stack
+    (per row of a strided `out`); the transposed copies of the CSR product
+    along x or y are made in the flat `pair` (new arrays for a stack that
+    does not fit)."""
+    n = A.shape[0]
+    npts = math.prod(npts_1d)
+    stride = math.prod(npts_1d[:d])
+    # (rows, lines, n, stride) views: splitting the point axis never
+    # copies, so what is written through them reaches `out`
+    blocks = (-1, npts // (n * stride), n, stride)
+    dense = getattr(A, "dense", None)
+    if dense is not None and d == 0:
+        def bind(f, out):
+            pairs = (((f, out),) if out.flags.c_contiguous else
+                     zip(f.reshape(-1, npts), _rows_of(out)))
+            calls = []
+            for x, y in pairs:
+                c = y.reshape(-1, n).T
+                # dgemm would write any other c into a copy and return that
+                if not c.flags.f_contiguous or c.dtype != np.float64:
+                    raise ValueError("along: out rows must be contiguous float64")
+                # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: f2py
+                # parses keywords about 0.7 us slower
+                calls.append(partial(dgemm, 1.0, dense, x.reshape(-1, n).T, 0.0, c, 0, 0, 1))
+            return _in_turn(calls)
+    elif dense is not None:
+        def bind(f, out):
+            return partial(np.matmul, dense, f.reshape(blocks),
+                           out=_rows_of(out).reshape(blocks))
+    elif d == len(npts_1d) - 1:
+        # z runs slowest, so each field already is an (n, stride)
+        # row-major block that A multiplies where it lies
+        def bind(f, out):
+            return _in_turn([partial(_csr_times_dense, A, row, out_row) for row, out_row
+                             in zip(f.reshape(-1, npts), _rows_of(out))])
+    else:
+        def bind(f, out):
+            src = f.reshape(blocks).transpose(2, 0, 1, 3)
+            dst = _rows_of(out).reshape(blocks).transpose(2, 0, 1, 3)
+            x, y = _prefix(pair, (2,) + src.shape)
+            return _in_turn([partial(np.copyto, x, src), partial(_csr_times_dense, A, x, y),
+                             partial(np.copyto, dst, y)])
+    return bind
+
+
+def _in_turn(calls):
+    """One call with no arguments that makes `calls` in order."""
+    return calls[0] if len(calls) == 1 else lambda: [call() for call in calls]
+
+
+def _prefix(buf, shape):
+    """The first elements of `buf` as an array of `shape`, or a new array
+    when `buf` is None or too small."""
+    size = math.prod(shape)
+    return np.empty(shape) if buf is None or buf.size < size else buf.reshape(-1)[:size].reshape(shape)
 
 
 def _rows_of(out):

@@ -1,0 +1,66 @@
+"""A mesh's step plan: what the stepping hot path would otherwise redo on
+every call, made once.
+
+`Mesh.plan` holds, as typed fields, one work buffer per layer of the
+step, the row views the layers take of them, and, per direction and 1D
+matrix, the product form that `SemOps` applies (`operators._product`),
+bound once where its operands are the plan's own. It is made on a
+simulator's first step and dies with its mesh. The embedded grids share
+their mesh, and so one plan: simulators on one mesh must not step
+concurrently. A layer's functions never call each other while one holds
+its buffer, and each fills the buffer and reads it back before it
+returns, so a buffer is dead between calls. Pages become resident only
+as far as a buffer is used. The buffers, of npts-point rows:
+- `tendency`, a state, and `coupled`, its (rho', u, theta_v') rows: the
+  S(q) and L(q) that `Simulator.step` asks for;
+- `stages`: `step_ark2`'s four stage vectors;
+- `basis`: `gmres_solve`'s restart + 1 Krylov vectors of coupled rows;
+- `kernel`: `evaluate_rhs`'s 2 dim + 7 intermediates, or Kessler's
+  density and intermediates, level-major;
+- `operator`: dim + 4 rows for L's stacked pair and `SemOps`' sums;
+- `along_pair`: the transposed copies of two dim + 4 row stacks for the
+  CSR product along an x or y axis without a dense form, if there is one.
+"""
+
+import numpy as np
+
+from .grid import Mesh
+from .microphysics import _SCRATCH_ROWS
+from .operators import PrognosticState, _product
+from .timeint import GmresConfig, _operator_rows
+
+
+class StepPlan:
+    """The step plan of one mesh (see the module docstring)."""
+
+    def __init__(self, mesh: Mesh):
+        dim, npts, nf = mesh.dim, mesh.npts, 5 + mesh.dim
+        self.npts_1d = mesh.npts_1d
+        self.tendency = PrognosticState.from_vector(np.empty(nf * npts), dim)
+        self.coupled = self.tendency.data[:2 + dim]
+        self.stages = np.empty((4, nf * npts))
+        self.basis = np.empty((GmresConfig().restart + 1) * self.coupled.size)
+        k = self.kernel = np.empty((max(2 * dim + 7, 1 + _SCRATCH_ROWS), npts))
+        self.rhs_rows = (k[0], k[1], k[2], k[3:dim + 7], k[dim + 7:2 * dim + 7])
+        levels = k.reshape((len(k), mesh.npts_1d[-1], mesh.ncols))
+        self.kessler_rho, self.kessler_scratch = levels[0], levels[1:1 + _SCRATCH_ROWS]
+        self.operator = np.empty((dim + 4, npts))
+        self.pair = self.operator[:2]
+        self.pair_rows = tuple(self.pair)
+        long_xy = any(A.dense is None for A in mesh.weak_derivative_1d[:-1])
+        self.along_pair = np.empty(2 * (dim + 4) * npts) if long_xy else None
+
+        self._products = {}
+        self.derivative = tuple(map(self.product, mesh.weak_derivative_1d, range(dim)))
+        self.laplacian = tuple(map(self.product, mesh.weak_laplacian_1d, range(dim)))
+        p_prime, gp_rho = self.rhs_rows[2], self.rhs_rows[4]
+        self.pressure_gradient = tuple(D(p_prime, gp_rho[d]) for d, D in enumerate(self.derivative))
+        self.operator_rows = _operator_rows(self, self.coupled, mesh.ncols)
+
+    def product(self, A, d):
+        """A's product along direction d, made on first use and kept; the
+        plan holds A, so its id names no other matrix meanwhile."""
+        key = (id(A), d)
+        if key not in self._products:
+            self._products[key] = _product(A, d, self.npts_1d, self.along_pair)
+        return self._products[key]

@@ -17,16 +17,15 @@ to the explicit part at every stage (it is defined at step
 granularity, so it is frozen across stages).
 
 The vector arithmetic works in place: Gram-Schmidt updates and stage
-sums are BLAS axpy calls on buffers this module owns, so an Arnoldi
-iteration allocates nothing of state size but its operator's result.
-Dot products sum fixed chunks in order (`operators.fixed_order_dot`),
-so the iterates do not depend on the BLAS thread count.
-The stage vectors and the Krylov basis are named buffers of a
-`WorkBuffers` store (a mesh's, when the caller passes one), so
-repeated steps reuse them. Results that a GMRES operator returns are
-scaled and orthogonalized in place unless they share memory with its
-input, in which case they are copied first; the caller's state is
-never written.
+sums are BLAS axpy calls on the stage vectors and the Krylov basis, so
+an Arnoldi iteration allocates nothing of state size but its operator's
+result. `Simulator.step` passes its mesh's step plan's (`Mesh.plan`),
+made on the first step and gone with the mesh; simulators sharing a
+mesh share them, so they must not step concurrently. Dot products sum fixed chunks in order (`operators.fixed_order_dot`),
+so the iterates do not depend on the BLAS thread count. Results that a
+GMRES operator returns are scaled and orthogonalized in place unless
+they share memory with its input, in which case they are copied first;
+the caller's state is never written.
 """
 
 import math
@@ -42,8 +41,8 @@ from scipy.linalg.blas import daxpy, dgemv
 
 from .dynamics import PhysConstants
 from .errors import ConfigurationError, SolverError
-from .grid import Mesh, WorkBuffers
-from .operators import PrognosticState, SemOps, fixed_order_dot
+from .grid import Mesh
+from .operators import PrognosticState, fixed_order_dot
 
 __all__ = [
     "Ark2Tableau",
@@ -140,19 +139,19 @@ class GmresConfig:
             raise ConfigurationError("GMRES restart and maxiter must be >= 1")
 
 
-def _owned(a: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+def _owned(a: np.ndarray, other: np.ndarray) -> np.ndarray:
     """a itself if it is a writable contiguous float64 array sharing no
-    memory with `inputs`; otherwise a copy that is."""
+    memory with `other`; otherwise a copy that is."""
     a = np.asarray(a)
     if (a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable
-            or any(np.may_share_memory(a, v) for v in inputs)):
+            or np.may_share_memory(a, other)):
         return np.array(a, dtype=np.float64)
     return a
 
 
 def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                 config: GmresConfig = GmresConfig(),
-                work: Optional[WorkBuffers] = None, out=None) -> np.ndarray:
+                basis: Optional[np.ndarray] = None, out=None) -> np.ndarray:
     """Restarted GMRES on A x = b with A given only as an action.
 
     Arnoldi with modified Gram-Schmidt, Givens-rotation least squares,
@@ -162,10 +161,11 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     `out` (a contiguous float64 array apart from b) when given, else in
     a new array.
 
-    The basis is the buffer "gmres_solve.basis" of `work` (a fresh
-    store when None), whose restart + 1 rows every cycle reuses, and a
-    cycle writes only the rows it reaches; residuals are formed in its
-    first row. The array apply_A returns for a basis vector becomes
+    The Krylov basis is the first (restart + 1) b.size elements of the
+    contiguous float64 array `basis` (made when None), whose restart + 1
+    rows every cycle reuses, and a cycle writes only the rows it
+    reaches; residuals are formed in its first row. The array apply_A
+    returns for a basis vector becomes
     GMRES's work vector and is overwritten in place; a result that
     shares memory with the Krylov basis, or is not a writable
     contiguous float64 array, is copied first.
@@ -184,9 +184,8 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         return x
     target = config.tol * bnorm
 
-    if work is None:
-        work = WorkBuffers()
-    basis = work.array("gmres_solve.basis", (config.restart + 1, b.size))
+    size = (config.restart + 1) * b.size
+    basis = (np.empty(size) if basis is None else basis.reshape(-1)[:size]).reshape(-1, b.size)
 
     def residual():
         return np.subtract(b, apply_A(x), out=basis[0])
@@ -272,57 +271,69 @@ def linear_operator(state_increment, reference, mesh: Mesh,
     so a call does no divide and no arithmetic on the reference alone.
     `constants` is optional, for callers that name theirs (the
     acceptance gate does); when given, it must agree with the
-    reference's in c_p, c_v and g (ConfigurationError otherwise). Each direction takes one
-    derivative call on the stacked pair (p'_lin, rho0 u_d), which lives
-    in the mesh's "operator" buffer. The pair's derivatives land in the
-    momentum row of d and the row after it, from which the continuity
-    row takes the flux term before anything overwrites it. The 1D
-    matrices sum each stacked column in the same order, so this is
-    bit-identical to separate gradient and divergence calls.
+    reference's in c_p, c_v and g (ConfigurationError otherwise). Each
+    direction takes one derivative call on the stacked pair (p'_lin,
+    rho0 u_d) in the step plan's operator rows, into the momentum row of
+    d and the row after it, from which the continuity row takes the flux
+    term before anything overwrites it; the plan binds these calls and
+    the row views once for its own tendency. The 1D matrices sum each
+    stacked column in the same order, so this is bit-identical to
+    separate gradient and divergence calls.
     """
     ref_c = reference.constants
     if constants is not None and (constants.c_p, constants.c_v, constants.g) != (
             ref_c.c_p, ref_c.c_v, ref_c.g):
         raise ConfigurationError(
             "linear_operator: constants differ from the reference's in c_p, c_v or g")
-    ops = SemOps(mesh)
-    D = mesh.weak_derivative_1d
+    plan = mesh.plan
     dim = mesh.dim
     full = isinstance(state_increment, PrognosticState)
     q = state_increment.data if full else state_increment
-    rho_p, u, theta_vp, w = q[0], q[1:1 + dim], q[1 + dim], q[dim]
+    rho_p, theta_vp, w = q[0], q[1 + dim], q[dim]
     if out is None:
         out = (PrognosticState.from_vector(np.empty(q.size), dim) if full
                else np.empty((2 + dim, q.shape[1])))
     res = out.data if full else out
     if np.may_share_memory(res, q):
         raise ValueError("linear_operator: out must not overlap the increment")
-    d_rho, du, d_th, dw = res[0], res[1:1 + dim], res[1 + dim], res[dim]
-    pair = mesh.work.array("operator", (2, q.shape[1]))
-    p_lin, tmp = pair   # the flux row doubles as scratch outside the loop
+    own = res is plan.coupled or res is plan.tendency.data
+    d_rho, du, d_th, dw, w_ends, derivatives = (
+        plan.operator_rows if own else _operator_rows(plan, res, mesh.ncols))
+    p_lin, tmp = plan.pair_rows   # the flux row doubles as scratch
     np.multiply(reference.gamma_p0_rho0, rho_p, out=p_lin)
     np.multiply(reference.gamma_p0_theta_v0, theta_vp, out=tmp)
     p_lin += tmp
-    for d in range(dim):
-        np.multiply(reference.rho0, u[d], out=tmp)
-        ops.along(D[d], pair, d, out=res[1 + d:3 + d])
+    for d, (derivative, flux) in enumerate(derivatives):
+        np.multiply(reference.rho0, q[1 + d], out=tmp)
+        derivative()
         if d:
-            d_rho -= res[2 + d]
+            d_rho -= flux
         else:
-            np.negative(res[2], out=d_rho)
+            np.negative(flux, out=d_rho)
     du *= reference.neg_inv_rho0
     np.multiply(reference.neg_g_rho0, rho_p, out=tmp)
     dw += tmp
     if reference.sponge_rw is not None:
         np.multiply(reference.sponge_rw, w, out=tmp)
         dw -= tmp
-    dw[mesh.bottom_nodes] = 0.0
-    dw[mesh.top_nodes] = 0.0
+    for level in w_ends:
+        level.fill(0.0)
     np.negative(w, out=d_th)
     d_th *= reference.dtheta_v0_dz
     if full:
         linear_moisture_rows(w, reference, res[2 + dim:])
     return out
+
+
+def _operator_rows(plan, res, ncols):
+    """What `linear_operator` writes of `res`: its rows, w's boundary
+    levels, and per direction d the derivative of the plan's pair into
+    rows 1 + d and 2 + d, bound, with row 2 + d."""
+    dim = len(plan.derivative)
+    w = res[dim]
+    return (res[0], res[1:1 + dim], res[1 + dim], w, (w[:ncols], w[w.size - ncols:]),
+            tuple((plan.derivative[d](plan.pair, res[1 + d:3 + d]), res[2 + d])
+                  for d in range(dim)))
 
 
 def linear_moisture_rows(w: np.ndarray, reference, out: np.ndarray) -> np.ndarray:
@@ -373,7 +384,7 @@ class ImexOperatorSplit:
 
 def solve_implicit(split: ImexOperatorSplit, shift: float, b: PrognosticState,
                    gmres_cfg: GmresConfig = GmresConfig(),
-                   work: Optional[WorkBuffers] = None,
+                   basis: Optional[np.ndarray] = None,
                    out: Optional[PrognosticState] = None) -> PrognosticState:
     """x with (I - shift L) x = b for the split's L, into `out` or a new state.
 
@@ -381,7 +392,7 @@ def solve_implicit(split: ImexOperatorSplit, shift: float, b: PrognosticState,
     rows. Then the system is block lower-triangular: GMRES solves the
     leading rows' closed block alone, and the other rows follow exactly
     by substitution, x_m = b_m + shift (L x)_m, with (L x)_m from
-    split.lin_rest. `work` is handed to `gmres_solve`.
+    split.lin_rest. `basis` is handed to `gmres_solve`.
     """
     dim = b.dim
     if out is None:
@@ -402,7 +413,7 @@ def solve_implicit(split: ImexOperatorSplit, shift: float, b: PrognosticState,
         Av += v
         return Av
 
-    gmres_solve(apply_A, b.data[:k].reshape(-1), gmres_cfg, work=work,
+    gmres_solve(apply_A, b.data[:k].reshape(-1), gmres_cfg, basis=basis,
                 out=out.data[:k].reshape(-1))
     if k is not None:
         rest = split.lin_rest(out, out.data[k:])
@@ -413,15 +424,16 @@ def solve_implicit(split: ImexOperatorSplit, shift: float, b: PrognosticState,
 
 def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
               gmres_cfg: GmresConfig = GmresConfig(),
-              work: Optional[WorkBuffers] = None) -> PrognosticState:
+              stages: Optional[np.ndarray] = None,
+              basis: Optional[np.ndarray] = None) -> PrognosticState:
     """Advance one step of the `ark2_tableau` pair; returns a new state.
 
     The final update uses the shared weights b on S(q_i) + coupling
     only: the delta L contributions cancel exactly between the
     explicit and implicit tables, which keeps the continuity row in
     pure divergence form regardless of the linear-solve tolerance.
-    The stage vectors are buffers of `work` (a fresh store when None),
-    which the implicit solves also use for their Krylov basis.
+    The stage vectors are the rows of `stages`, a (4, state size)
+    array (made when None); `basis` is handed to the implicit solves.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -430,8 +442,6 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     delta = split.delta
     shift = delta * dt * _ARK2.gamma
     cvec = split.coupling.as_vector() if split.coupling is not None else None
-    if work is None:
-        work = WorkBuffers()
 
     def S(vec):
         return split.s(PrognosticState.from_vector(vec, dim)).as_vector()
@@ -447,7 +457,8 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     # the right-hand sides of stages 1 and 2, which take each increment
     # as soon as it is known in the order the tableau sums them; then a
     # stage's implicit solution, and L(q_i)
-    stages = work.array("step_ark2.stages", (4, n))
+    if stages is None:
+        stages = np.empty((4, n))
     rhs, q, lv = stages[:2], stages[2], stages[3]
     rhs[:] = q0
     q_state = PrognosticState.from_vector(q, dim)
@@ -458,7 +469,7 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
             qi = rhs[i - 1]
             if delta:
                 qi = solve_implicit(split, shift, PrognosticState.from_vector(qi, dim),
-                                    gmres_cfg, work=work, out=q_state).as_vector()
+                                    gmres_cfg, basis=basis, out=q_state).as_vector()
         if i < 2 and delta:
             np.copyto(lv, L(qi))
         sv = _owned(S(qi), qi)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mmfsim import driver
 from mmfsim.cli import main
 from mmfsim.driver import KEYS, read_snapshot, write_snapshot
 from mmfsim.errors import Interval
@@ -71,6 +72,31 @@ def test_run_rejects_a_step_count_that_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[config]: time.dt = 1e-320" in err and "run.duration = 4.0" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("dt, steps", [("1e-300", "4e+300"), ("3.9e-06", "1.02564e+06")])
+def test_run_rejects_more_steps_than_a_run_may_take(tmp_path, capsys, dt, steps):
+    # a finite but huge step count used to start a run that appends a
+    # diagnostics row per step until the disk fills
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.preset = desk\n"
+                              f"run.duration = 4\ntime.dt = {dt}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: time.dt = {dt} and run.duration = 4.0 give {steps} steps" in err
+    assert str(driver.MAX_STEPS) in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_step_bound_counts_rounded_steps(tmp_path, capsys, monkeypatch):
+    """A run may take MAX_STEPS steps, counted as the driver rounds them."""
+    monkeypatch.setattr(driver, "MAX_STEPS", 4)
+    for dt, rc in (("0.9", 0), ("0.8", 2)):   # 4.4 steps run as 4; 5 steps
+        cfg = write_cfg(tmp_path, "run.mode = standard\nrun.preset = desk\n"
+                                  f"run.duration = 4\ntime.dt = {dt}\n")
+        out = tmp_path / f"o{dt}"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == rc
+    assert "give 5 steps, more than the 4 a run may take" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [

@@ -23,12 +23,24 @@ from conftest import isothermal_sounding
 
 C = DEFAULT_CONSTANTS
 
-# the work buffers of a step, one per layer (see `WorkBuffers`), by
-# dimension: "along" holds the CSR product's transposed copies, so it
-# exists only where an x or y axis without a dense form does, and these
-# meshes' short x and y axes have one
-WORK_BUFFERS = {dim: ("Simulator.step.tendency", "step_ark2.stages", "gmres_solve.basis",
-                      "kernel", "operator") for dim in (2, 3)}
+def plan_buffers(plan):
+    """The arrays that own the memory of a step plan's buffers and views,
+    by id: one per layer of the step (see `mmfsim.plan`)."""
+    owners = {}
+
+    def visit(v):
+        if isinstance(v, PrognosticState):
+            v = v.data
+        if isinstance(v, np.ndarray):
+            owner = v if v.base is None else v.base
+            owners[id(owner)] = owner
+        elif isinstance(v, tuple):
+            for item in v:
+                visit(item)
+
+    for value in vars(plan).values():
+        visit(value)
+    return owners
 
 
 def column_nodes(n_elem, order, height):
@@ -512,7 +524,7 @@ def test_operator_caches_die_with_their_mesh():
     sim.state.theta_vp[:] = 0.01 * np.sin(mesh.coords[:, 0] / 2e3)
     sim.state, _ = sim.step(1.0)
     assert mesh.weak_derivative_1d and mesh.modal_filter_1d(0.2)
-    basis = mesh.work.array("gmres_solve.basis", (1,)).base
+    basis = mesh.plan.basis
     assert basis.size > mesh.npts   # the step's Krylov basis
     alive, basis = weakref.ref(mesh), weakref.ref(basis)
     del sim, mesh
@@ -547,18 +559,19 @@ def test_meshes_of_equal_size_keep_their_own_buffers():
             sim.state, _ = sim.step(1.0)
     assert np.array_equal(a.state.data, alone[0])
     assert np.array_equal(b.state.data, alone[1])
-    for name in WORK_BUFFERS[2]:
-        assert name in a.mesh.work._arrays and name in b.mesh.work._arrays
-        assert not np.shares_memory(a.mesh.work.array(name, (1,)),
-                                    b.mesh.work.array(name, (1,)))
+    buffers_a, buffers_b = plan_buffers(a.mesh.plan), plan_buffers(b.mesh.plan)
+    assert len(buffers_a) == len(buffers_b) == 5
+    for x in buffers_a.values():
+        assert not any(np.shares_memory(x, y) for y in buffers_b.values())
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_work_buffers_are_one_per_layer(dim):
     """Two warm Kessler steps with viscosity and filter leave one buffer
-    per layer of the step, holding at most five states (tendency and
-    stages), Kessler's 18 fields and three stacks of dim + 4 fields (the
-    operator accumulator and along's transposed pair) besides the basis."""
+    per layer of the step on the mesh's plan, holding at most five states
+    (tendency and stages), Kessler's 18 fields and three stacks of dim + 4
+    fields (the operator accumulator and along's transposed pair) besides
+    the basis; every row view of the plan is a view of one of them."""
     snd = isothermal_sounding(z_top=14e3)
     mesh = build_box_mesh((20e3,) * (dim - 1) + (12e3,), (2,) * (dim - 1) + (3,), 3,
                           periodicity=(True,) * (dim - 1))
@@ -568,10 +581,28 @@ def test_work_buffers_are_one_per_layer(dim):
     sim.state.theta_vp[:] = 0.5 * np.sin(2.0 * np.pi * mesh.coords[:, 0] / 20e3)
     for _ in range(2):
         sim.state, _ = sim.step(1.0)
-    arrays = mesh.work._arrays
-    assert sorted(arrays) == sorted(WORK_BUFFERS[dim])
-    fields = sum(buf.size for name, buf in arrays.items() if name != "gmres_solve.basis")
+    plan = mesh.plan
+    buffers = plan_buffers(plan)
+    # tendency, stages, basis, kernel, operator: these short x and y axes
+    # have dense forms, so no transposed pair
+    assert plan.along_pair is None and len(buffers) == 5
+    assert buffers.pop(id(plan.basis)) is plan.basis
+    fields = sum(buf.size for buf in buffers.values())
     assert fields <= (5 * (5 + dim) + 18 + 3 * (dim + 4)) * mesh.npts
+
+
+def _warm_step_peak(sim, dt):
+    """Traced allocations of a third step, peak above where it started."""
+    for _ in range(2):
+        sim.state, _ = sim.step(dt)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sim.state, _ = sim.step(dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
 
 
 def test_warm_step_peaks_within_eight_states():
@@ -580,16 +611,18 @@ def test_warm_step_peaks_within_eight_states():
     state sizes above where the step started."""
     setup = build_case("squall", "fine", preset="desk")
     sim = setup.simulator
-    for _ in range(2):
-        sim.state, _ = sim.step(setup.dt)
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        sim.state, _ = sim.step(setup.dt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 8 * sim.state.data.nbytes
+    assert _warm_step_peak(sim, setup.dt) <= 8 * sim.state.data.nbytes
+
+
+def test_warm_embedded_step_peaks_within_eight_states():
+    """So does a warm step of a desk supercell embedded grid (784 points,
+    where per-call costs weigh most), with Kessler and the coarse grid's
+    filter on."""
+    setup = build_case("supercell", "mmf", preset="desk")
+    sim = setup.instances[0].sim
+    sim.filter_strength = setup.simulator.filter_strength
+    assert sim.mesh.npts == 784 and sim.kessler is not None and sim.filter_strength > 0.0
+    assert _warm_step_peak(sim, setup.dt / setup.substeps) <= 8 * sim.state.data.nbytes
 
 
 def test_mmf_step_needs_every_element_column_in_order():

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.blas import ddot
+from scipy.linalg.blas import ddot, dgemm
 
 from mmfsim import operators
 from mmfsim.dynamics import boyd_vandeven_transfer, filter_field
@@ -471,3 +471,80 @@ def test_fixed_order_dot_sums_chunks_in_order():
         assert abs(expect - np.dot(a, b)) <= 1e-13 * np.dot(np.abs(a), np.abs(b))
     mesh = build_box_mesh((2.0, 1.0), (3, 2), (4, 3))
     assert integrate(mesh, np.ones(mesh.npts)) == operators.fixed_order_dot(mesh.mass, np.ones(mesh.npts))
+
+
+# -- the step plan's product forms against the allocating `A @ x` --
+
+PLAN_MESHES = {
+    # x 40 (dgemm), z 49 in 49 x 49 x 40 blocks (matmul)
+    "2d_x40": ((20e3, 12e3), (10, 12), 4, (True,)),
+    # x 68, over DENSE_MAX (CSR on transposed copies); z 17 (matmul)
+    "2d_x68": ((20e3, 12e3), (17, 4), 4, (True,)),
+    # x and y 12 (dgemm, matmul); z 49 in 49 x 49 x 144 blocks (CSR)
+    "3d_z49": ((2e3, 3e3, 10e3), (3, 3, 12), 4, (True, True)),
+    # x and y 68 (CSR on transposed copies); z 5 (matmul)
+    "3d_x68_y68": ((9e3, 9e3, 2e3), (17, 17, 1), 4, (True, True)),
+}
+
+
+def _plan_form(mesh, d):
+    """The product form `Mesh.plan` must choose for direction d."""
+    if _dense_axis(mesh, d):
+        return "dgemm" if d == 0 else "matmul"
+    return "csr" if d == mesh.dim - 1 else "transposed csr"
+
+
+def _product_oracle(mesh, A, f, d):
+    """A along d of contiguous copies of the rows of f, through the public
+    product of each form, which allocates its result: scipy's dgemm on
+    the (n, lines) matrix along x, numpy's `@` on the (n, stride) blocks
+    along y and z, and scipy's `A @ x` for CSR."""
+    n = A.shape[0]
+    g = np.ascontiguousarray(f).reshape(-1, n, math.prod(mesh.npts_1d[:d]))
+    form = _plan_form(mesh, d)
+    if form == "dgemm":
+        return dgemm(1.0, A.dense, np.asfortranarray(g.reshape(-1, n).T)).T.reshape(f.shape)
+    if form == "matmul":
+        return (A.dense @ g).reshape(f.shape)
+    return _along_reference(mesh, A, f, d)
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_MESHES))
+def test_plan_products_reproduce_the_public_product(name, monkeypatch):
+    """Each 1D matrix's product, in the form the plan chose once for its
+    direction, writes the bits of the form's public product into
+    contiguous and strided `out` rows; a bound call reads its operands
+    when it is made, so one binding serves every call."""
+    extents, elems, order, periodic = PLAN_MESHES[name]
+    mesh = build_box_mesh(extents, elems, order, periodicity=periodic)
+    calls = []
+    monkeypatch.setattr(operators, "dgemm", lambda *a, _f=operators.dgemm, **k:
+                        calls.append("dgemm") or _f(*a, **k))
+    monkeypatch.setattr(operators.np, "matmul", lambda *a, _f=np.matmul, **k:
+                        calls.append("matmul") or _f(*a, **k))
+    monkeypatch.setattr(operators, "_csr_times_dense", lambda *a, _f=operators._csr_times_dense:
+                        calls.append("csr") or _f(*a))
+    plan = mesh.plan
+    forms = [_plan_form(mesh, d) for d in range(mesh.dim)]
+    assert (plan.along_pair is None) == ("transposed csr" not in forms)
+    rng = np.random.default_rng(len(name))
+    for M in (mesh.weak_derivative_1d, mesh.weak_laplacian_1d, mesh.modal_filter_1d(0.3)):
+        for d, form in enumerate(forms):
+            product = plan.product(M[d], d)
+            assert product is plan.product(M[d], d)
+            for nf in (1, 3):
+                f = rng.standard_normal((nf, mesh.npts))
+                strided = np.full((nf, 2, mesh.npts), np.nan)
+                for out in (np.full((nf, mesh.npts), np.nan), strided[:, 1]):
+                    calls.clear()
+                    call = product(f, out)
+                    call()
+                    assert np.array_equal(out, _product_oracle(mesh, M[d], f, d))
+                    kernel = "csr" if form == "transposed csr" else form
+                    assert set(calls) == {kernel}
+                    f[:] = rng.standard_normal(f.shape)
+                    call()
+                    assert np.array_equal(out, _product_oracle(mesh, M[d], f, d))
+                assert np.all(np.isnan(strided[:, 0]))
+    assert plan.derivative == tuple(plan.product(D, d)
+                                    for d, D in enumerate(mesh.weak_derivative_1d))

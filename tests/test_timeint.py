@@ -9,7 +9,7 @@ from mmfsim import timeint
 from mmfsim.cases import build_case
 from mmfsim.dynamics import DEFAULT_CONSTANTS, SpongeConfig, build_reference, sponge_profile
 from mmfsim.errors import ConfigurationError, SolverError
-from mmfsim.grid import WorkBuffers, build_box_mesh
+from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState, SemOps
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
@@ -270,18 +270,18 @@ def test_reduced_solve_answers_the_full_system(case, monkeypatch):
 
 
 def test_gmres_reuses_one_basis_across_solves():
-    """Solves sharing a work store, with different sizes and restart
-    lengths, give the bits of solves with stores of their own; the
+    """Solves sharing one basis array, with different sizes and restart
+    lengths, give the bits of solves with bases of their own; the
     solution lands in `out`, which must be apart from b."""
     rng = np.random.default_rng(5)
     systems = []
     for n, restart in ((60, 4), (40, 30), (60, 10)):
         A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
         systems.append((A, rng.standard_normal(n), GmresConfig(tol=1e-10, restart=restart)))
-    work = WorkBuffers()
+    basis = np.empty(max((cfg.restart + 1) * b.size for _, b, cfg in systems))
     for A, b, cfg in systems:
         out = np.full_like(b, np.nan)
-        assert gmres_solve(lambda v: A @ v, b, cfg, work=work, out=out) is out
+        assert gmres_solve(lambda v: A @ v, b, cfg, basis=basis, out=out) is out
         assert np.array_equal(out, gmres_solve(lambda v: A @ v, b, cfg))
     with pytest.raises(ValueError):
         gmres_solve(lambda v: A @ v, b, cfg, out=b)
