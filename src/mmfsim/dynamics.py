@@ -297,6 +297,12 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     PrognosticState that must not overlap `state`) when given, else
     into a new state; intermediates live in the kernel buffer of the
     mesh's step plan.
+
+    A condensate row that is zero on the whole grid is neither advected
+    nor diffused. So a zero q_r leaves the derivative, advection and
+    Laplacian stacks, and with it a zero q_c (a row leaves only from the
+    end of the stack); their tendency rows are written as zero. Embedded
+    grids are mostly cloud-free.
     """
     if out is None:
         out = PrognosticState.from_vector(np.empty(state.data.size), state.dim)
@@ -305,8 +311,12 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     constants, sponge_rw = reference.constants, reference.sponge_rw
     ops = SemOps(mesh)
     dim = mesh.dim
-    fields, u, w = state.data[1:], state.u, state.u[-1]
+    nf = len(state.data) - 1
+    while nf > dim + 2 and not state.data[nf].any():
+        nf -= 1
+    fields, u, w = state.data[1:nf + 1], state.u, state.u[-1]
     rho, tmp, p_prime, derivs, gp_rho = ops.plan.rhs_rows
+    derivs = derivs[:nf]
     np.add(reference.rho0, state.rho_p, out=rho)
     if np.min(rho) <= 0.0:
         raise StateError("vacuum: rho0 + rho' <= 0 somewhere")
@@ -321,7 +331,8 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
 
     # -u . grad of velocity and scalars into rows 1.. of out, summed over
     # directions in order; the pressure gradient over rho beside it
-    adv = out.data[1:]
+    adv = out.data[1:nf + 1]
+    out.data[nf + 1:] = 0.0
     for d, product in enumerate(ops.plan.derivative):
         product(fields, derivs)()
         ops.plan.pressure_gradient[d]()

@@ -12,6 +12,21 @@ mm of liquid).
 The process chain works on level-major (..., nlev, ncols) batches. A
 field stores z slowest, so each of its rows already is such a block,
 and a grid's update runs on the state's own rows.
+
+Each process runs only where it can act, and skipping it changes no
+bit: sedimentation only when some column holds rain (a dry column
+falls at V = 0, so the batch's shared CFL substep is the rainy
+columns'); autoconversion only when some point's cloud exceeds the
+threshold; accretion and evaporation only when there is rain, and
+their rain powers, like the fall speed's, only at points with rain;
+the saturation Newton only when some point holds cloud or has vapor at
+or above the q_vs of its entry state (elsewhere its first step clips
+every increment to zero). The powers matter most: numpy's `np.power`
+takes about four times as long on a zero base as on a positive one, so
+they are `np.power` calls masked to the points with rain, on arrays
+that already hold the zeros elsewhere. Embedded grids are mostly
+cloud-free, and a dry batch then costs the entry checks, one pressure
+and one saturation diagnosis.
 """
 
 from dataclasses import dataclass
@@ -79,18 +94,38 @@ def saturation_mixing_ratio(p, T, constants: PhysConstants = DEFAULT_CONSTANTS):
     return (constants.R_d / constants.R_v) * es / (p - es)
 
 
-def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch):
+def _mask_in(row):
+    """A boolean array of `row`'s shape in the memory of `row`, a
+    C-contiguous float array that it spends."""
+    return row.reshape(-1).view(np.bool_)[:row.size].reshape(row.shape)
+
+
+def _rain_power(x, exponent, wet, out):
+    """x^exponent into `out` (which may be x) for x >= 0.
+
+    `wet` lends a boolean array for the mask x > 0, and only there is
+    the power taken; elsewhere `out` gets x's zeros, their own powers,
+    on which np.power spends about four times as long as on a positive
+    base."""
+    np.greater(x, 0.0, out=wet)
+    if out is not x:
+        np.copyto(out, x)
+    return np.power(out, exponent, out=out, where=wet)
+
+
+def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch, wet):
     """Upwind flux-form fall of rain; returns surface precip in kg/m^2.
 
     The discrete column sum of rho*q_r*mass changes exactly by the
     accumulated surface flux (telescoping), which is what closes the
     water budget. q_r and rho are (..., nlev, ncols), masses (nlev,);
-    `scratch` lends five arrays of q_r's shape.
+    `scratch` lends five arrays of q_r's shape, and `wet` is as in
+    `_rain_power`.
     """
     precip = np.zeros_like(q_r[..., 0, :])
     if dt <= 0.0:
         return precip
-    m_min = float(np.min(masses))
+    m_min = float(masses.min())
     rho_cgs, root, rho_m, flux, dmass = scratch[:5]
     # the fall speed's fixed factors: 0.001 converts rho*q_r from kg/m^3
     # to the g/cm^3 the power law expects, and sqrt(rho_surf/rho)
@@ -109,10 +144,10 @@ def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch):
         V = flux
         np.maximum(q_r, 0.0, out=V)
         V *= rho_cgs
-        np.power(V, params.fall_speed_exponent, out=V)
+        _rain_power(V, params.fall_speed_exponent, wet, V)
         V *= params.fall_speed_coeff
         V *= root
-        vmax = float(np.max(V))
+        vmax = float(V.max())
         step = dt if vmax == 0.0 else min(dt, 0.9 * m_min / vmax)
         sub = min(remaining, step)
         np.multiply(rho, V, out=flux)             # kg/m^2/s, downward
@@ -133,7 +168,8 @@ def _sediment(q_r, rho, masses, rho_surf, dt, params, scratch):
 def _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, den, pme):
     """Diagnose T = theta_v exner / den, den = 1 + eps q_v, the Tetens
     e_s(T) into es with T - _TETB left in tmb, and q_vs = (R_d/R_v) es /
-    pme, pme = p - es; den and pme may be one array."""
+    pme, pme = p - es; den and pme may be one array. Raises StateError
+    where p <= e_s, as `saturation_mixing_ratio` does."""
     np.multiply(constants.eps, q_v, out=den)
     den += 1.0
     np.multiply(theta_v, exner, out=T)
@@ -145,15 +181,18 @@ def _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, den, pme):
     np.exp(es, out=es)
     es *= _ES0
     np.subtract(p, es, out=pme)
+    if float(pme.min()) <= 0.0:
+        raise StateError("pressure at or below saturation vapor pressure")
     np.multiply(constants.R_d / constants.R_v, es, out=qvs)
     qvs /= pme
 
 
 def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants,
                        delta, scratch):
-    """Newton solve for the condensation increment at fixed density.
+    """Newton solve for the condensation increment at fixed density,
+    applied in place.
 
-    Writes delta with q_v -> q_v - delta, q_c -> q_c + delta and
+    Writes delta and makes q_v -> q_v - delta, q_c -> q_c + delta and
     theta_v -> theta_v + A delta, A = L_v/(c_p Pi_entry). Pressure is
     diagnostic here (p = p(rho, theta_v)), so the solve tracks the p
     and Exner response to the latent heating; that makes a repeated
@@ -206,20 +245,35 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants
         np.subtract(-1.0, des, out=des)
         g /= des
         np.subtract(delta, g, out=g)
+        # np.clip's own min(max(g, -q_c), q_v), without its Python wrapper
+        # (9 us against 4 us on 4840 points)
         np.negative(q_c, out=x)
-        new = np.clip(g, x, q_v, out=g)
+        new = np.minimum(np.maximum(g, x, out=g), q_v, out=g)
         np.subtract(new, delta, out=x)
         np.abs(x, out=x)
-        done = float(np.max(x)) < 1e-16
+        done = float(x.max()) < 1e-16
         np.copyto(delta, new)
         if done:
             break
-    return delta
+    q_v -= delta
+    q_c += delta
+    np.multiply(A, delta, out=x)
+    theta_v += x
 
 
-def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, ern, scratch):
+def _reaches_saturation(theta_v, q_v, p, exner, constants, scratch):
+    """Whether q_v >= q_vs at some point (or q_vs is NaN); `scratch` lends
+    five arrays of q_v's shape."""
+    T, es, tmb, qvs, den = scratch[:5]
+    _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, den, den)
+    np.subtract(q_v, qvs, out=qvs)
+    return not float(qvs.max()) < 0.0
+
+
+def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, ern, scratch, wet):
     """Kessler/Klemp ventilation-law evaporation of rain into subsaturated
-    air, written into ern; `scratch` lends nine arrays of q_v's shape."""
+    air, written into ern; `scratch` lends nine arrays of q_v's shape,
+    and `wet` is as in `_rain_power`."""
     T, es, tmb, qvs, deficit, rcgs, rq, vent, y = scratch[:9]
     _saturation(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, y, y)
     np.subtract(qvs, q_v, out=deficit)
@@ -228,11 +282,10 @@ def _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, ern, scra
     np.maximum(q_r, 0.0, out=rq)
     rq *= rcgs
     # vent = (1.6 + 124.9 rq^0.2046) rq^0.525
-    np.power(rq, 0.2046, out=vent)
+    _rain_power(rq, 0.2046, wet, vent)
     vent *= 124.9
     vent += 1.6
-    np.power(rq, 0.525, out=y)
-    vent *= y
+    vent *= _rain_power(rq, 0.525, wet, rq)
     # ern = dt (vent / denom) (deficit / (rcgs qvs)), denom = 2.55e8/(p qvs) + 5.4e5
     np.multiply(p, qvs, out=y)
     np.divide(2.55e8, y, out=y)
@@ -255,48 +308,59 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
     masses holds the (nlev,) vertical quadrature masses. Intermediates
     live in the _SCRATCH_ROWS arrays of q_c's shape that `scratch`
     stacks; it lends them to the process functions one after another.
+    The rain mask lives in the last, which the saturation Newton also
+    uses, so each process makes the mask anew. A process runs only where
+    it can act (see the module docstring).
     """
-    if float(np.min(rho)) <= 0.0:
+    if float(rho.min()) <= 0.0:
         raise StateError("non-positive density on entry to microphysics")
-    if min(float(np.min(q_c)), float(np.min(q_r))) < -1e-12:
+    if min(float(q_c.min()), float(q_r.min())) < -1e-12:
         raise StateError("negative cloud or rain mixing ratio on entry to microphysics")
     np.maximum(q_c, 0.0, out=q_c)
     np.maximum(q_r, 0.0, out=q_r)
     p, exner, delta, tmp, *scratch = scratch
+    wet = _mask_in(scratch[-1])
+    qc_max = float(q_c.max())
 
-    precip = _sediment(q_r, rho, masses, rho_surf, dt, params, scratch)
+    # without rain nothing falls; a dry column falls at V = 0, so the
+    # shared CFL substep is that of the columns with rain
+    rain = bool(q_r.any())
+    precip = (_sediment(q_r, rho, masses, rho_surf, dt, params, scratch, wet) if rain
+              else np.zeros_like(q_r[..., 0, :]))
 
-    np.subtract(q_c, params.autoconversion_threshold, out=tmp)
-    np.maximum(tmp, 0.0, out=tmp)
-    tmp *= dt * params.autoconversion_rate
-    np.minimum(tmp, q_c, out=tmp)
-    q_c -= tmp
-    q_r += tmp
+    # autoconversion makes rain where there was none
+    if qc_max > params.autoconversion_threshold:
+        np.subtract(q_c, params.autoconversion_threshold, out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        tmp *= dt * params.autoconversion_rate
+        np.minimum(tmp, q_c, out=tmp)
+        q_c -= tmp
+        q_r += tmp
+        rain = True
 
-    np.multiply(dt * params.accretion_rate, q_c, out=tmp)
-    np.power(q_r, 0.875, out=p)
-    tmp *= p
-    np.minimum(tmp, q_c, out=tmp)
-    q_c -= tmp
-    q_r += tmp
+    if rain:
+        np.multiply(dt * params.accretion_rate, q_c, out=tmp)
+        tmp *= _rain_power(q_r, 0.875, wet, p)
+        np.minimum(tmp, q_c, out=tmp)
+        q_c -= tmp
+        q_r += tmp
 
     equation_of_state(rho, theta_v=theta_v, constants=constants, out=p)
     exner_function(p, constants, out=exner)
-    _saturation_adjust(theta_v, q_v, q_c, rho, p, exner, params, constants, delta, scratch)
-    q_v -= delta
-    q_c += delta
-    np.multiply(constants.c_p, exner, out=tmp)
-    np.divide(constants.L_v, tmp, out=tmp)
-    tmp *= delta
-    theta_v += tmp
+    # with no cloud anywhere and every point below its entry q_vs, the
+    # Newton's first step clips every increment to -q_c = 0, and stops
+    adjust = qc_max > 0.0 or _reaches_saturation(theta_v, q_v, p, exner, constants, scratch)
+    if adjust:
+        _saturation_adjust(theta_v, q_v, q_c, rho, p, exner, params, constants, delta, scratch)
 
-    if dt > 0.0:
+    if dt > 0.0 and rain:
         # evaporation sees the post-adjustment diagnostic pressure, which
         # is the entry one when nothing condensed or evaporated
-        if np.any(delta):
+        if adjust and delta.any():
             equation_of_state(rho, theta_v=theta_v, constants=constants, out=p)
             exner_function(p, constants, out=exner)
-        ern = _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, delta, scratch)
+        ern = _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, delta, scratch,
+                                wet)
         q_r -= ern
         q_v += ern
         np.multiply(constants.c_p, exner, out=tmp)

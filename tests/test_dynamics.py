@@ -333,6 +333,37 @@ def test_evaluate_rhs_matches_reference_formula(rhs_case, sponge, nu):
         evaluate_rhs(st, ref, mesh, constants)
 
 
+@pytest.mark.parametrize("zero", ["q_c q_r", "q_r", "q_c"])
+def test_evaluate_rhs_with_zero_condensate_rows(rhs_case, zero, monkeypatch):
+    """Zero condensate rows that trail the stack (q_r, then q_c) leave the
+    derivative stacks and get an exact zero tendency; a zero q_c under a
+    nonzero q_r stays in them. The tendency is the reference formula's
+    bit for bit either way."""
+    mesh, (st, _) = rhs_case
+    st = st.copy()
+    for name in zero.split():
+        st[name] = 0.0
+    constants = C.with_nu(200.0)
+    cfg = SpongeConfig(18e3, 24e3, 0.25)
+    ref = build_reference(isothermal_sounding(), mesh, constants, sponge=cfg)
+    rw = sponge_profile(mesh.coords[:, -1], cfg)
+    stacked = []
+    laplacian = SemOps.laplacian
+
+    def spy(self, f, out=None):
+        stacked.append(f.shape[0])
+        return laplacian(self, f, out=out)
+
+    monkeypatch.setattr(SemOps, "laplacian", spy)
+    out = PrognosticState.from_vector(np.full(st.data.size, np.nan), mesh.dim)
+    got = evaluate_rhs(st, ref, mesh, out=out)
+    monkeypatch.undo()
+    assert np.array_equal(got.data, _rhs_reference(st, ref, mesh, constants, rw).data)
+    dropped = {"q_c q_r": 2, "q_r": 1, "q_c": 0}[zero]
+    assert stacked == [mesh.dim + 4 - dropped]
+    assert np.all(got.data[len(got.data) - dropped:] == 0.0)
+
+
 def test_transfer_function_shape():
     eta = np.linspace(0.0, 1.0, 101)
     sig = boyd_vandeven_transfer(eta)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmfsim import microphysics
+from mmfsim.coupling import Simulator
 from mmfsim.dynamics import DEFAULT_CONSTANTS, build_reference, equation_of_state, exner_function
 from mmfsim.errors import StateError
 from mmfsim.grid import build_box_mesh
@@ -101,9 +102,11 @@ def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference
     assert np.all(precip == 0.0)
     assert len(calls) == 1
 
+    # the cloud evaporates: the entry pressure and at least one per Newton
+    # iteration after the first (rain-free, so no evaporation pressure)
     st.q_c[:] = 1e-4
     apply_microphysics(st, ref, small_mesh, 5.0, P)
-    assert len(calls) > 3
+    assert len(calls) > 2
 
 
 def test_supersaturation_condenses():
@@ -181,6 +184,31 @@ def test_negative_input_rejected():
     col = make_column(q_c=-1e-6)
     with pytest.raises(StateError):
         kessler_column_step(col, 1.0, P, C)
+
+
+def test_batch_rejects_pressure_at_or_below_saturation(small_mesh, small_reference):
+    """Where p <= e_s the batch raises the StateError that
+    `saturation_mixing_ratio` raises, instead of condensing the vapor."""
+    p, theta_v, q_v = 1222.0, 1500.0, 0.01
+    rho = C.p00 / (C.R_d * theta_v) * (p / C.p00) ** (C.c_v / C.c_p)
+    col = make_column(nlev=3, q_v=q_v, theta_v=theta_v)
+    col.rho[:] = rho
+    T = theta_v * exner_function(equation_of_state(rho, theta_v=theta_v, constants=C), C) \
+        / (1.0 + C.eps * q_v)
+    with pytest.raises(StateError, match="saturation vapor pressure"):
+        saturation_mixing_ratio(p, T, C)
+    with pytest.raises(StateError, match="saturation vapor pressure"):
+        kessler_column_step(col, 1.0, P, C)
+
+    # one hot point on the grid, whose state Simulator.step then names
+    st = PrognosticState.zeros(small_mesh)
+    st.theta_vp[small_mesh.npts // 2] = 1500.0
+    with pytest.raises(StateError, match="saturation vapor pressure"):
+        apply_microphysics(st, small_reference, small_mesh, 1.0, P)
+    sim = Simulator(mesh=small_mesh, reference=small_reference, state=st, kessler=P,
+                    dynamics_enabled=False)
+    with pytest.raises(StateError, match="^microphysics: pressure at or below saturation"):
+        sim.step(1.0)
 
 
 def test_params_validated():
@@ -345,35 +373,64 @@ def oracle_grid(dim):
     return mesh, build_reference(isothermal_sounding(z_top=14e3), mesh, C)
 
 
-def moist_state(mesh, cloudy, seed):
-    """Noise in every field; cloudy states carry cloud, rain and vapor up
-    to well past saturation, dry ones stay subsaturated and cloud-free."""
+def moist_state(mesh, kind, seed):
+    """Noise in every field. kind True: cloud, rain and vapor up to well
+    past saturation at every point; False: subsaturated and cloud-free.
+    The patchy kinds are the False state plus rain in two columns
+    ("rain_columns"), cloud at a few points, some of it above the
+    autoconversion threshold ("cloud_points"), or vapor far above
+    saturation at one cloud-free point ("supersaturated_point")."""
     rng = np.random.default_rng(seed)
     st = PrognosticState.zeros(mesh)
     st.rho_p = 1e-3 * rng.standard_normal(mesh.npts)
     st.u = rng.standard_normal(st.u.shape)
     st.theta_vp = rng.uniform(-1.0, 1.0, mesh.npts)
-    if cloudy:
+    if kind is True:
         st.q_vp = 0.02 * rng.random(mesh.npts)
         st.q_c = 2e-3 * rng.random(mesh.npts)
         st.q_r = 2e-3 * rng.random(mesh.npts)
-    else:
-        st.q_vp = rng.uniform(-1e-3, 1e-3, mesh.npts)
+        return st
+    st.q_vp = rng.uniform(-1e-3, 1e-3, mesh.npts)
+    points = rng.choice(mesh.npts, 5, replace=False)
+    if kind == "rain_columns":
+        # every level of two columns; z runs slowest
+        st.q_r.reshape(-1, mesh.ncols)[:, [1, mesh.ncols - 2]] = \
+            2e-3 * rng.random((mesh.npts // mesh.ncols, 2))
+    elif kind == "cloud_points":
+        st.q_c[points] = np.linspace(5e-4, 2.5e-3, points.size)
+    elif kind == "supersaturated_point":
+        st.q_vp[points[0]] = 0.05
     return st
 
 
+# (enters _sediment, solves the saturation Newton) for each kind
+KINDS = {False: (False, False), True: (True, True), "rain_columns": (True, False),
+         "cloud_points": (False, True), "supersaturated_point": (False, True)}
+
+
 @pytest.mark.parametrize("target", ["new", "state", "other"])
-@pytest.mark.parametrize("cloudy", [False, True])
+@pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("dim", [2, 3])
-def test_apply_microphysics_matches_column_major_oracle(dim, cloudy, target):
+def test_apply_microphysics_matches_column_major_oracle(dim, kind, target, monkeypatch):
     """The update on the state's own level-major rows is the column-major
-    one bit for bit, whichever state receives it; the input is left
-    alone unless it is the output."""
+    one bit for bit, whichever state receives it, on states wet
+    everywhere, nowhere and in patches; the input is left alone unless it
+    is the output. A batch without rain never enters the sedimentation,
+    and a cloud-free, subsaturated one never enters the saturation
+    Newton."""
     mesh, ref = oracle_grid(dim)
-    st = moist_state(mesh, cloudy, seed=dim)
+    st = moist_state(mesh, kind, seed=dim)
     before = st.data.copy()
     want, want_precip = oracle_apply_microphysics(st, ref, mesh, 30.0, P, C)
-    assert not cloudy or (np.any(want_precip > 0.0) and np.any(want.q_c > 0.0))
+    falls, adjusts = KINDS[kind]
+    assert not falls or np.any(want_precip > 0.0)
+    assert not adjusts or not np.array_equal(want.q_vp, st.q_vp)
+    calls = {"_sediment": [], "_saturation_adjust": []}
+    for name, made in calls.items():
+        def spy(*args, _made=made, _f=getattr(microphysics, name), **kwargs):
+            _made.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(microphysics, name, spy)
     out = {"new": None, "state": st,
            "other": PrognosticState.from_vector(np.full(st.data.size, np.nan), mesh.dim)}[target]
     got, precip = apply_microphysics(st, ref, mesh, 30.0, P, out=out)
@@ -383,6 +440,8 @@ def test_apply_microphysics_matches_column_major_oracle(dim, cloudy, target):
     if target != "state":
         assert got is not st and not np.shares_memory(got.data, st.data)
         assert np.array_equal(st.data, before)
+    assert bool(calls["_sediment"]) == falls
+    assert len(calls["_saturation_adjust"]) == adjusts
 
 
 def test_warm_in_place_update_allocates_less_than_a_field():
@@ -391,7 +450,7 @@ def test_warm_in_place_update_allocates_less_than_a_field():
     below one field above where the call started."""
     mesh = build_box_mesh((8e3, 24e3), (10, 30), (4, 4), periodicity=(True,))
     ref = build_reference(isothermal_sounding(), mesh, C)
-    st = moist_state(mesh, cloudy=True, seed=7)
+    st = moist_state(mesh, True, seed=7)
     apply_microphysics(st, ref, mesh, 2.0, P, out=st)
     tracemalloc.start()
     try:
