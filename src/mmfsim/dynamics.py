@@ -295,8 +295,9 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     impermeable bottom/top boundaries are zeroed (strong
     no-normal-flow). The tendency is written into `out` (a
     PrognosticState that must not overlap `state`) when given, else
-    into a new state; intermediates live in the kernel buffer of the
-    mesh's step plan.
+    into a new state; intermediates live in the kernel and operator
+    buffers of the mesh's step plan, which binds the products of the
+    fields once per stage row (`StepPlan.field_products`).
 
     A condensate row that is zero on the whole grid is neither advected
     nor diffused. So a zero q_r leaves the derivative, advection and
@@ -309,13 +310,15 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     elif np.may_share_memory(out.data, state.data):
         raise ValueError("evaluate_rhs: out must not overlap the state")
     constants, sponge_rw = reference.constants, reference.sponge_rw
-    ops = SemOps(mesh)
+    plan = mesh.plan
     dim = mesh.dim
     nf = len(state.data) - 1
     while nf > dim + 2 and not state.data[nf].any():
         nf -= 1
     fields, u, w = state.data[1:nf + 1], state.u, state.u[-1]
-    rho, tmp, p_prime, derivs, gp_rho = ops.plan.rhs_rows
+    rho, tmp, (gp, flux), derivs, gp_rho = plan.rhs_rows
+    p_prime, rho_u = plan.pair_rows
+    derivative, laplacian = plan.field_products(fields)
     derivs = derivs[:nf]
     np.add(reference.rho0, state.rho_p, out=rho)
     if np.min(rho) <= 0.0:
@@ -324,25 +327,25 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     equation_of_state(rho, theta_v=tmp, constants=constants, out=p_prime)
     p_prime -= reference.p0
 
-    # first derivatives of velocity and scalars along one direction at a
-    # time, then their Laplacian; the mass flux uses the rows first
-    np.multiply(rho, u, out=derivs[:dim])
-    np.negative(ops.div(derivs[:dim], out=out.rho_p), out=out.rho_p)
-
-    # -u . grad of velocity and scalars into rows 1.. of out, summed over
-    # directions in order; the pressure gradient over rho beside it
+    # per direction, the derivative of the pair (p', rho u_d) gives the
+    # pressure gradient and the mass flux, that of the fields their
+    # advection; -div(rho u) into row 0 of out and -u . grad of velocity
+    # and scalars into rows 1.., each summed over directions in order
     adv = out.data[1:nf + 1]
     out.data[nf + 1:] = 0.0
-    for d, product in enumerate(ops.plan.derivative):
-        product(fields, derivs)()
-        ops.plan.pressure_gradient[d]()
-        gp_rho[d] /= rho
+    for d, (pair, field) in enumerate(zip(plan.rhs_pair, derivative)):
+        np.multiply(rho, u[d], out=rho_u)
+        pair()
+        field()
+        np.divide(gp, rho, out=gp_rho[d])
         if d:
+            out.rho_p += flux
             derivs *= u[d]
             adv += derivs
         else:
+            np.copyto(out.rho_p, flux)
             np.multiply(u[0], derivs, out=adv)
-    np.negative(adv, out=adv)
+    np.negative(out.data[:nf + 1], out=out.data[:nf + 1])
 
     du = out.u
     du -= gp_rho
@@ -363,9 +366,13 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     out.q_vp -= tmp
 
     if constants.nu != 0.0:
-        lap = ops.laplacian(fields, out=derivs)
-        lap *= constants.nu
-        adv += lap
+        lap_d = plan.operator[:nf]
+        for d, product in enumerate(laplacian):
+            product()
+            if d:
+                derivs += lap_d
+        derivs *= constants.nu
+        adv += derivs
 
     du[-1][mesh.bottom_nodes] = 0.0
     du[-1][mesh.top_nodes] = 0.0

@@ -15,9 +15,11 @@ as far as a buffer is used. The buffers, of npts-point rows:
   S(q) and L(q) that `Simulator.step` asks for;
 - `stages`: `step_ark2`'s four stage vectors;
 - `basis`: `gmres_solve`'s restart + 1 Krylov vectors of coupled rows;
-- `kernel`: `evaluate_rhs`'s 2 dim + 7 intermediates, or Kessler's
+- `kernel`: `evaluate_rhs`'s dim + 8 intermediates, or Kessler's
   density and intermediates, level-major;
-- `operator`: dim + 4 rows for L's stacked pair and `SemOps`' sums;
+- `operator`: dim + 4 rows for the (p', rho u_d) pair that L and S each
+  differentiate in one product per direction, S's grad p'/rho and
+  Laplacian sums, and `SemOps`' sums;
 - `along_pair`: the transposed copies of two dim + 4 row stacks for the
   CSR product along an x or y axis without a dense form, if there is one.
 """
@@ -40,21 +42,21 @@ class StepPlan:
         self.coupled = self.tendency.data[:2 + dim]
         self.stages = np.empty((4, nf * npts))
         self.basis = np.empty((GmresConfig().restart + 1) * self.coupled.size)
-        k = self.kernel = np.empty((max(2 * dim + 7, 1 + _SCRATCH_ROWS), npts))
-        self.rhs_rows = (k[0], k[1], k[2], k[3:dim + 7], k[dim + 7:2 * dim + 7])
-        levels = k.reshape((len(k), mesh.npts_1d[-1], mesh.ncols))
-        self.kessler_rho, self.kessler_scratch = levels[0], levels[1:1 + _SCRATCH_ROWS]
+        k = self.kernel = np.empty((max(dim + 8, 1 + _SCRATCH_ROWS), npts))
         self.operator = np.empty((dim + 4, npts))
         self.pair = self.operator[:2]
         self.pair_rows = tuple(self.pair)
+        # rho, tmp, d(pair), d(fields), grad p'/rho (operator rows free until S's Laplacian)
+        self.rhs_rows = (k[0], k[1], k[2:4], k[4:dim + 8], self.operator[2:2 + dim])
+        levels = k.reshape((len(k), mesh.npts_1d[-1], mesh.ncols))
+        self.kessler_rho, self.kessler_scratch = levels[0], levels[1:1 + _SCRATCH_ROWS]
         long_xy = any(A.dense is None for A in mesh.weak_derivative_1d[:-1])
         self.along_pair = np.empty(2 * (dim + 4) * npts) if long_xy else None
 
-        self._products = {}
+        self._products, self._field_products = {}, {}
         self.derivative = tuple(map(self.product, mesh.weak_derivative_1d, range(dim)))
         self.laplacian = tuple(map(self.product, mesh.weak_laplacian_1d, range(dim)))
-        p_prime, gp_rho = self.rhs_rows[2], self.rhs_rows[4]
-        self.pressure_gradient = tuple(D(p_prime, gp_rho[d]) for d, D in enumerate(self.derivative))
+        self.rhs_pair = tuple(D(self.pair, self.rhs_rows[2]) for D in self.derivative)
         self.operator_rows = _operator_rows(self, self.coupled, mesh.ncols)
 
     def product(self, A, d):
@@ -64,3 +66,18 @@ class StepPlan:
         if key not in self._products:
             self._products[key] = _product(A, d, self.npts_1d, self.along_pair)
         return self._products[key]
+
+    def field_products(self, fields):
+        """S's derivative and Laplacian of its field rows per direction,
+        bound into its rows (the Laplacian's later directions into the
+        operator rows); kept per row and row count of `stages`, where
+        `step_ark2` hands S its states, and made anew for other rows."""
+        key = (fields.__array_interface__["data"][0], fields.shape)
+        products = self._field_products.get(key)
+        if products is None:
+            derivs, tmp = self.rhs_rows[3][:len(fields)], self.operator[:len(fields)]
+            products = (tuple(D(fields, derivs) for D in self.derivative),
+                        tuple(L(fields, tmp if d else derivs) for d, L in enumerate(self.laplacian)))
+            if fields.base is self.stages and fields.flags.c_contiguous:
+                self._field_products[key] = products
+        return products

@@ -19,10 +19,13 @@ granularity, so it is frozen across stages).
 The vector arithmetic works in place: Gram-Schmidt updates and stage
 sums are BLAS axpy calls on the stage vectors and the Krylov basis, so
 an Arnoldi iteration allocates nothing of state size but its operator's
-result. `Simulator.step` passes its mesh's step plan's (`Mesh.plan`),
-made on the first step and gone with the mesh; simulators sharing a
-mesh share them, so they must not step concurrently. Dot products sum fixed chunks in order (`operators.fixed_order_dot`),
-so the iterates do not depend on the BLAS thread count. Results that a
+result, and its least-squares bookkeeping is plain floats.
+`Simulator.step` passes its mesh's step plan's (`Mesh.plan`), made on
+the first step and gone with the mesh, whose products S binds once to
+the stage vectors it is handed; simulators sharing a mesh share them,
+so they must not step concurrently. Dot products sum fixed chunks in
+order (`operators.fixed_order_dot`), so the iterates do not depend on
+the BLAS thread count. Results that a
 GMRES operator returns are scaled and orthogonalized in place unless
 they share memory with its input, in which case they are copied first;
 the caller's state is never written.
@@ -37,12 +40,12 @@ import numpy as np
 # solver's vector operations all go through scipy's, because alternating
 # between the two pools leaves one pool's threads spinning against the
 # other's and made multithreaded runs about ten times slower
-from scipy.linalg.blas import daxpy, dgemv
+from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .dynamics import PhysConstants
 from .errors import ConfigurationError, SolverError
 from .grid import Mesh
-from .operators import PrognosticState, fixed_order_dot
+from .operators import _DOT_CHUNK, PrognosticState, fixed_order_dot
 
 __all__ = [
     "Ark2Tableau",
@@ -162,81 +165,83 @@ def gmres_solve(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     a new array.
 
     The Krylov basis is the first (restart + 1) b.size elements of the
-    contiguous float64 array `basis` (made when None), whose restart + 1
-    rows every cycle reuses, and a cycle writes only the rows it
-    reaches; residuals are formed in its first row. The array apply_A
-    returns for a basis vector becomes
-    GMRES's work vector and is overwritten in place; a result that
-    shares memory with the Krylov basis, or is not a writable
-    contiguous float64 array, is copied first.
+    contiguous float64 array `basis` (made when None; ValueError, before
+    any matvec, when it is smaller), whose restart + 1 rows every cycle
+    reuses, and a cycle writes only the rows it reaches; residuals are
+    formed in its first row. The array apply_A returns for a basis
+    vector becomes GMRES's work vector and is overwritten in place; a
+    result that shares memory with the Krylov basis, or is not a
+    writable contiguous float64 array, is copied first.
     """
     b = np.asarray(b, dtype=float)
+    n = b.size
+    size = (config.restart + 1) * n
     if out is None:
         out = np.empty_like(b)
     elif (out.shape != b.shape or out.dtype != np.float64 or not out.flags.c_contiguous
           or np.may_share_memory(out, b)):
         # dgemv updates x in place only when it is contiguous float64
         raise ValueError("gmres_solve: out must be a contiguous float64 array apart from b")
+    basis = np.empty(size) if basis is None else basis
+    if basis.dtype != np.float64 or not basis.flags.c_contiguous or basis.size < size:
+        # a strided basis would be reshaped into a copy that no caller sees
+        raise ValueError(f"gmres_solve: basis must be a contiguous float64 array of at least "
+                         f"{size} values ({config.restart + 1} rows of {n}), got {basis.size} "
+                         f"{basis.dtype} values{'' if basis.flags.c_contiguous else ', strided'}")
     x = out
     x.fill(0.0)
-    bnorm = math.sqrt(fixed_order_dot(b, b))
+    dot = ddot if n <= _DOT_CHUNK else fixed_order_dot
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return x
     target = config.tol * bnorm
-
-    size = (config.restart + 1) * b.size
-    basis = (np.empty(size) if basis is None else basis.reshape(-1)[:size]).reshape(-1, b.size)
+    V = basis.reshape(-1)[:size].reshape(-1, n)
+    rows = list(V)
 
     def residual():
-        return np.subtract(b, apply_A(x), out=basis[0])
+        return np.subtract(b, apply_A(x), out=rows[0])
 
     matvecs = 0
     resnorm = bnorm
     while matvecs < config.maxiter:
         r = residual() if matvecs else b
-        resnorm = math.sqrt(fixed_order_dot(r, r))
+        resnorm = math.sqrt(dot(r, r))
         if resnorm <= target:
             return x
         m = min(config.restart, config.maxiter - matvecs)
-        V = basis[:m + 1]
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = resnorm
+        # the rotated Hessenberg matrix, upper triangular, a column a step
+        R, cs, sn, g = np.zeros((m, m)), [], [], [resnorm]
         # basis vectors are scaled by a reciprocal: half the cost of a divide
-        np.multiply(r, 1.0 / resnorm, out=V[0])
-        k_used = 0
+        np.multiply(r, 1.0 / resnorm, out=rows[0])
         for k in range(m):
-            w = _owned(apply_A(V[k]), V)
+            w = _owned(apply_A(rows[k]), V)
             matvecs += 1
-            for j in range(k + 1):
-                H[j, k] = fixed_order_dot(V[j], w)
-                daxpy(V[j], w, a=-H[j, k])
-            H[k + 1, k] = math.sqrt(fixed_order_dot(w, w))
+            h = []
+            for v in rows[:k + 1]:
+                h.append(dot(v, w))
+                daxpy(v, w, n, -h[-1])
+            norm = math.sqrt(dot(w, w))
             # previously accumulated Givens rotations
             for j in range(k):
-                t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-                H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
-                H[j, k] = t
-            denom = math.hypot(H[k, k], H[k + 1, k])
-            cs[k] = H[k, k] / denom
-            sn[k] = H[k + 1, k] / denom
-            H[k, k] = denom
-            g[k + 1] = -sn[k] * g[k]
+                h[j], h[j + 1] = cs[j] * h[j] + sn[j] * h[j + 1], -sn[j] * h[j] + cs[j] * h[j + 1]
+            denom = math.hypot(h[k], norm)
+            cs.append(h[k] / denom)
+            sn.append(norm / denom)
+            h[k] = denom
+            g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
-            k_used = k + 1
+            R[:k + 1, k] = h
             resnorm = abs(g[k + 1])
-            happy = H[k + 1, k] <= 1e-14 * max(1.0, abs(H[k, k]))
-            if resnorm <= target or happy:
+            if resnorm <= target or norm <= 1e-14 * max(1.0, denom):   # or happy breakdown
                 break
-            np.multiply(w, 1.0 / H[k + 1, k], out=V[k + 1])
-        y = np.linalg.solve(np.triu(H[:k_used, :k_used]), g[:k_used])
+            np.multiply(w, 1.0 / norm, out=rows[k + 1])
+        k_used = k + 1
+        y = np.linalg.solve(R[:k_used, :k_used], g[:k_used])
         dgemv(1.0, V[:k_used].T, y, beta=1.0, y=x, overwrite_y=True)
         if resnorm <= target:
             # trust but verify: the rotated-residual estimate can drift
             r = residual()
-            true_res = math.sqrt(fixed_order_dot(r, r))
+            true_res = math.sqrt(dot(r, r))
             if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
                 return x
             resnorm = true_res
@@ -463,13 +468,13 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     rhs[:] = q0
     q_state = PrognosticState.from_vector(q, dim)
 
-    qi = q0
     for i in range(3):
-        if i > 0:
-            qi = rhs[i - 1]
-            if delta:
-                qi = solve_implicit(split, shift, PrognosticState.from_vector(qi, dim),
-                                    gmres_cfg, basis=basis, out=q_state).as_vector()
+        # S and L read stage rows, which stay put from step to step: stage
+        # 0's state is rhs[0], which holds q0 until S(q0) is added to it
+        qi = rhs[max(i - 1, 0)]
+        if i > 0 and delta:
+            qi = solve_implicit(split, shift, PrognosticState.from_vector(qi, dim),
+                                gmres_cfg, basis=basis, out=q_state).as_vector()
         if i < 2 and delta:
             np.copyto(lv, L(qi))
         sv = _owned(S(qi), qi)

@@ -12,6 +12,7 @@ from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
 from mmfsim.errors import ConfigurationError, StateError
 from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState, SemOps, integrate
+from mmfsim.plan import StepPlan
 
 from conftest import isothermal_sounding
 
@@ -348,13 +349,13 @@ def test_evaluate_rhs_with_zero_condensate_rows(rhs_case, zero, monkeypatch):
     ref = build_reference(isothermal_sounding(), mesh, constants, sponge=cfg)
     rw = sponge_profile(mesh.coords[:, -1], cfg)
     stacked = []
-    laplacian = SemOps.laplacian
+    field_products = StepPlan.field_products
 
-    def spy(self, f, out=None):
-        stacked.append(f.shape[0])
-        return laplacian(self, f, out=out)
+    def spy(self, fields):
+        stacked.append(fields.shape[0])
+        return field_products(self, fields)
 
-    monkeypatch.setattr(SemOps, "laplacian", spy)
+    monkeypatch.setattr(StepPlan, "field_products", spy)
     out = PrognosticState.from_vector(np.full(st.data.size, np.nan), mesh.dim)
     got = evaluate_rhs(st, ref, mesh, out=out)
     monkeypatch.undo()
@@ -362,6 +363,31 @@ def test_evaluate_rhs_with_zero_condensate_rows(rhs_case, zero, monkeypatch):
     dropped = {"q_c q_r": 2, "q_r": 1, "q_c": 0}[zero]
     assert stacked == [mesh.dim + 4 - dropped]
     assert np.all(got.data[len(got.data) - dropped:] == 0.0)
+
+def test_bound_field_products_follow_the_rows_they_read(rhs_case):
+    """S on one plan over wet, q_r = 0, q_c = q_r = 0 and wet again states,
+    each written into the plan's stage rows, where its field products are
+    bound once per row and row count, and given as a state of its own:
+    every tendency is the reference formula's bit for bit."""
+    mesh, (wet, again) = rhs_case
+    constants = C.with_nu(200.0)
+    cfg = SpongeConfig(18e3, 24e3, 0.25)
+    ref = build_reference(isothermal_sounding(), mesh, constants, sponge=cfg)
+    rw = sponge_profile(mesh.coords[:, -1], cfg)
+    no_rain, dry = wet.copy(), wet.copy()
+    no_rain.q_r = 0.0
+    dry.q_c = dry.q_r = 0.0
+    stages = mesh.plan.stages
+    for st in (wet, no_rain, dry, again):
+        expect = _rhs_reference(st, ref, mesh, constants, rw).data
+        for row in (0, 2):
+            np.copyto(stages[row], st.as_vector())
+            staged = PrognosticState.from_vector(stages[row], mesh.dim)
+            assert np.array_equal(evaluate_rhs(staged, ref, mesh).data, expect)
+        assert np.array_equal(evaluate_rhs(st, ref, mesh).data, expect)
+    # two stage rows, three row counts
+    assert len(mesh.plan._field_products) == 6
+
 
 
 def test_transfer_function_shape():

@@ -6,11 +6,14 @@ import pytest
 import scipy.sparse as sp
 
 from mmfsim import timeint
+from scipy.linalg.blas import daxpy, dgemv
+
 from mmfsim.cases import build_case
-from mmfsim.dynamics import DEFAULT_CONSTANTS, SpongeConfig, build_reference, sponge_profile
+from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, build_reference, evaluate_rhs,
+                             sponge_profile)
 from mmfsim.errors import ConfigurationError, SolverError
 from mmfsim.grid import build_box_mesh
-from mmfsim.operators import PrognosticState, SemOps
+from mmfsim.operators import PrognosticState, SemOps, fixed_order_dot
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
                             ark2_tableau, gmres_solve, linear_operator,
                             solve_implicit, stability_function, step_ark2)
@@ -215,6 +218,166 @@ def test_gmres_matches_reference_on_squall_ssp_system(monkeypatch):
     assert len(captured) == 2
     for apply_A, b, cfg in captured:
         _assert_matches_reference(apply_A, b, cfg)
+
+
+def _parent_gmres(apply_A, b, config=GmresConfig()):
+    """The in-place solver as it was with an array Hessenberg matrix and
+    numpy-scalar rotations, a basis of its own and one dot for every
+    size: the oracle that the float bookkeeping must reproduce bit for
+    bit."""
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    bnorm = math.sqrt(fixed_order_dot(b, b))
+    if bnorm == 0.0:
+        return x
+    target = config.tol * bnorm
+    basis = np.empty((config.restart + 1, b.size))
+
+    def residual():
+        return np.subtract(b, apply_A(x), out=basis[0])
+
+    matvecs = 0
+    resnorm = bnorm
+    while matvecs < config.maxiter:
+        r = residual() if matvecs else b
+        resnorm = math.sqrt(fixed_order_dot(r, r))
+        if resnorm <= target:
+            return x
+        m = min(config.restart, config.maxiter - matvecs)
+        V = basis[:m + 1]
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = resnorm
+        np.multiply(r, 1.0 / resnorm, out=V[0])
+        k_used = 0
+        for k in range(m):
+            w = timeint._owned(apply_A(V[k]), V)
+            matvecs += 1
+            for j in range(k + 1):
+                H[j, k] = fixed_order_dot(V[j], w)
+                daxpy(V[j], w, a=-H[j, k])
+            H[k + 1, k] = math.sqrt(fixed_order_dot(w, w))
+            for j in range(k):
+                t = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
+                H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
+                H[j, k] = t
+            denom = math.hypot(H[k, k], H[k + 1, k])
+            cs[k] = H[k, k] / denom
+            sn[k] = H[k + 1, k] / denom
+            H[k, k] = denom
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k_used = k + 1
+            resnorm = abs(g[k + 1])
+            happy = H[k + 1, k] <= 1e-14 * max(1.0, abs(H[k, k]))
+            if resnorm <= target or happy:
+                break
+            np.multiply(w, 1.0 / H[k + 1, k], out=V[k + 1])
+        y = np.linalg.solve(np.triu(H[:k_used, :k_used]), g[:k_used])
+        dgemv(1.0, V[:k_used].T, y, beta=1.0, y=x, overwrite_y=True)
+        if resnorm <= target:
+            r = residual()
+            true_res = math.sqrt(fixed_order_dot(r, r))
+            if true_res <= target * (1.0 + 1e-8) or true_res <= resnorm * 1.01 + 1e-300:
+                return x
+            resnorm = true_res
+    raise SolverError("parent GMRES did not converge", residual=resnorm / bnorm)
+
+
+def _assert_bits_of_parent(apply_A, b, config):
+    """gmres_solve and `_parent_gmres` give the same iterate bits after
+    the same matvecs; returns the Arnoldi cycles' matvec count."""
+    got = []
+    for solve in (gmres_solve, _parent_gmres):
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return apply_A(v)
+
+        got.append((solve(counted, b, config), calls[0]))
+    (x, n), (x_parent, n_parent) = got
+    assert n == n_parent
+    assert np.array_equal(x, x_parent)
+    return n
+
+
+def test_gmres_float_bookkeeping_matches_parent_bits_on_random_systems():
+    rng = np.random.default_rng(11)
+    # restarts, long and short; a vector longer than one dot chunk
+    for n, cfg in ((60, GmresConfig(tol=1e-10, restart=4, maxiter=400)),
+                   (50, GmresConfig(tol=1e-12, restart=10, maxiter=1000)),
+                   (9000, GmresConfig(tol=1e-9, restart=5, maxiter=200))):
+        if n > 1000:
+            A = sp.eye(n) + 0.4 * sp.random(n, n, density=5.0 / n, random_state=3)
+        else:
+            A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
+        assert _assert_bits_of_parent(lambda v: A @ v, rng.standard_normal(n), cfg) > cfg.restart
+
+
+def test_gmres_float_bookkeeping_matches_parent_bits_at_happy_breakdown():
+    """b in a three-dimensional invariant subspace: after three matvecs
+    the new Krylov vector's norm is rounding (1.9e-16 against a rotated
+    diagonal of 5.3), so the happy-breakdown test holds, and the fourth
+    call is the true-residual check."""
+    A = np.diag(np.arange(1.0, 31.0))
+    b = np.zeros(30)
+    b[[2, 11, 25]] = (1.0, -2.0, 0.5)
+    assert _assert_bits_of_parent(lambda v: A @ v, b, GmresConfig(tol=1e-13)) == 4
+
+
+@pytest.mark.parametrize("case", ["squall", "supercell"])
+def test_gmres_matches_parent_bits_on_embedded_substep(case, monkeypatch):
+    """Both implicit solves of a desk embedded-grid substep."""
+    setup = build_case(case, "mmf", preset="desk")
+    captured = []
+    real = timeint.gmres_solve
+
+    def capture(apply_A, b, config=GmresConfig(), **kwargs):
+        captured.append((apply_A, np.array(b), config))
+        return real(apply_A, b, config, **kwargs)
+
+    monkeypatch.setattr(timeint, "gmres_solve", capture)
+    setup.instances[0].sim.step(setup.dt / setup.substeps)
+    monkeypatch.undo()
+    assert len(captured) == 2
+    for apply_A, b, cfg in captured:
+        assert _assert_bits_of_parent(apply_A, b, cfg) > 1
+
+
+def test_gmres_rejects_a_basis_it_cannot_use_before_any_matvec():
+    rng = np.random.default_rng(2)
+    A = np.eye(40) + 0.5 * rng.standard_normal((40, 40)) / math.sqrt(40)
+    b = rng.standard_normal(40)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return A @ v
+
+    cfg = GmresConfig(tol=1e-12, restart=30)
+    for basis, what in ((np.empty((5, 40)), "1240 values"),
+                        (np.empty(2 * 31 * 40)[::2], "strided"),
+                        (np.empty(31 * 40, dtype=np.float32), "float32")):
+        with pytest.raises(ValueError, match=what):
+            gmres_solve(counted, b, cfg, basis=basis)
+    assert calls == []
+
+
+def test_full_system_step_rejects_the_coupled_rows_basis():
+    """A split that solves every row, handed the plan's basis (sized for
+    the coupled rows), fails before any matvec, naming both sizes."""
+    setup = build_case("squall", "mmf", preset="desk")
+    sim = setup.instances[0].sim
+    mesh, ref = sim.mesh, sim.reference
+    split = ImexOperatorSplit(s=lambda q: evaluate_rhs(q, ref, mesh),
+                              lin=lambda q: linear_operator(q, ref, mesh))
+    basis = mesh.plan.basis
+    full = sim.state.data.size
+    with pytest.raises(ValueError, match=f"{31 * full} values .*{basis.size}"):
+        step_ark2(sim.state, setup.dt / setup.substeps, split, basis=basis)
 
 
 @pytest.mark.parametrize("case", ["squall", "supercell"])

@@ -4,7 +4,7 @@ before/after comparison of two source trees that writes a BENCH file.
     python3 tools/layer_bench.py layers [--src DIR [--src DIR ...]]
     python3 tools/layer_bench.py cloudrun [--src DIR] [--steps 600]
     python3 tools/layer_bench.py compare --before TREE --after TREE \\
-        --topic condensate [--rounds 7] [--e2e-pairs 10] [--e2e-seed 1] \\
+        --topic implicit_stage [--rounds 7] [--e2e-pairs 10] [--e2e-seed 1] \\
         [--traced-pairs 3] [--cloud-steps 600] \\
         [--workloads squall_mmf,supercell_mmf,squall_fine]
 
@@ -17,6 +17,11 @@ embedded grid of desk squall `mmf` (4840 points) and desk supercell
 - `patchy`: that state with a cloud blob over a few per cent of the
   points, saturated vapor in it and rain in the columns beneath;
 - `cloudy`: cloud, rain and supersaturated vapor at every point.
+On the dry state it also times the implicit stage's layers: one
+`linear_operator` call on the coupled rows into the plan's, as GMRES
+makes it (`linear_operator_us`); the two GMRES solves of one substep,
+captured from a step and made again into spare arrays (`solves_us`);
+and the whole substep, `Simulator.step` (`substep_us`).
 Each `--src` names the `src` directory of a tree to import mmfsim from
 (default: this tree's). The trees are imported side by side in this
 process and their timing blocks alternate, so a drift in host speed
@@ -108,6 +113,8 @@ def _load(src):
         del sys.modules[name]
     sys.path.insert(0, os.path.abspath(src))
     try:
+        import numpy as np
+        from mmfsim import timeint
         from mmfsim.cases import build_case
         from mmfsim.dynamics import evaluate_rhs
         from mmfsim.microphysics import apply_microphysics
@@ -121,6 +128,12 @@ def _load(src):
         mesh, ref, params = sim.mesh, sim.reference, sim.kessler
         dt = case.dt / case.substeps
         sim.step(dt)  # makes the mesh's step plan
+        plan = mesh.plan
+        coupled = sim.state.data[:len(plan.coupled)].copy()
+        calls[f"{grid}.dry.linear_operator_us"] = functools.partial(
+            timeint.linear_operator, coupled, ref, mesh, out=plan.coupled)
+        calls[f"{grid}.dry.solves_us"] = _captured_solves(timeint, sim, dt, np)
+        calls[f"{grid}.dry.substep_us"] = functools.partial(sim.step, dt)
         spare, tend = PrognosticState.zeros(mesh), PrognosticState.zeros(mesh)
         for name, st in _states(mesh, ref, sim.state).items():
             calls[f"{grid}.{name}.kessler_us"] = functools.partial(
@@ -128,6 +141,27 @@ def _load(src):
             calls[f"{grid}.{name}.evaluate_rhs_us"] = functools.partial(
                 evaluate_rhs, st, ref, mesh, out=tend)
     return calls
+
+
+def _captured_solves(timeint, sim, dt, np):
+    """A call that makes again the two GMRES solves of one substep of
+    `sim` from its state, as the step made them, into spare arrays."""
+    real, solves = timeint.gmres_solve, []
+
+    def capture(apply_A, b, config=timeint.GmresConfig(), basis=None, out=None):
+        solves.append((apply_A, np.array(b), config, basis, np.empty_like(b)))
+        return real(apply_A, b, config, basis=basis, out=out)
+
+    timeint.gmres_solve = capture
+    try:
+        sim.step(dt)
+    finally:
+        timeint.gmres_solve = real
+
+    def run():
+        for apply_A, b, config, basis, out in solves:
+            real(apply_A, b, config, basis=basis, out=out)
+    return run
 
 
 def layers(srcs, blocks=31, target_s=0.01):
