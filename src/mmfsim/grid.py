@@ -17,8 +17,8 @@ per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
 with the mesh, as CSR and, on an axis of at most `DENSE_MAX` points,
 also dense: a field stack is then a matrix (x) or a stack of blocks (y,
-z) that BLAS multiplies where it lies, which on short axes beats the
-sparse product. The mesh alone knows the field layout (`column_view`,
+z) that BLAS multiplies where it lies. A longer axis applies the banded
+CSR matrix in dense windows of rows (`operators._windowed`). The mesh alone knows the field layout (`column_view`,
 `field_from_profile`, the boundary levels) and keeps its step plan
 (`Mesh.plan`): the stepping hot path's buffers, their row views and the
 product form of each 1D matrix, made on the first step and gone with
@@ -108,20 +108,25 @@ def build_lgl_rule(N: int) -> LglRule:
 
 _FILTER_ORDER = 12
 
-# axes of at most this many points apply their 1D operators as dense
-# matrix products (`SemOps.along`). Per point the dense product costs O(n)
-# and CSR O(stencil width), but dense runs at BLAS speed and needs no
-# transposed copies; measured along x at 121 levels on one BLAS thread,
-# dense is 1.8-5x faster up to 64 points, within 1.6x either way at 80-128
-# and about 2x slower at 252
+# axes of at most this many points apply their 1D operators as whole dense
+# matrix products (`SemOps.along`), longer ones in element-aligned windows
+# of rows, each reading its rows and a half-bandwidth more on either side
+# (`operators._windowed`). Per point the whole product costs O(n)
+# multiply-adds and the windows O(window width), but the windows pay more
+# calls and, along x, strided reads; measured along x at 121 levels for 2
+# rows on one BLAS thread, whole against windows: 18-20 us against 57-66
+# at 40 points, 41-50 against 80-93 at 64, 70-78 against 87-95 at 68,
+# 200-224 against 130-149 at 128 and 680-900 against 200-264 at 252. The
+# bound stays at 64, below the crossover, so no short axis changes form
 DENSE_MAX = 64
 
 # y and z products go through numpy's matmul, whose OpenBLAS has its own
 # thread pool, not scipy's (see `timeint`); one gemm per (n, stride) block,
 # so a block of n * n * stride multiply-adds at most this many stays under
 # OpenBLAS's single-thread bound for gemm (m n k <= 65536 * 4) and never
-# wakes numpy's pool. At two BLAS threads a 60 x 40 x 49 coarse step took
-# 1.0-1.2 s with its 49 x 49 x 2400 z blocks dense, 0.4-0.5 s on CSR
+# wakes numpy's pool; every windowed gemm splits its columns to stay within
+# it too. At two BLAS threads a 60 x 40 x 49 coarse step took 1.0-1.2 s with
+# its 49 x 49 x 2400 z blocks dense, 0.4-0.5 s on CSR
 DENSE_BLOCK_MAX = 2 ** 18
 
 
@@ -239,7 +244,7 @@ class Mesh:
         periodically wrapped) nodes are summed in a fixed order. The
         matrix's `dense` attribute is its dense form on axes of at most
         `DENSE_MAX` points (y and z: also within `DENSE_BLOCK_MAX`), else
-        None.
+        None, and the axis takes windows.
         """
         N = self.orders[d]
         g, n = _index_1d(self.elem_counts[d], N, (self.periodic + (False,))[d])

@@ -3,17 +3,18 @@
 On the structured affine meshes every weak operator factors into one
 assembled 1D matrix per direction (see `Mesh.weak_derivative_1d`,
 `Mesh.weak_laplacian_1d`, `Mesh.modal_filter_1d`); `SemOps` applies
-those matrices along the grid axes. On an axis of at most 64 points
-(`grid.DENSE_MAX`) the matrix's dense form multiplies a field stack
-where it lies, about 2-3x faster than the sparse product there: x runs
-fastest, so a stack is one Fortran-ordered matrix for a single scipy
-dgemm, and along y or z it is a stack of row-major (n, stride) blocks
-for one numpy matmul, small enough to stay on one BLAS thread
-(`grid.DENSE_BLOCK_MAX`). Longer axes take the CSR kernel: z where it
-lies, x and y on transposed copies, where a dense product would cost
-more than the stencil. Each matrix's form along each direction is chosen
-once and kept on the mesh's step plan (`Mesh.plan`), which also binds
-the products whose operands are its own buffers.
+those matrices along the grid axes as dense BLAS products where the
+fields lie. On an axis of at most 64 points (`grid.DENSE_MAX`) the whole
+matrix multiplies a field stack: x runs fastest, so a stack is one
+Fortran-ordered matrix for a single scipy dgemm, and along y or z it is a
+stack of row-major (n, stride) blocks for one numpy matmul, small enough
+to stay on one BLAS thread (`grid.DENSE_BLOCK_MAX`). Every other axis
+takes windows (`_windowed`): the matrix couples a node only to the nodes
+of its elements, so it is banded, and each element-aligned window of
+rows is a small dense block applied to the points it reads, all interior
+windows of a stack in one numpy matmul. Each matrix's form along each
+direction is chosen once and kept on the mesh's step plan (`Mesh.plan`),
+which also binds the products whose operands are its own buffers.
 
 The weak gradient/divergence are the collocation derivatives projected
 back onto the continuous space; the Laplacian is the usual
@@ -27,14 +28,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 # scipy's BLAS, not numpy's: the solver's vector operations use it too,
 # and the two libraries' thread pools must not alternate (see timeint)
 from scipy.linalg.blas import ddot, dgemm
-# the CSR times dense kernel behind `A @ x`, called directly so that it
-# writes into a caller's array; tests pin it to `A @ x` bit for bit
-from scipy.sparse._sparsetools import csr_matvecs
 
-from .grid import Mesh
+from .grid import DENSE_BLOCK_MAX, Mesh
 
 __all__ = [
     "PrognosticState",
@@ -190,24 +189,25 @@ class SemOps:
         return acc
 
 
-def _product(A, d, npts_1d, pair):
+def _product(A, d, npts_1d):
     """A along direction d, in the form its axis takes (see the module
     docstring), as bind(f, out): it cuts the views of the operands, (npts,)
     or (nf, npts) stacks of which `out`'s rows may be strided, and returns
     a call with no arguments that writes A along d of f into out; made
     again, the call reads f anew where f's rows are contiguous, as the
     plan's own buffers are. Along x a dense A takes one dgemm per stack
-    (per row of a strided `out`); the transposed copies of the CSR product
-    along x or y are made in the flat `pair` (new arrays for a stack that
-    does not fit)."""
+    (per row of a strided `out`); an A without a dense form takes its
+    windows (`_windowed`)."""
+    dense = getattr(A, "dense", None)
+    if dense is None:
+        return _windowed(A, d, npts_1d)
     n = A.shape[0]
     npts = math.prod(npts_1d)
     stride = math.prod(npts_1d[:d])
     # (rows, lines, n, stride) views: splitting the point axis never
     # copies, so what is written through them reaches `out`
     blocks = (-1, npts // (n * stride), n, stride)
-    dense = getattr(A, "dense", None)
-    if dense is not None and d == 0:
+    if d == 0:
         def bind(f, out):
             pairs = (((f, out),) if out.flags.c_contiguous else
                      zip(f.reshape(-1, npts), _rows_of(out)))
@@ -221,24 +221,126 @@ def _product(A, d, npts_1d, pair):
                 # parses keywords about 0.7 us slower
                 calls.append(partial(dgemm, 1.0, dense, x.reshape(-1, n).T, 0.0, c, 0, 0, 1))
             return _in_turn(calls)
-    elif dense is not None:
+    else:
         def bind(f, out):
             return partial(np.matmul, dense, f.reshape(blocks),
                            out=_rows_of(out).reshape(blocks))
-    elif d == len(npts_1d) - 1:
-        # z runs slowest, so each field already is an (n, stride)
-        # row-major block that A multiplies where it lies
-        def bind(f, out):
-            return _in_turn([partial(_csr_times_dense, A, row, out_row) for row, out_row
-                             in zip(f.reshape(-1, npts), _rows_of(out))])
-    else:
-        def bind(f, out):
-            src = f.reshape(blocks).transpose(2, 0, 1, 3)
-            dst = _rows_of(out).reshape(blocks).transpose(2, 0, 1, 3)
-            x, y = _prefix(pair, (2,) + src.shape)
-            return _in_turn([partial(np.copyto, x, src), partial(_csr_times_dense, A, x, y),
-                             partial(np.copyto, dst, y)])
     return bind
+
+
+# window rows, in half-bandwidths: along x a window is a strip of lines
+# that lie n points apart, of which each gemm reads a few doubles per
+# cache line, so wider windows pay; along y and z the window's rows are
+# contiguous and narrow windows waste the fewest multiply-adds. Both are at
+# least 2, so that no window on a periodic axis reads a point twice
+_WINDOW_X, _WINDOW_YZ = 8, 2
+# lines per x gemm: all windows pass over one batch of lines while it is
+# in cache (32 lines of 252 points are 64 KB), and the batches run on
+# through memory in order
+_X_LINES = 32
+
+
+def _windowed(A, d, npts_1d):
+    """A along direction d in element-aligned windows of rows, as
+    bind(f, out).
+
+    A couples a point only to points at most h away (h, its half-bandwidth,
+    read from its CSR indices, cyclically on a periodic axis), so a window
+    of b rows reads b + 2h adjacent points; each window's dense block is
+    taken from A once, here. A gemm multiplies a block with a batch of
+    columns: along x a batch of at most `_X_LINES` lines, along y and z a
+    line of the axis, and never more columns than keep the gemm within
+    `DENSE_BLOCK_MAX` multiply-adds, so it runs on one BLAS thread and
+    gives the same bits at any thread count. All interior windows of all
+    batches of a stack are one numpy matmul over a strided view of it, and
+    the first and last windows one more each; on a periodic axis those two
+    read the points they wrap to from a gather buffer that the bind makes.
+    Along x the lines left over from the whole batches make these calls
+    again. A call allocates nothing. Each entry is a BLAS dot over its
+    window, which agrees with `A @ x` to rounding.
+    """
+    n = A.shape[0]
+    stride = math.prod(npts_1d[:d])
+    lines = math.prod(npts_1d) // n
+    coo = A.tocoo()
+    dist = np.abs(coo.row - coo.col)
+    h = int(np.minimum(dist, n - dist).max(initial=0))
+    wrap = bool(dist.max(initial=0) > h)
+    b = max(h, 1) * (_WINDOW_X if d == 0 else _WINDOW_YZ)
+
+    def block(rows, c0, c1):
+        # the dense A[rows, (c0 .. c1 - 1) mod n], summed from A's entries,
+        # each of which lies in its row's window (an IndexError if not);
+        # scipy's fancy indexing would leave 0.5 MB more resident
+        lo, hi = A.indptr[rows.start], A.indptr[rows.stop]
+        W = np.zeros((rows.stop - rows.start, c1 - c0))
+        np.add.at(W, (np.repeat(np.arange(len(W)), np.diff(A.indptr[rows.start:rows.stop + 1])),
+                      (A.indices[lo:hi] - c0) % n), A.data[lo:hi])
+        return W
+
+    if n < b + 2 * h:
+        # too short for one interior window: the whole axis is one block
+        starts, wrap = range(0), False
+        regions = [(slice(0, n), 0, n)]
+    else:
+        starts = range(b, n - b - h + 1, b)
+        tail = b + b * len(starts)
+        regions = [(slice(0, b), -h if wrap else 0, b + h),
+                   (slice(tail, n), tail - h, n + h if wrap else n)]
+    edges = [(rows, block(rows, c0, c1)) for rows, c0, c1 in regions]
+    inner = np.stack([block(slice(s, s + b), s - h, s + b + h) for s in starts]) if starts else None
+    largest = max([W.size for _, W in edges] + [b * (b + 2 * h)])
+    width = max(1, DENSE_BLOCK_MAX // largest)
+    if d == 0:
+        width = min(width, _X_LINES, lines)
+        whole = lines - lines % width
+    else:
+        chunks = [slice(q, q + width) for q in range(0, stride, width)]
+
+    def parts(rows):
+        # (rows, npts) as (rows, batch, n, columns) views, the columns of a
+        # batch going to one gemm; splitting the point axis never copies
+        if d == 0:
+            batched = [rows[:, :whole * n].reshape(len(rows), -1, width, n)]
+            if whole < lines:
+                batched.append(rows[:, whole * n:].reshape(len(rows), 1, -1, n))
+            return [v.swapaxes(2, 3) for v in batched]
+        v = rows.reshape(len(rows), -1, n, stride)
+        return [v] if len(chunks) == 1 else [v[..., q] for q in chunks]
+
+    def bind(f, out):
+        calls = []
+        for x, y in zip(parts(_rows_of(f)), parts(_rows_of(out))):
+            if wrap:
+                # the tail window's points and the head window's, in the
+                # order they wrap around in: tail - h .. n - 1, 0 .. b + h - 1,
+                # laid out as x is, so that every gemm takes its operands alike
+                gw = n - tail + b + 2 * h
+                g = (np.empty(x.shape[:2] + (x.shape[3], gw)).swapaxes(2, 3) if d == 0 else
+                     np.empty(x.shape[:2] + (gw, x.shape[3])))
+                calls += [partial(np.copyto, g[:, :, :n - tail + h], x[:, :, tail - h:]),
+                          partial(np.copyto, g[:, :, n - tail + h:], x[:, :, :b + h])]
+                sources = (g[:, :, n - tail:], g)
+            else:
+                sources = [x[:, :, c0:] for _, c0, _ in regions]
+            for (rows, W), src in zip(edges, sources):
+                calls.append(partial(np.matmul, W, src[:, :, :W.shape[1]], out=y[:, :, rows]))
+            if starts:
+                windows = y[:, :, starts[0]:starts[-1] + b]
+                calls.append(partial(np.matmul, inner, _windows(x, starts[0] - h, len(starts), b, b + 2 * h),
+                                     out=windows.reshape(windows.shape[:2] + (len(starts), b, -1))))
+        return _in_turn(calls)
+    return bind
+
+
+def _windows(v, start, count, step, width):
+    """Of a (rows, batch, n, cols) view, `count` windows of `width` points
+    along n, one every `step` points from point `start` on: a (rows,
+    batch, count, width, cols) view, whose windows overlap where width >
+    step."""
+    s = v.strides
+    return as_strided(v[:, :, start:], v.shape[:2] + (count, width, v.shape[3]),
+                      s[:2] + (step * s[2],) + s[2:])
 
 
 def _in_turn(calls):
@@ -260,18 +362,6 @@ def _rows_of(out):
     if out.ndim <= 2:
         return out.reshape(-1, out.shape[-1])
     return np.reshape(out, (-1, out.shape[-1]), copy=False)
-
-
-def _csr_times_dense(A, x, y):
-    """y = A @ x for a CSR matrix A and C-contiguous x, y of n rows.
-
-    This is the kernel `A @ x` runs (`csr_matvecs`: each row of y is
-    the axpy sum of its stored entries, in storage order) minus the
-    result array it allocates, so y holds exactly the bits of `A @ x`.
-    """
-    y.fill(0.0)
-    n = A.shape[1]
-    csr_matvecs(n, n, x.size // n, A.indptr, A.indices, A.data, x, y)
 
 
 def build_mass(mesh: Mesh) -> DiagonalMass:

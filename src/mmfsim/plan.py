@@ -19,9 +19,10 @@ as far as a buffer is used. The buffers, of npts-point rows:
   density and intermediates, level-major;
 - `operator`: dim + 4 rows for the (p', rho u_d) pair that L and S each
   differentiate in one product per direction, S's grad p'/rho and
-  Laplacian sums, and `SemOps`' sums;
-- `along_pair`: the transposed copies of two dim + 4 row stacks for the
-  CSR product along an x or y axis without a dense form, if there is one.
+  Laplacian sums, and `SemOps`' sums.
+A product along a periodic axis without a dense form also holds the
+small gather buffer its bind made for the points its end windows wrap
+to (`operators._windowed`).
 """
 
 import numpy as np
@@ -50,8 +51,6 @@ class StepPlan:
         self.rhs_rows = (k[0], k[1], k[2:4], k[4:dim + 8], self.operator[2:2 + dim])
         levels = k.reshape((len(k), mesh.npts_1d[-1], mesh.ncols))
         self.kessler_rho, self.kessler_scratch = levels[0], levels[1:1 + _SCRATCH_ROWS]
-        long_xy = any(A.dense is None for A in mesh.weak_derivative_1d[:-1])
-        self.along_pair = np.empty(2 * (dim + 4) * npts) if long_xy else None
 
         self._products, self._field_products = {}, {}
         self.derivative = tuple(map(self.product, mesh.weak_derivative_1d, range(dim)))
@@ -64,7 +63,7 @@ class StepPlan:
         plan holds A, so its id names no other matrix meanwhile."""
         key = (id(A), d)
         if key not in self._products:
-            self._products[key] = _product(A, d, self.npts_1d, self.along_pair)
+            self._products[key] = _product(A, d, self.npts_1d)
         return self._products[key]
 
     def field_products(self, fields):

@@ -607,9 +607,9 @@ def test_meshes_of_equal_size_and_other_elements_step_as_alone():
 def test_work_buffers_are_one_per_layer(dim):
     """Two warm Kessler steps with viscosity and filter leave one buffer
     per layer of the step on the mesh's plan, holding at most five states
-    (tendency and stages), Kessler's 18 fields and three stacks of dim + 4
-    fields (the operator accumulator and along's transposed pair) besides
-    the basis; every row view of the plan is a view of one of them."""
+    (tendency and stages), Kessler's 18 fields and the operator
+    accumulator's dim + 4 fields besides the basis; every row view of the
+    plan is a view of one of them."""
     snd = isothermal_sounding(z_top=14e3)
     mesh = build_box_mesh((20e3,) * (dim - 1) + (12e3,), (2,) * (dim - 1) + (3,), 3,
                           periodicity=(True,) * (dim - 1))
@@ -621,12 +621,11 @@ def test_work_buffers_are_one_per_layer(dim):
         sim.state, _ = sim.step(1.0)
     plan = mesh.plan
     buffers = plan_buffers(plan)
-    # tendency, stages, basis, kernel, operator: these short x and y axes
-    # have dense forms, so no transposed pair
-    assert plan.along_pair is None and len(buffers) == 5
+    # tendency, stages, basis, kernel, operator
+    assert len(buffers) == 5
     assert buffers.pop(id(plan.basis)) is plan.basis
     fields = sum(buf.size for buf in buffers.values())
-    assert fields <= (5 * (5 + dim) + 18 + 3 * (dim + 4)) * mesh.npts
+    assert fields <= (5 * (5 + dim) + 18 + (dim + 4)) * mesh.npts
 
 
 def _warm_step_peak(sim, dt):

@@ -14,3 +14,26 @@ def test_every_exported_name_resolves():
     assert {"grid", "operators", "dynamics", "timeint", "coupling",
             "microphysics"} <= set(missing)
     assert all(not names for names in missing.values()), missing
+
+
+def test_no_module_imports_a_private_numpy_or_scipy_module():
+    """No module of the package imports an underscore-prefixed numpy or
+    scipy module (such as `scipy.sparse._sparsetools`), whose names and
+    signatures may change in any release."""
+    import ast
+    import pathlib
+
+    private = []
+    for path in sorted(pathlib.Path(mmfsim.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts[1:]):
+                    private.append(f"{path.name}: {name}")
+    assert not private, private

@@ -9,9 +9,11 @@ before/after comparison of two source trees that writes a BENCH file.
         [--workloads squall_mmf,supercell_mmf,squall_fine]
 
 `layers` times `apply_microphysics` (into a spare state, so every call
-sees the same input) and `evaluate_rhs` (into a spare tendency) on the
-embedded grid of desk squall `mmf` (4840 points) and desk supercell
-`mmf` (784 points), each in three states:
+sees the same input) and `evaluate_rhs` (on the state copied into a
+stage row of the mesh's step plan before each timing block, as
+`step_ark2` hands it over, into the plan's tendency) on the embedded
+grid of desk squall `mmf` (4840 points) and desk supercell `mmf` (784
+points), each in three states:
 - `dry`: the embedded grid's first state as spawned, cloud-free and
   subsaturated, as every benchmark workload stays;
 - `patchy`: that state with a cloud blob over a few per cent of the
@@ -21,7 +23,13 @@ On the dry state it also times the implicit stage's layers: one
 `linear_operator` call on the coupled rows into the plan's, as GMRES
 makes it (`linear_operator_us`); the two GMRES solves of one substep,
 captured from a step and made again into spare arrays (`solves_us`);
-and the whole substep, `Simulator.step` (`substep_us`).
+and the whole substep, `Simulator.step` (`substep_us`). On the desk
+squall `fine` grid (252 x 121 points, `squall_fine`) it times
+`linear_operator_us`, `evaluate_rhs_us` and `substep_us` (there a whole
+step) of the dry first state. On both squall grids it times the weak
+derivative along x and along z of the dry state's first 2 and 6 rows
+into spare rows, bound once as the step plan binds its own products
+(`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`).
 Each `--src` names the `src` directory of a tree to import mmfsim from
 (default: this tree's). The trees are imported side by side in this
 process and their timing blocks alternate, so a drift in host speed
@@ -61,6 +69,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 GRIDS = {"squall_ssp": "squall", "supercell_ssp": "supercell"}
+ALONG_GRIDS = ("squall_ssp", "squall_fine")
 E2E_METRICS = {"step_s_p50": "lower", "sim_s_per_wall_s": "higher", "setup_s": "lower",
                "peak_rss_mb": "lower"}
 TRACED_METRICS = ("timeint.gmres_solve.coarse.matvecs_per_solve",
@@ -122,24 +131,40 @@ def _load(src):
     finally:
         sys.path.pop(0)
     calls = {}
+    sims = {}
     for grid, case_id in GRIDS.items():
         case = build_case(case_id, tier="mmf", preset="desk")
-        sim = case.instances[0].sim
+        sims[grid] = (case.instances[0].sim, case.dt / case.substeps)
+    case = build_case("squall", tier="fine", preset="desk")
+    sims["squall_fine"] = (case.simulator, case.dt)
+    for grid, (sim, dt) in sims.items():
         mesh, ref, params = sim.mesh, sim.reference, sim.kessler
-        dt = case.dt / case.substeps
         sim.step(dt)  # makes the mesh's step plan
         plan = mesh.plan
         coupled = sim.state.data[:len(plan.coupled)].copy()
         calls[f"{grid}.dry.linear_operator_us"] = functools.partial(
             timeint.linear_operator, coupled, ref, mesh, out=plan.coupled)
-        calls[f"{grid}.dry.solves_us"] = _captured_solves(timeint, sim, dt, np)
+        if grid != "squall_fine":
+            calls[f"{grid}.dry.solves_us"] = _captured_solves(timeint, sim, dt, np)
         calls[f"{grid}.dry.substep_us"] = functools.partial(sim.step, dt)
-        spare, tend = PrognosticState.zeros(mesh), PrognosticState.zeros(mesh)
-        for name, st in _states(mesh, ref, sim.state).items():
-            calls[f"{grid}.{name}.kessler_us"] = functools.partial(
-                apply_microphysics, st, ref, mesh, dt, params, out=spare)
-            calls[f"{grid}.{name}.evaluate_rhs_us"] = functools.partial(
-                evaluate_rhs, st, ref, mesh, out=tend)
+        states = _states(mesh, ref, sim.state)
+        if grid == "squall_fine":
+            states = {"dry": states["dry"]}
+        spare = PrognosticState.zeros(mesh)
+        stage = PrognosticState.from_vector(plan.stages[0], mesh.dim)
+        for name, st in states.items():
+            if grid != "squall_fine":
+                calls[f"{grid}.{name}.kessler_us"] = functools.partial(
+                    apply_microphysics, st, ref, mesh, dt, params, out=spare)
+            rhs = functools.partial(evaluate_rhs, stage, ref, mesh, out=plan.tendency)
+            rhs.prepare = functools.partial(np.copyto, stage.data, st.data)
+            calls[f"{grid}.{name}.evaluate_rhs_us"] = rhs
+        if grid in ALONG_GRIDS:
+            for d, axis in ((0, "x"), (mesh.dim - 1, "z")):
+                for rows in (2, 6):
+                    f = states["dry"].data[:rows].copy()
+                    calls[f"{grid}.dry.along_{axis}{rows}_us"] = plan.product(
+                        mesh.weak_derivative_1d[d], d)(f, np.empty(f.shape))
     return calls
 
 
@@ -164,6 +189,15 @@ def _captured_solves(timeint, sim, dt, np):
     return run
 
 
+def _prepare(call):
+    """Set up the input of a timed call before a block of it, where the
+    call says how (the stage row that `evaluate_rhs` reads, which another
+    key's steps overwrite)."""
+    prepare = getattr(call, "prepare", None)
+    if prepare is not None:
+        prepare()
+
+
 def layers(srcs, blocks=31, target_s=0.01):
     """Per (grid, state, layer) key: per tree, the median over blocks of
     the mean us per call, and each tree's median over block pairs of its
@@ -173,8 +207,10 @@ def layers(srcs, blocks=31, target_s=0.01):
     us, ratio = [{} for _ in srcs], [{} for _ in srcs]
     for key in trees[0]:
         for calls in trees:
+            _prepare(calls[key])
             for _ in range(3):
                 calls[key]()
+        _prepare(trees[0][key])
         t0 = time.perf_counter()
         trees[0][key]()
         n = max(1, int(target_s / max(time.perf_counter() - t0, 1e-7)))
@@ -182,6 +218,7 @@ def layers(srcs, blocks=31, target_s=0.01):
         for b in range(blocks):
             for k in (range(len(srcs)) if b % 2 == 0 else reversed(range(len(srcs)))):
                 call = trees[k][key]
+                _prepare(call)
                 t0 = time.perf_counter()
                 for _ in range(n):
                     call()
