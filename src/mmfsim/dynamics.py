@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, StateError
 from .grid import Mesh, boyd_vandeven_transfer
@@ -218,6 +217,50 @@ class ReferenceState:
     rho0_surf: float
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at an end knot (Moler's pchiptx),
+    set to zero where its sign is not the end interval's and to three
+    times that interval's slope where it would overshoot."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    over = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(over, 3.0 * m0, d))
+
+
+def _pchip(x, y, xi):
+    """Monotone piecewise-cubic Hermite (PCHIP, Fritsch-Butland) interpolant
+    of the (n, k) columns y over knots x at points xi within [x[0], x[-1]],
+    shape (len(xi), k), as `scipy.interpolate.PchipInterpolator(x, y)(xi)`
+    computes it, operation for operation, so bit for bit.
+
+    Interior slopes are the weighted harmonic mean of the adjacent
+    interval slopes, zero where those differ in sign or one is zero; end
+    slopes are one-sided (`_pchip_end_slope`); two knots give the line.
+    Each interval holds the power-basis cubic c0 s^3 + c1 s^2 + c2 s + c3
+    in s = xi - x[i], summed from the constant term up as scipy's `PPoly`
+    sums it, on the interval with x[i] <= xi < x[i + 1] (the last one
+    closed).
+    """
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    if len(x) == 2:
+        slopes = np.concatenate((m, m))
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        # a division by a zero slope is masked by `flat` below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            harmonic = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        slopes = np.concatenate((_pchip_end_slope(h[0], h[1], m[0], m[1])[None],
+                                 np.where(flat, 0.0, harmonic),
+                                 _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]))
+    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+    s = (xi - x[i])[:, None]
+    c0, c1 = (t / h)[i], ((m - slopes[:-1]) / h - t)[i]
+    # from 0.0, as PPoly's sum starts, so a -0.0 constant term gives 0.0
+    return ((0.0 + y[:-1][i] + slopes[:-1][i] * s) + c1 * (s * s)) + c0 * (s * s * s)
+
+
 def _antiderivative_matrix(rule) -> np.ndarray:
     """A[i, j] = integral of the j-th LGL Lagrange basis function from -1
     to node i, exact because the basis has degree N."""
@@ -248,7 +291,7 @@ def build_reference(sounding: Sounding, mesh: Mesh,
             f"needs [0, {Lz}] m (extrapolation is not allowed)")
 
     columns = np.stack((sounding.theta, sounding.qv, sounding.u, sounding.v), axis=-1)
-    th, qv, u0, v0 = PchipInterpolator(sounding.z, columns)(mesh.coords_1d[-1]).T
+    th, qv, u0, v0 = _pchip(sounding.z, columns, mesh.coords_1d[-1]).T
     theta_v = th * (1.0 + constants.eps * qv)
 
     # per element (the overlapping (N+1)-node windows of the column), the

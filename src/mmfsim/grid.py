@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import erfc
 
 from .errors import ConfigurationError
 
@@ -130,6 +129,65 @@ DENSE_MAX = 64
 DENSE_BLOCK_MAX = 2 ** 18
 
 
+# the rational forms of erf and erfc in Cephes' ndtr.c (S. L. Moshier), the
+# ones `scipy.special` evaluates: T/U for erf on |x| < 1, P/Q for erfc on
+# 1 <= |x| < 8 and R/S beyond; Q, S and U have a leading 1 left out
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x^2) underflows beyond
+
+
+def _horner(x, coef, monic=False):
+    """sum coef[k] x^(K-k) by Horner's rule, with a leading 1 when monic."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a: float) -> float:
+    """The complementary error function of a Python float, as Cephes'
+    `erfc` computes it in double precision, operation for operation, so
+    equal to `scipy.special.erfc` bit for bit (libm's exp is `math.exp`)."""
+    if a != a:
+        return a
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z >= -_MAXLOG:
+        z = math.exp(z)
+        if x < 8.0:
+            y = (z * _horner(x, _ERFC_P)) / _horner(x, _ERFC_Q, monic=True)
+        else:
+            y = (z * _horner(x, _ERFC_R)) / _horner(x, _ERFC_S, monic=True)
+        if a < 0.0:
+            y = 2.0 - y
+        if y != 0.0:
+            return y
+    return 2.0 if a < 0.0 else 0.0
+
+
+def _erf(x: float) -> float:
+    """erf on |x| < 1, the only range `_erfc` asks of it."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
 def boyd_vandeven_transfer(eta):
     """Erf-log low-pass transfer of order 12 on [0, 1]; 1 at 0, 0 at 1."""
     eta = np.asarray(eta, dtype=float)
@@ -138,7 +196,8 @@ def boyd_vandeven_transfer(eta):
     inner = np.where((sq > 0.0) & (sq < 1.0), sq, 0.5)
     chi = np.sqrt(-np.log1p(-inner) / inner)
     chi = np.where(np.abs(xbar) < 1e-300, 1.0, chi)
-    sigma = 0.5 * erfc(2.0 * np.sqrt(_FILTER_ORDER) * xbar * chi)
+    arg = 2.0 * np.sqrt(_FILTER_ORDER) * xbar * chi
+    sigma = 0.5 * np.array([_erfc(v) for v in arg.ravel().tolist()]).reshape(arg.shape)
     sigma = np.where(np.abs(eta) >= 1.0, 0.0, sigma)
     sigma = np.where(eta == 0.0, 1.0, sigma)
     return sigma

@@ -149,18 +149,19 @@ class SemOps:
     def tensor(self, mats, f, out=None):
         """Tensor-product operator: mats[d] applied along each direction d.
 
-        Each field runs through all directions on its own, the ones
-        before the last through the plan's operator rows, so `out` may
-        be f itself.
+        Each direction's product runs once on the whole stack: the
+        directions before the last write it into the plan's kernel rows
+        (in 3D x into one half and y into the other), or into a new array
+        when the stack does not fit there, and only the last writes
+        `out`, so `out` may be f itself.
         """
         out = np.empty(f.shape) if out is None else out
-        products = list(map(self.plan.product, mats, range(self.dim)))
-        tmp = self.plan.operator[:2]
-        for row, out_row in zip(f.reshape(-1, f.shape[-1]), _rows_of(out)):
-            for d, product in enumerate(products):
-                target = out_row if d == self.dim - 1 else tmp[d % 2]
-                product(row, target)()
-                row = target
+        rows = f.reshape(-1, f.shape[-1])
+        tmp = _prefix(self.plan.kernel, (self.dim - 1,) + rows.shape)
+        for d, A in enumerate(mats):
+            target = out if d == self.dim - 1 else tmp[d]
+            self.plan.product(A, d)(rows, target)()
+            rows = target
         return out
 
     def grad(self, f, out=None):

@@ -15,8 +15,9 @@ as far as a buffer is used. The buffers, of npts-point rows:
   S(q) and L(q) that `Simulator.step` asks for;
 - `stages`: `step_ark2`'s four stage vectors;
 - `basis`: `gmres_solve`'s restart + 1 Krylov vectors of coupled rows;
-- `kernel`: `evaluate_rhs`'s dim + 8 intermediates, or Kessler's
-  density and intermediates, level-major;
+- `kernel`: `evaluate_rhs`'s dim + 8 intermediates, Kessler's density
+  and intermediates, level-major, or the modal filter's state stack
+  after x (2D), or after x and after y (3D);
 - `operator`: dim + 4 rows for the (p', rho u_d) pair that L and S each
   differentiate in one product per direction, S's grad p'/rho and
   Laplacian sums, and `SemOps`' sums.
@@ -43,7 +44,7 @@ class StepPlan:
         self.coupled = self.tendency.data[:2 + dim]
         self.stages = np.empty((4, nf * npts))
         self.basis = np.empty((GmresConfig().restart + 1) * self.coupled.size)
-        k = self.kernel = np.empty((max(dim + 8, 1 + _SCRATCH_ROWS), npts))
+        k = self.kernel = np.empty((max(dim + 8, 1 + _SCRATCH_ROWS, (dim - 1) * nf), npts))
         self.operator = np.empty((dim + 4, npts))
         self.pair = self.operator[:2]
         self.pair_rows = tuple(self.pair)

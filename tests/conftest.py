@@ -5,6 +5,13 @@ from mmfsim.grid import build_box_mesh
 from mmfsim.dynamics import DEFAULT_CONSTANTS, Sounding, build_reference
 
 
+def same_bits(a, b):
+    """Float arrays equal bit for bit: of one shape, a NaN equal to a NaN
+    of the same bits, and 0.0 unequal to -0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def isothermal_sounding(T0=300.0, z_top=26e3, qv=0.004, n=400):
     """Analytic isothermal column; hydrostatic pressure is exact."""
     c = DEFAULT_CONSTANTS

@@ -1,10 +1,13 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from mmfsim.cases import build_case
-from mmfsim.dynamics import (DEFAULT_CONSTANTS, SpongeConfig, apply_filter,
+from mmfsim import cases
+from mmfsim.cases import analytic_sounding, build_case
+from mmfsim.dynamics import (DEFAULT_CONSTANTS, _pchip, SpongeConfig, apply_filter,
                              boyd_vandeven_transfer, build_reference,
                              equation_of_state, evaluate_rhs, exner_function,
                              filter_field, read_sounding, sponge_profile,
@@ -14,7 +17,7 @@ from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState, SemOps, integrate
 from mmfsim.plan import StepPlan
 
-from conftest import isothermal_sounding
+from conftest import isothermal_sounding, same_bits
 
 C = DEFAULT_CONSTANTS
 
@@ -105,6 +108,61 @@ def test_reference_requires_coverage(small_mesh):
     snd = isothermal_sounding(z_top=10e3)  # domain reaches 24 km
     with pytest.raises(ConfigurationError):
         build_reference(snd, small_mesh, C)
+
+
+def _desk_vertical_grids():
+    """The vertical nodes of every desk grid: each case's coarse or fine
+    grid and, in `mmf`, its embedded grid."""
+    dims = cases._DESK_CASES.values()
+    levels = {(d.extents[-1], d.elems[-1]) for d in dims}
+    levels |= {(d.extents[-1], d.ssp_elems_z) for d in dims if d.ssp_elems_z}
+    return [build_box_mesh((1.0, top), (1, ne), cases._ORDER).coords_1d[-1]
+            for top, ne in sorted(levels)]
+
+
+def test_pchip_is_scipys_on_the_desk_soundings():
+    """`build_reference`'s interpolant gives the bits of scipy's
+    PchipInterpolator on each shipped sounding (the analytic one the
+    cases use and the sample file) and the tests' isothermal one, at the
+    nodes of every desk vertical grid."""
+    soundings = (analytic_sounding(), analytic_sounding(z_top=14e3), isothermal_sounding(),
+                 read_sounding(pathlib.Path(__file__).parents[1] / "configs" /
+                               "sounding_idealized.txt"))
+    grids = _desk_vertical_grids()
+    assert {g.size for g in grids} == {49, 61, 121}
+    for snd in soundings:
+        columns = np.stack((snd.theta, snd.qv, snd.u, snd.v), axis=-1)
+        for z in grids:
+            z = z[z <= snd.z[-1]]
+            assert same_bits(_pchip(snd.z, columns, z), PchipInterpolator(snd.z, columns)(z))
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4, 7, 40])
+def test_pchip_is_scipys_on_random_columns(levels):
+    """Bit for bit against scipy on unevenly spaced knots, with columns
+    that change sign, hold flat stretches (zero slopes at interior knots
+    and at both ends), step, and run monotone; evaluated at the knots,
+    both ends and points between."""
+    rng = np.random.default_rng(levels)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(0.05, 3.0, levels)) - 1.5
+        y = np.stack((rng.standard_normal(levels),
+                      np.where(rng.random(levels) < 0.4, 0.0, rng.standard_normal(levels)),
+                      np.round(rng.standard_normal(levels)),
+                      np.cumsum(rng.uniform(0.0, 1.0, levels)),
+                      -np.cumsum(rng.exponential(1.0, levels) ** 3)), axis=-1)
+        if levels > 3:
+            y[:2, 1] = y[-2:, 1] = 0.0
+        xi = np.concatenate((x, np.sort(rng.uniform(x[0], x[-1], 64)), x[[0, -1]]))
+        assert same_bits(_pchip(x, y, xi), PchipInterpolator(x, y)(xi))
+
+
+def test_pchip_gives_scipys_zero_for_a_negative_zero_knot():
+    """A -0.0 knot value on a falling stretch comes out as scipy's 0.0,
+    whose sum starts from 0.0."""
+    x, y = np.array([1.0, 2.0, 4.0]), np.array([[1.0], [-0.0], [-3.0]])
+    got = _pchip(x, y, x)
+    assert same_bits(got, PchipInterpolator(x, y)(x)) and not np.signbit(got[1, 0])
 
 
 def per_element_weak_ddz(vals, ne, N, h, rule):

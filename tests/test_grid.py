@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import erfc as scipy_erfc
 
+from mmfsim import grid
 from mmfsim.errors import ConfigurationError
-from mmfsim.grid import (build_box_mesh, build_lgl_rule, dss_sum,
-                         scatter_to_elements)
+from mmfsim.grid import (_erfc, boyd_vandeven_transfer, build_box_mesh, build_lgl_rule,
+                         dss_sum, scatter_to_elements)
+
+from conftest import same_bits
 
 
 @pytest.mark.parametrize("N", range(1, 9))
@@ -240,3 +244,35 @@ def test_broadcast_mesh_matches_element_loops(mesh):
     assert mesh.coords.shape == coords.shape and np.array_equal(mesh.coords, coords)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.coords_1d, c1d))
     assert mesh.npts_1d == tuple(c.size for c in c1d)
+
+
+def test_erfc_is_scipys_bit_for_bit():
+    """`_erfc` repeats Cephes' arithmetic, which `scipy.special.erfc`
+    runs: the same bits on a fine grid of [-30, 30] (through both
+    branches, the erf core below 1 and the underflow to 0 and 2 beyond
+    26.6), random points and the special values."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate((np.linspace(-30.0, 30.0, 120_001), rng.uniform(-9.0, 9.0, 20_000),
+                        [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, np.inf, -np.inf, np.nan,
+                         np.nextafter(1.0, 0.0), np.nextafter(8.0, 0.0), 5e-324, -5e-324]))
+    assert same_bits([_erfc(v) for v in x.tolist()], scipy_erfc(x))
+
+
+def _transfer_with_scipy(eta):
+    """`boyd_vandeven_transfer` as it was written on `scipy.special.erfc`."""
+    xbar = np.abs(eta) - 0.5
+    sq = 4.0 * xbar * xbar
+    inner = np.where((sq > 0.0) & (sq < 1.0), sq, 0.5)
+    chi = np.sqrt(-np.log1p(-inner) / inner)
+    chi = np.where(np.abs(xbar) < 1e-300, 1.0, chi)
+    sigma = 0.5 * scipy_erfc(2.0 * np.sqrt(grid._FILTER_ORDER) * xbar * chi)
+    sigma = np.where(np.abs(eta) >= 1.0, 0.0, sigma)
+    return np.where(eta == 0.0, 1.0, sigma)
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_transfer_is_unchanged_from_scipy_erfc(N):
+    """The filter's mode weights for every basis order are those that
+    scipy's erfc gave."""
+    eta = np.arange(N + 1) / N
+    assert same_bits(boyd_vandeven_transfer(eta), _transfer_with_scipy(eta))

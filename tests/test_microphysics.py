@@ -109,6 +109,27 @@ def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference
     assert len(calls) > 2
 
 
+@pytest.mark.parametrize("case, expect", [("equal", True), ("nan", True), ("below", False)])
+def test_saturation_test_admits_vapor_at_saturation(case, expect, monkeypatch):
+    """The saturation Newton runs where q_v reaches q_vs, equality
+    included, and where q_vs is NaN; not where q_v stays below it
+    everywhere. `_saturation` is replaced to write q_vs outright."""
+    q_v = np.linspace(1e-3, 2e-2, 12)
+
+    def fake(theta_v, exner, q_v, p, constants, T, es, tmb, qvs, den, pme):
+        np.add(q_v, 1e-5, out=qvs)
+        if case == "equal":
+            qvs[4] = q_v[4]
+        elif case == "nan":
+            qvs[7] = np.nan
+
+    monkeypatch.setattr(microphysics, "_saturation", fake)
+    scratch = np.empty((5, q_v.size))
+    got = microphysics._reaches_saturation(np.full(12, 300.0), q_v, np.full(12, 9e4),
+                                           np.ones(12), C, scratch)
+    assert got is expect
+
+
 def test_supersaturation_condenses():
     col = make_column(q_v=0.025, theta_v=300.0)
     _, precip = kessler_column_step(col, 0.0, P, C)

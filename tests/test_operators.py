@@ -374,6 +374,57 @@ def test_operators_write_out_bit_for_bit(out_mesh, nf):
     assert np.array_equal(in_place, filt)
 
 
+def _tensor_by_rows(mesh, mats, f):
+    """The tensor product one field row at a time, each row through every
+    direction on its own: the stacked `SemOps.tensor` must give its bits."""
+    plan = mesh.plan
+    products = [plan.product(A, d) for d, A in enumerate(mats)]
+    out = np.empty(f.shape)
+    tmp = np.empty((2, mesh.npts))
+    for row, out_row in zip(f.reshape(-1, mesh.npts), out.reshape(-1, mesh.npts)):
+        for d, product in enumerate(products):
+            target = out_row if d == mesh.dim - 1 else tmp[d % 2]
+            product(row, target)()
+            row = target
+    return out
+
+
+FILTER_MESHES = {
+    # desk squall coarse 12 x 61 (x dgemm, z matmul), its embedded grid
+    # 40 x 121 (z windows) and squall fine 252 x 121 (x and z windows)
+    "squall_coarse": ((50e3, 24e3), (3, 15), 4, (True,)),
+    "squall_ssp": ((20e3, 24e3), (10, 30), 4, (True,)),
+    "squall_fine": ((50e3, 24e3), (63, 30), 4, (True,)),
+    # desk supercell coarse 12 x 8 x 49 (x dgemm, y and z matmul), and
+    # 3D grids with a windowed z and with windowed x and y
+    "supercell_coarse": ((30e3, 20e3, 24e3), (3, 2, 12), 4, (True, True)),
+    "3d_z49": ((2e3, 3e3, 10e3), (3, 3, 12), 4, (True, True)),
+    "3d_x68_y68": ((9e3, 9e3, 2e3), (17, 17, 1), 4, (True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_MESHES))
+def test_stacked_filter_is_the_row_loop_bit_for_bit(name):
+    """`SemOps.tensor` applies each direction once to the whole stack,
+    through the plan's kernel rows; a state's rows, a single field and a
+    stack too tall for the kernel come out as they did one row at a
+    time, into a separate `out` and in place."""
+    extents, elems, order, periodic = FILTER_MESHES[name]
+    mesh = build_box_mesh(extents, elems, order, periodicity=periodic)
+    mats = mesh.modal_filter_1d(0.3)
+    ops = SemOps(mesh)
+    rng = np.random.default_rng(len(name))
+    for rows in (5 + mesh.dim, 1, 20):
+        f = rng.standard_normal((rows, mesh.npts))
+        expect = _tensor_by_rows(mesh, mats, f)
+        out = np.full_like(f, np.nan)
+        assert ops.tensor(mats, f, out=out) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(ops.tensor(mats, f[0]), expect[0])
+        assert ops.tensor(mats, f, out=f) is f
+        assert np.array_equal(f, expect)
+
+
 def test_along_never_writes_into_a_copy_of_out(out_mesh):
     """A rank-3 `out` is viewed as one stack of rows when its layout
     allows and refused when it does not, so a product never lands in a

@@ -37,3 +37,30 @@ def test_no_module_imports_a_private_numpy_or_scipy_module():
                 if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts[1:]):
                     private.append(f"{path.name}: {name}")
     assert not private, private
+
+
+def test_the_command_line_imports_only_the_scipy_it_runs():
+    """`import mmfsim.cli` in a fresh interpreter loads of scipy only
+    `scipy.linalg` (the solver's BLAS and the x-axis dgemm) and
+    `scipy.sparse` (assembling the 1D operators): the sounding's PCHIP
+    and the filter's erfc are the package's own, and scipy.interpolate,
+    scipy.special and what they pull in (optimize, spatial, fft) cost a
+    run about 21 MB and 0.4 s of imports."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(mmfsim.__file__))
+    probe = ("import json, sys; import mmfsim.cli; "
+             "print(json.dumps(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+             "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded = set(json.loads(done.stdout.strip().splitlines()[-1]))
+    for heavy in ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.spatial",
+                  "scipy.fft"):
+        assert heavy not in loaded, heavy
+    assert loaded <= {"scipy.linalg", "scipy.sparse", "scipy.version"}, loaded

@@ -29,7 +29,13 @@ squall `fine` grid (252 x 121 points, `squall_fine`) it times
 step) of the dry first state. On both squall grids it times the weak
 derivative along x and along z of the dry state's first 2 and 6 rows
 into spare rows, bound once as the step plan binds its own products
-(`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`).
+(`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`), and on
+the squall fine grid the modal filter of the dry state's rows into a
+spare state (`filter_us`), as each step applies it. Before any of that,
+per tree and alternating, `IMPORT_REPEATS` fresh child processes import
+`mmfsim.cli` and report the wall time of the import and their peak
+resident memory after it (`ru_maxrss`); the medians go under "imports"
+as `import_s` and `import_rss_mb`.
 Each `--src` names the `src` directory of a tree to import mmfsim from
 (default: this tree's). The trees are imported side by side in this
 process and their timing blocks alternate, so a drift in host speed
@@ -70,6 +76,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 GRIDS = {"squall_ssp": "squall", "supercell_ssp": "supercell"}
 ALONG_GRIDS = ("squall_ssp", "squall_fine")
+IMPORT_REPEATS = 5
+IMPORT_PROBE = ("import json, resource, time; t0 = time.perf_counter(); import mmfsim.cli; "
+                "t = time.perf_counter() - t0; print(json.dumps({'import_s': t, 'import_rss_mb': "
+                "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))")
 E2E_METRICS = {"step_s_p50": "lower", "sim_s_per_wall_s": "higher", "setup_s": "lower",
                "peak_rss_mb": "lower"}
 TRACED_METRICS = ("timeint.gmres_solve.coarse.matvecs_per_solve",
@@ -125,7 +135,7 @@ def _load(src):
         import numpy as np
         from mmfsim import timeint
         from mmfsim.cases import build_case
-        from mmfsim.dynamics import evaluate_rhs
+        from mmfsim.dynamics import evaluate_rhs, filter_field
         from mmfsim.microphysics import apply_microphysics
         from mmfsim.operators import PrognosticState
     finally:
@@ -159,6 +169,9 @@ def _load(src):
             rhs = functools.partial(evaluate_rhs, stage, ref, mesh, out=plan.tendency)
             rhs.prepare = functools.partial(np.copyto, stage.data, st.data)
             calls[f"{grid}.{name}.evaluate_rhs_us"] = rhs
+        if grid == "squall_fine":
+            calls[f"{grid}.dry.filter_us"] = functools.partial(
+                filter_field, mesh, states["dry"].data, sim.filter_strength, out=spare.data)
         if grid in ALONG_GRIDS:
             for d, axis in ((0, "x"), (mesh.dim - 1, "z")):
                 for rows in (2, 6):
@@ -198,11 +211,29 @@ def _prepare(call):
         prepare()
 
 
+def import_footprint(srcs, repeats=IMPORT_REPEATS):
+    """Per tree, the median over `repeats` fresh one-thread child
+    processes, alternating between the trees, of the wall seconds that
+    `import mmfsim.cli` takes and of the child's peak resident MB after
+    it."""
+    runs = [[] for _ in srcs]
+    for r in range(repeats):
+        for k in (range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(srcs[k]), **THREADS)
+            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300).stdout
+            runs[k].append(json.loads(out.strip().splitlines()[-1]))
+    return [{key: statistics.median(run[key] for run in tree) for key in tree[0]}
+            for tree in runs]
+
+
 def layers(srcs, blocks=31, target_s=0.01):
     """Per (grid, state, layer) key: per tree, the median over blocks of
     the mean us per call, and each tree's median over block pairs of its
     time over the first tree's. The trees' blocks alternate, and a ratio
-    of adjacent blocks cancels a drift in host speed."""
+    of adjacent blocks cancels a drift in host speed. Under "imports",
+    per tree, `import_footprint`, measured first, in fresh children."""
+    imports = import_footprint(srcs)
     trees = [_load(src) for src in srcs]
     us, ratio = [{} for _ in srcs], [{} for _ in srcs]
     for key in trees[0]:
@@ -226,7 +257,7 @@ def layers(srcs, blocks=31, target_s=0.01):
         for k in range(len(srcs)):
             us[k][key] = 1e6 * statistics.median(times[k])
             ratio[k][key] = statistics.median(t / t0 for t, t0 in zip(times[k], times[0]))
-    return {"us": us, "ratio_to_first": ratio}
+    return {"us": us, "ratio_to_first": ratio, "imports": imports}
 
 
 def cloud_run(src, steps):
@@ -316,6 +347,7 @@ def compare(a):
     trees = {"before": os.path.abspath(a.before), "after": os.path.abspath(a.after)}
     me = os.path.abspath(__file__)
     per_tree = {k: [] for k in trees}
+    imports = {k: [] for k in trees}
     ratios, order = [], []
     for i in range(a.rounds):
         first = ("before", "after") if i % 2 == 0 else ("after", "before")
@@ -324,8 +356,9 @@ def compare(a):
         for k in first:
             args += ["--src", os.path.join(trees[k], "src")]
         res = _child(args, cwd=ROOT)
-        for k, us in zip(first, res["us"]):
+        for k, us, imp in zip(first, res["us"], res["imports"]):
             per_tree[k].append(us)
+            imports[k].append(imp)
         r = res["ratio_to_first"][1]
         ratios.append(r if first[0] == "before" else {key: 1.0 / v for key, v in r.items()})
     layer = {"method": f"tools/layer_bench.py layers with both trees imported side by side "
@@ -335,7 +368,14 @@ def compare(a):
                        f"rounds of each tree's median block (mean us per call); ratio: median "
                        f"over rounds of the median over adjacent block pairs of after/before, "
                        f"which cancels the host's speed drift that moves the us figures",
-             "first_in_round": order, "us_per_call": {}}
+             "first_in_round": order, "us_per_call": {},
+             "imports": {"method": f"per round, {IMPORT_REPEATS} fresh one-thread child "
+                                   f"processes per tree, alternating, each timing `import "
+                                   f"mmfsim.cli` and reading its ru_maxrss after it; per tree "
+                                   f"the median over rounds of the round medians"}}
+    for key in imports["before"][0]:
+        layer["imports"][key] = {
+            k: round(statistics.median(r[key] for r in imports[k]), 4) for k in trees}
     for key in per_tree["before"][0]:
         layer["us_per_call"][key] = {
             "before": round(statistics.median(r[key] for r in per_tree["before"]), 1),
