@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import ReferenceState, Sounding, apply_filter, build_reference, evaluate_rhs
 from .errors import ConfigurationError, Interval, SolverError, StateError, check
-from .grid import Mesh, build_box_mesh, build_lgl_rule
+from .grid import LglRule, Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
 from .timeint import ImexOperatorSplit, linear_moisture_rows, linear_operator, step_ark2
@@ -166,29 +166,32 @@ class VerticalProjection:
 
 
 def _lagrange_eval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix P[a, i] = psi_i(x[a]) of Lagrange basis through `nodes`."""
-    n = nodes.size
-    bw = np.ones(n)
-    for i in range(n):
-        bw[i] = 1.0 / np.prod(nodes[i] - np.delete(nodes, i))
-    P = np.empty((x.size, n))
-    for a, xa in enumerate(np.asarray(x, dtype=float)):
-        d = xa - nodes
-        hit = np.nonzero(np.abs(d) < 1e-14)[0]
-        if hit.size:
-            row = np.zeros(n)
-            row[hit[0]] = 1.0
-        else:
-            t = bw / d
-            row = t / t.sum()
-        P[a] = row
+    """Matrix P[a, i] = psi_i(x[a]) of Lagrange basis through `nodes`: the
+    barycentric form t_i = w_i / (x[a] - nodes[i]) over its row sum, and
+    at a point within 1e-14 of a node the unit row of the first such node."""
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bw = 1.0 / np.prod(diff, axis=1)
+    d = np.asarray(x, dtype=float)[:, None] - nodes
+    hit = np.abs(d) < 1e-14
+    t = bw / np.where(hit, 1.0, d)
+    P = t / t.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    P[on_node] = 0.0
+    P[on_node, hit[on_node].argmax(axis=1)] = 1.0
     return P
 
 
 def build_vertical_projection(order: int, n_sl: int) -> VerticalProjection:
+    return _vertical_projection(build_lgl_rule(order), n_sl)
+
+
+def _vertical_projection(rule: LglRule, n_sl: int) -> VerticalProjection:
+    """The projection of `build_vertical_projection` on the order's
+    `rule`, which a caller that holds it passes in."""
     if n_sl < 1:
         raise ConfigurationError(f"vertical refinement ratio must be >= 1, got {n_sl}")
-    rule = build_lgl_rule(order)
+    order = rule.order
     Np = order + 1
     s = 1.0 / n_sl
     offsets = np.array([(2 * k - 1) * s - 1.0 for k in range(1, n_sl + 1)])
@@ -320,14 +323,12 @@ def spawn_ssp_instances(lsp: Simulator, cfg: MmfConfig, seed: int = 0,
         raise ConfigurationError(
             f"mmf.ssp_elems_z = {cfg.ssp_elems_z}: expected a multiple of the coarse "
             f"vertical element count {ne_z_l}")
-    n_sl = cfg.ssp_elems_z // ne_z_l
-    proj = build_vertical_projection(cfg.ssp_order, n_sl)
-
     ssp_mesh = build_box_mesh(
         (cfg.ssp_length, mesh.extents[-1]),
         (cfg.ssp_elems_x, cfg.ssp_elems_z),
         (cfg.ssp_order, cfg.ssp_order),
         periodicity=(True,))
+    proj = _vertical_projection(ssp_mesh.rules[-1], cfg.ssp_elems_z // ne_z_l)
     ssp_ref = build_reference(lsp.sounding, ssp_mesh, lsp.reference.constants,
                               lsp.reference.sponge)
 

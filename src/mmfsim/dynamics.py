@@ -308,7 +308,17 @@ def build_reference(sounding: Sounding, mesh: Mesh,
     p0 = constants.p00 * pi ** (constants.c_p / constants.R_d)
     rho0 = constants.p00 * pi ** (constants.c_v / constants.R_d) / (constants.R_d * theta_v)
 
-    dth, dqv = (mesh.weak_derivative_1d[-1] @ np.stack((theta_v, qv), axis=-1)).T
+    # the weak vertical derivative of both profiles, summed over the 2N + 1
+    # diagonals of its band in turn, so that each row adds its columns in
+    # ascending order from 0.0: the order that fixed the reference
+    # state's bits (a dense `@` sums in another and moves the last bits)
+    Dz, prof = mesh.weak_derivative_1d[-1], np.stack((theta_v, qv))
+    nz = prof.shape[-1]
+    dprof = np.zeros_like(prof)
+    for k in range(-N, N + 1):
+        lo, hi = max(0, -k), min(nz, nz - k)
+        dprof[:, lo:hi] += np.diagonal(Dz, k) * prof[:, lo + k:hi + k]
+    dth, dqv = dprof
     gam = constants.c_p / constants.c_v
     profiles = [rho0, theta_v, qv, p0, dth, dqv,
                 gam * p0 / rho0, gam * p0 / theta_v, -1.0 / rho0, -constants.g / rho0]

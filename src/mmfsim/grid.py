@@ -15,10 +15,11 @@ and the mass is lumped, every assembled operator (weak derivative, weak
 Laplacian, projected modal filter) factors into one assembled 1D matrix
 per direction, M_d^-1 sum_e R_e^T B R_e with B the weighted element
 matrix. `Mesh` builds those matrices once, on first use, and keeps them
-with the mesh, as CSR and, on an axis of at most `DENSE_MAX` points,
-also dense: a field stack is then a matrix (x) or a stack of blocks (y,
-z) that BLAS multiplies where it lies. A longer axis applies the banded
-CSR matrix in dense windows of rows (`operators._windowed`). The mesh alone knows the field layout (`column_view`,
+with the mesh as dense arrays: on an axis of at most `DENSE_MAX` points
+a field stack is a matrix (x) or a stack of blocks (y, z) that BLAS
+multiplies with the whole array where it lies, and a longer axis applies
+the banded array in dense windows of rows (`operators._windowed`). The
+mesh alone knows the field layout (`column_view`,
 `field_from_profile`, the boundary levels) and keeps its step plan
 (`Mesh.plan`): the stepping hot path's buffers, their row views and the
 product form of each 1D matrix, made on the first step and gone with
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
@@ -295,28 +295,23 @@ class Mesh:
         """Lumped global mass, m^dim per node: the product of the 1D masses."""
         return np.multiply.outer(self.lumped_1d[-1], self.column_weights).reshape(-1)
 
-    def _assemble_1d(self, d: int, local: np.ndarray):
-        """M_d^-1 sum_e R_e^T local R_e along direction d, as CSR.
+    def _assemble_1d(self, d: int, local: np.ndarray) -> np.ndarray:
+        """M_d^-1 sum_e R_e^T local R_e along direction d, as a dense
+        Fortran-ordered (n, n) array.
 
         `local` is the (N+1, N+1) element matrix, already weighted by the
         element's quadrature masses h/2 w; duplicates at shared (and
-        periodically wrapped) nodes are summed in a fixed order. The
-        matrix's `dense` attribute is its dense form on axes of at most
-        `DENSE_MAX` points (y and z: also within `DENSE_BLOCK_MAX`), else
-        None, and the axis takes windows.
+        periodically wrapped) nodes are summed from zero in element
+        order. Fortran order is what `SemOps.along`'s x dgemm takes
+        without a copy; the array costs n^2 doubles, 0.5 MB on a
+        252-point axis.
         """
         N = self.orders[d]
         g, n = _index_1d(self.elem_counts[d], N, (self.periodic + (False,))[d])
-        rows = np.repeat(g, N + 1, axis=1).ravel()
-        cols = np.tile(g, (1, N + 1)).ravel()
-        vals = np.tile(local.ravel(), g.shape[0])
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        A.data *= np.repeat(1.0 / self.lumped_1d[d], np.diff(A.indptr))
-        # Fortran order is what `SemOps.along`'s x dgemm takes without a
-        # copy; at most 64^2 * 8 B = 32 KB per matrix
-        stride = math.prod(self.npts_1d[:d])
-        short = n <= DENSE_MAX and (d == 0 or n * n * stride <= DENSE_BLOCK_MAX)
-        A.dense = np.asfortranarray(A.toarray()) if short else None
+        A = np.zeros((n, n), order="F")
+        np.add.at(A, (np.repeat(g, N + 1, axis=1).ravel(), np.tile(g, (1, N + 1)).ravel()),
+                  np.tile(local.ravel(), g.shape[0]))
+        A *= (1.0 / self.lumped_1d[d])[:, None]
         return A
 
     def _elem_weights(self, d: int) -> np.ndarray:
@@ -324,7 +319,7 @@ class Mesh:
 
     @cached_property
     def weak_derivative_1d(self) -> tuple:
-        """Per direction, the weak first derivative M_d^-1 A_d (CSR)."""
+        """Per direction, the weak first derivative M_d^-1 A_d."""
         return tuple(
             self._assemble_1d(d, self._elem_weights(d)[:, None]
                               * (self.metric[d] * self.rules[d].diff_matrix))
@@ -332,7 +327,7 @@ class Mesh:
 
     @cached_property
     def weak_laplacian_1d(self) -> tuple:
-        """Per direction, the weak second derivative -M_d^-1 K_d (CSR).
+        """Per direction, the weak second derivative -M_d^-1 K_d.
 
         Integration by parts with no boundary flux: the sum over
         directions is symmetric negative semi-definite in the mass
@@ -423,7 +418,8 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
     if len(periodic) != dim - 1:
         raise ConfigurationError("periodicity flags cover the lateral directions only")
 
-    rules = tuple(build_lgl_rule(N) for N in orders)
+    by_order = {N: build_lgl_rule(N) for N in set(orders)}
+    rules = tuple(by_order[N] for N in orders)
     per_all = periodic + (False,)
     c1d = tuple(_coords_1d(extents[d], elem_counts[d], rules[d].points, per_all[d])
                 for d in range(dim))

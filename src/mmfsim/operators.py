@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import as_strided
 # and the two libraries' thread pools must not alternate (see timeint)
 from scipy.linalg.blas import ddot, dgemm
 
-from .grid import DENSE_BLOCK_MAX, Mesh
+from .grid import DENSE_BLOCK_MAX, DENSE_MAX, Mesh
 
 __all__ = [
     "PrognosticState",
@@ -196,15 +196,15 @@ def _product(A, d, npts_1d):
     or (nf, npts) stacks of which `out`'s rows may be strided, and returns
     a call with no arguments that writes A along d of f into out; made
     again, the call reads f anew where f's rows are contiguous, as the
-    plan's own buffers are. Along x a dense A takes one dgemm per stack
-    (per row of a strided `out`); an A without a dense form takes its
-    windows (`_windowed`)."""
-    dense = getattr(A, "dense", None)
-    if dense is None:
-        return _windowed(A, d, npts_1d)
+    plan's own buffers are. On an axis of at most `DENSE_MAX` points (y
+    and z: whose (n, stride) blocks are within `DENSE_BLOCK_MAX`) the whole
+    Fortran-ordered A multiplies, along x one dgemm per stack (per row of a
+    strided `out`); every other axis takes windows (`_windowed`)."""
     n = A.shape[0]
     npts = math.prod(npts_1d)
     stride = math.prod(npts_1d[:d])
+    if n > DENSE_MAX or (d > 0 and n * n * stride > DENSE_BLOCK_MAX):
+        return _windowed(A, d, npts_1d)
     # (rows, lines, n, stride) views: splitting the point axis never
     # copies, so what is written through them reaches `out`
     blocks = (-1, npts // (n * stride), n, stride)
@@ -220,11 +220,11 @@ def _product(A, d, npts_1d):
                     raise ValueError("along: out rows must be contiguous float64")
                 # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c: f2py
                 # parses keywords about 0.7 us slower
-                calls.append(partial(dgemm, 1.0, dense, x.reshape(-1, n).T, 0.0, c, 0, 0, 1))
+                calls.append(partial(dgemm, 1.0, A, x.reshape(-1, n).T, 0.0, c, 0, 0, 1))
             return _in_turn(calls)
     else:
         def bind(f, out):
-            return partial(np.matmul, dense, f.reshape(blocks),
+            return partial(np.matmul, A, f.reshape(blocks),
                            out=_rows_of(out).reshape(blocks))
     return bind
 
@@ -246,9 +246,9 @@ def _windowed(A, d, npts_1d):
     bind(f, out).
 
     A couples a point only to points at most h away (h, its half-bandwidth,
-    read from its CSR indices, cyclically on a periodic axis), so a window
-    of b rows reads b + 2h adjacent points; each window's dense block is
-    taken from A once, here. A gemm multiplies a block with a batch of
+    read from its nonzero pattern by `_bandwidth`), so a window of b rows
+    reads b + 2h adjacent points; each window's dense block is copied
+    from A once, here. A gemm multiplies a block with a batch of
     columns: along x a batch of at most `_X_LINES` lines, along y and z a
     line of the axis, and never more columns than keep the gemm within
     `DENSE_BLOCK_MAX` multiply-adds, so it runs on one BLAS thread and
@@ -263,21 +263,12 @@ def _windowed(A, d, npts_1d):
     n = A.shape[0]
     stride = math.prod(npts_1d[:d])
     lines = math.prod(npts_1d) // n
-    coo = A.tocoo()
-    dist = np.abs(coo.row - coo.col)
-    h = int(np.minimum(dist, n - dist).max(initial=0))
-    wrap = bool(dist.max(initial=0) > h)
+    h, wrap = _bandwidth(A)
     b = max(h, 1) * (_WINDOW_X if d == 0 else _WINDOW_YZ)
 
     def block(rows, c0, c1):
-        # the dense A[rows, (c0 .. c1 - 1) mod n], summed from A's entries,
-        # each of which lies in its row's window (an IndexError if not);
-        # scipy's fancy indexing would leave 0.5 MB more resident
-        lo, hi = A.indptr[rows.start], A.indptr[rows.stop]
-        W = np.zeros((rows.stop - rows.start, c1 - c0))
-        np.add.at(W, (np.repeat(np.arange(len(W)), np.diff(A.indptr[rows.start:rows.stop + 1])),
-                      (A.indices[lo:hi] - c0) % n), A.data[lo:hi])
-        return W
+        # A[rows, (c0 .. c1 - 1) mod n] as a new C-ordered array
+        return np.ascontiguousarray(A[rows][:, np.arange(c0, c1) % n])
 
     if n < b + 2 * h:
         # too short for one interior window: the whole axis is one block
@@ -332,6 +323,18 @@ def _windowed(A, d, npts_1d):
                                      out=windows.reshape(windows.shape[:2] + (len(starts), b, -1))))
         return _in_turn(calls)
     return bind
+
+
+def _bandwidth(A):
+    """(h, wrap) of a square 1D matrix: h, the largest cyclic distance
+    min(|i - j|, n - |i - j|) of a nonzero A[i, j], and whether a nonzero
+    lies farther than h apart, as on a periodic axis, whose matrix couples
+    its first and last points."""
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    dist = np.abs(rows - cols)
+    h = int(np.minimum(dist, n - dist).max(initial=0))
+    return h, bool(dist.max(initial=0) > h)
 
 
 def _windows(v, start, count, step, width):

@@ -21,9 +21,9 @@ as far as a buffer is used. The buffers, of npts-point rows:
 - `operator`: dim + 4 rows for the (p', rho u_d) pair that L and S each
   differentiate in one product per direction, S's grad p'/rho and
   Laplacian sums, and `SemOps`' sums.
-A product along a periodic axis without a dense form also holds the
-small gather buffer its bind made for the points its end windows wrap
-to (`operators._windowed`).
+A windowed product along a periodic axis also holds the small gather
+buffer its bind made for the points its end windows wrap to
+(`operators._windowed`).
 """
 
 import numpy as np

@@ -214,3 +214,28 @@ def test_case_id_validation():
 def test_case_missing_sounding_file():
     with pytest.raises(ConfigurationError):
         build_case("squall", preset="desk", sounding="/nonexistent/snd.txt")
+
+
+def test_build_case_keeps_nothing_across_calls():
+    """Each `build_case` makes its own meshes, LGL rules, 1D operator
+    arrays and vertical projection, so a second build repeats the whole
+    set-up that perfbench's `setup_s` times, and no build can see what
+    another one left."""
+    def parts(case):
+        sims = [case.simulator] + [inst.sim for inst in case.instances]
+        meshes = list({id(sim.mesh): sim.mesh for sim in sims}.values())
+        rules = [rule for mesh in meshes for rule in mesh.rules]
+        arrays = [A for sim in sims for A in (sim.mesh.weak_derivative_1d
+                                              + sim.mesh.weak_laplacian_1d
+                                              + sim.mesh.modal_filter_1d(0.1))]
+        projections = [inst.projection for inst in case.instances]
+        return meshes, rules, arrays, projections
+
+    first, second = (parts(build_case("supercell", tier="mmf", preset="desk")) for _ in range(2))
+    for a, b in zip(first, second):
+        assert a and b
+        assert not {id(x) for x in a} & {id(x) for x in b}
+    assert not any(np.shares_memory(A, B) for A in first[2] for B in second[2])
+    # within one build, the directions of one order share their mesh's rule
+    for mesh in first[0]:
+        assert len({id(rule) for rule in mesh.rules}) == 1

@@ -167,6 +167,44 @@ def test_restriction_is_l2_optimal():
         assert l2_err(best + bump) > e0
 
 
+def _lagrange_by_point(nodes, x):
+    """The Lagrange basis at each point in turn: the barycentric weights
+    by `np.delete`, and per point the unit row of the first node within
+    1e-14 or the weights over the differences, over their sum."""
+    n = nodes.size
+    bw = np.array([1.0 / np.prod(nodes[i] - np.delete(nodes, i)) for i in range(n)])
+    P = np.empty((x.size, n))
+    for a, xa in enumerate(x):
+        d = xa - nodes
+        hit = np.nonzero(np.abs(d) < 1e-14)[0]
+        if hit.size:
+            P[a] = 0.0
+            P[a, hit[0]] = 1.0
+        else:
+            t = bw / d
+            P[a] = t / t.sum()
+    return P
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7, 8, 12, 16])
+def test_lagrange_eval_is_the_point_loop_bit_for_bit(order):
+    """`_lagrange_eval` takes all points in one pass with the bits of the
+    point-by-point form, on and between the nodes, and the projection a
+    spawn builds on its mesh's rule is `build_vertical_projection`'s."""
+    from conftest import same_bits
+
+    nodes = build_lgl_rule(order).points
+    rng = np.random.default_rng(order)
+    gx, _ = np.polynomial.legendre.leggauss(order + 2)
+    x = np.concatenate([gx, 0.5 * gx - 0.5, nodes, nodes + 5e-15, rng.uniform(-1.0, 1.0, 40)])
+    assert same_bits(coupling_module._lagrange_eval(nodes, x), _lagrange_by_point(nodes, x))
+    if order == 4:
+        for case_id in ("squall", "supercell"):
+            spawned = build_case(case_id, tier="mmf", preset="desk").instances[0].projection
+            public = build_vertical_projection(4, spawned.n_sl)
+            assert same_bits(spawned.s2l, public.s2l) and same_bits(spawned.l2s, public.l2s)
+
+
 def test_projection_rejects_wrong_length():
     proj = build_vertical_projection(3, 2)
     with pytest.raises(ConfigurationError):

@@ -217,11 +217,12 @@ def test_1d_operators_match_element_assembly(mesh_name, request):
 # -- out= arguments against the allocating, public `A @ x` formulation --
 
 def _along_reference(mesh, A, f, d):
-    """A along direction d through scipy's public `A @ x` and transposed
-    copies: the product `SemOps.along` must agree with to rounding."""
+    """A along direction d through scipy's public CSR `A @ x` and
+    transposed copies: the product `SemOps.along` must agree with to
+    rounding."""
     n = A.shape[0]
     g = f.reshape(-1, n, math.prod(mesh.npts_1d[:d]))
-    out = A @ g.transpose(1, 0, 2).reshape(n, -1)
+    out = sp.csr_array(A) @ g.transpose(1, 0, 2).reshape(n, -1)
     return out.reshape(n, g.shape[0], -1).transpose(1, 0, 2).reshape(f.shape)
 
 
@@ -242,8 +243,8 @@ def _windows(A, d):
     points short of the end, and only on a periodic axis do the first and
     last wrap around. An axis shorter than b + 2h is one window."""
     n = A.shape[0]
-    coo = A.tocoo()
-    dist = np.abs(coo.row - coo.col)
+    rows, cols = np.nonzero(A)
+    dist = np.abs(rows - cols)
     h = int(np.minimum(dist, n - dist).max())
     b = max(h, 1) * (operators._WINDOW_X if d == 0 else operators._WINDOW_YZ)
     if n < b + 2 * h:
@@ -276,7 +277,7 @@ def _window_oracle(mesh, A, f, d):
     else:
         g, y = f.reshape(-1, n, stride), out.reshape(-1, n, stride)
     for rows, cols in windows:
-        block = A[rows][:, cols].toarray()
+        block = np.ascontiguousarray(A[np.ix_(rows, cols)])
         for q in range(0, g.shape[-1] if d else g.shape[1], width):
             if d == 0:
                 y[:, q:q + width, rows] = np.ascontiguousarray(g[:, q:q + width][:, :, cols]) @ block.T
@@ -296,7 +297,7 @@ def _along_oracle(mesh, A, f, d):
     if d == 0:
         return SemOps(mesh).along(A, f, d)
     n = A.shape[0]
-    return (A.dense @ f.reshape(-1, n, math.prod(mesh.npts_1d[:d]))).reshape(f.shape)
+    return (A @ f.reshape(-1, n, math.prod(mesh.npts_1d[:d]))).reshape(f.shape)
 
 
 OUT_MESHES = {
@@ -493,9 +494,7 @@ def test_dense_x_product_matches_csr(name, monkeypatch):
     for M in (mesh.weak_derivative_1d, mesh.weak_laplacian_1d, mesh.modal_filter_1d(0.3)):
         for d in range(mesh.dim):
             dense = _dense_axis(mesh, d)
-            assert (M[d].dense is not None) == dense
-            if dense:
-                assert M[d].dense.flags.f_contiguous and np.array_equal(M[d].dense, M[d].toarray())
+            assert M[d].flags.f_contiguous
             calls.clear()
             ops.along(M[d], f[0], d)
             one_row = list(calls)
@@ -545,7 +544,10 @@ def test_dense_x_product_independent_of_blas_threads():
         "import sys, numpy as np\n"
         "from mmfsim.cases import build_case\n"
         "from mmfsim.grid import build_box_mesh\n"
+        "from mmfsim import operators\n"
         "from mmfsim.operators import SemOps\n"
+        "windowed, real = set(), operators._windowed\n"
+        "operators._windowed = lambda A, *a: windowed.add(id(A)) or real(A, *a)\n"
         "setup = build_case('supercell', 'mmf', preset='desk')\n"
         "embedded = build_box_mesh((20e3, 24e3), (10, 30), 4, periodicity=(True,))\n"
         "products = [(embedded, 0), (setup.simulator.mesh, 1), (setup.simulator.mesh, 2),\n"
@@ -555,11 +557,11 @@ def test_dense_x_product_independent_of_blas_threads():
         "windows = [(fine, 0), (fine, 1), (embedded, 1), (block, 2)]\n"
         "for (mesh, d), stacks in [(p, (2, 6)) for p in products] + [(w, (1, 2, 6)) for w in windows]:\n"
         "    A = mesh.weak_derivative_1d[d]\n"
-        "    assert (A.dense is None) == (stacks == (1, 2, 6))\n"
         "    for nf in stacks:\n"
         "        f = np.random.default_rng(nf).standard_normal((nf, mesh.npts))\n"
         "        out = SemOps(mesh).along(A, f, d)\n"
-        "        sys.stdout.buffer.write(out.tobytes())\n")
+        "        sys.stdout.buffer.write(out.tobytes())\n"
+        "    assert (id(A) in windowed) == (stacks == (1, 2, 6))\n")
     src = os.path.dirname(os.path.dirname(operators.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -620,9 +622,9 @@ def _product_oracle(mesh, A, f, d):
     g = np.ascontiguousarray(f).reshape(-1, n, math.prod(mesh.npts_1d[:d]))
     form = _plan_form(mesh, d)
     if form == "dgemm":
-        return dgemm(1.0, A.dense, np.asfortranarray(g.reshape(-1, n).T)).T.reshape(f.shape)
+        return dgemm(1.0, A, np.asfortranarray(g.reshape(-1, n).T)).T.reshape(f.shape)
     if form == "matmul":
-        return (A.dense @ g).reshape(f.shape)
+        return (A @ g).reshape(f.shape)
     return _window_oracle(mesh, A, np.ascontiguousarray(f), d)
 
 
@@ -661,3 +663,105 @@ def test_plan_products_reproduce_the_public_product(name, monkeypatch):
                 assert np.all(np.isnan(strided[:, 0]))
     assert plan.derivative == tuple(plan.product(D, d)
                                     for d, D in enumerate(mesh.weak_derivative_1d))
+
+
+
+# -- the numpy assembly of the 1D matrices against scipy.sparse --
+
+def _csr_1d(mesh, d, local):
+    """M_d^-1 sum_e R_e^T local R_e along direction d, for an element
+    matrix `local` already weighted by the element's quadrature masses,
+    through scipy's COO to CSR conversion, which sums duplicate entries,
+    and a lumped mass summed by `np.bincount`."""
+    N, ne, n = mesh.orders[d], mesh.elem_counts[d], mesh.npts_1d[d]
+    g = (np.arange(ne)[:, None] * N + np.arange(N + 1)) % n
+    weights = (0.5 * mesh.extents[d] / ne) * mesh.rules[d].weights
+    lumped = np.bincount(g.ravel(), weights=np.tile(weights, ne), minlength=n)
+    A = sp.csr_matrix((np.tile(local.ravel(), ne),
+                       (np.repeat(g, N + 1, axis=1).ravel(), np.tile(g, (1, N + 1)).ravel())),
+                      shape=(n, n))
+    A.data *= np.repeat(1.0 / lumped, np.diff(A.indptr))
+    return A
+
+
+def _csr_operators(mesh, strength):
+    """Per direction, the weak derivative, Laplacian and projected filter,
+    their element matrices formed here and assembled by `_csr_1d`."""
+    out = []
+    for d, rule in enumerate(mesh.rules):
+        D, N = rule.diff_matrix, rule.order
+        w = ((0.5 * mesh.extents[d] / mesh.elem_counts[d]) * rule.weights)[:, None]
+        V = np.polynomial.legendre.legvander(rule.points, N)
+        sig = boyd_vandeven_transfer(np.arange(N + 1) / N)
+        F = V @ np.diag((1.0 - strength) + strength * sig) @ np.linalg.inv(V)
+        K = mesh.metric[d] ** 2 * (D.T @ (w * D))
+        out.append({"derivative": _csr_1d(mesh, d, w * (mesh.metric[d] * D)),
+                    "laplacian": _csr_1d(mesh, d, -K),
+                    "filter": _csr_1d(mesh, d, w * F)})
+    return out
+
+
+def _csr_band(A):
+    """(h, wrap) of a CSR matrix from its stored entries: the largest
+    cyclic distance of a row from a column, and whether an entry lies
+    farther than that."""
+    n = A.shape[0]
+    coo = A.tocoo()
+    dist = np.abs(coo.row - coo.col)
+    h = int(np.minimum(dist, n - dist).max())
+    return h, bool(dist.max() > h)
+
+
+ASSEMBLY_MESHES = {
+    "2d_periodic": ((2.0, 1.0), (3, 2), (4, 3), (True,)),
+    "2d_walls": ((2.0, 1.0), (3, 2), (4, 3), (False,)),
+    # four element entries meet at the node a lone periodic element wraps to
+    "2d_one_periodic_element": ((2.0, 1.0), (1, 3), (4, 2), (True,)),
+    "2d_two_periodic_elements": ((2.0, 1.0), (2, 1), (5, 7), (True,)),
+    "3d_mixed": ((1.0, 2.0, 1.5), (3, 2, 2), (2, 4, 3), (True, False)),
+    "3d_walls": ((1.0, 2.0, 1.5), (2, 3, 2), (3, 2, 6), (False, False)),
+    "2d_x68_z67": ((20e3, 12e3), (17, 22), (4, 3), (True,)),
+}
+
+
+def _desk_meshes():
+    from mmfsim.cases import build_case
+    for case_id, tier in (("squall", "mmf"), ("supercell", "mmf"), ("squall", "fine")):
+        case = build_case(case_id, tier=tier, preset="desk")
+        yield f"{case_id}_{tier}", case.simulator.mesh
+        if case.instances:
+            yield f"{case_id}_{tier}_ssp", case.instances[0].sim.mesh
+
+
+def test_numpy_assembly_is_the_csr_assembly_bit_for_bit():
+    """Every 1D derivative, Laplacian and filter matrix of the desk grids
+    and of periodic and walled test meshes equals scipy.sparse's
+    assembly of the same element matrices bit for bit, sign bit
+    included, as a Fortran-ordered array; and the windows' half-bandwidth
+    and wrap, read from its nonzero pattern, are those of the CSR
+    entries on every axis of three elements or more: h = N, and a wrap
+    exactly on a periodic axis."""
+    from conftest import same_bits
+
+    meshes = [(name, build_box_mesh(e, n, o, periodicity=p))
+              for name, (e, n, o, p) in ASSEMBLY_MESHES.items()] + list(_desk_meshes())
+    checked = 0
+    for name, mesh in meshes:
+        ours = [{"derivative": D, "laplacian": L, "filter": F} for D, L, F in
+                zip(mesh.weak_derivative_1d, mesh.weak_laplacian_1d, mesh.modal_filter_1d(0.3))]
+        for d, (mine, ref) in enumerate(zip(ours, _csr_operators(mesh, 0.3))):
+            periodic = (mesh.periodic + (False,))[d]
+            for kind, A in mine.items():
+                assert A.flags.f_contiguous and A.dtype == np.float64, (name, d, kind)
+                assert same_bits(A, ref[kind].toarray()), (name, d, kind)
+                h, wrap = operators._bandwidth(A)
+                if mesh.elem_counts[d] >= 3:
+                    assert (h, wrap) == _csr_band(ref[kind]) == (mesh.orders[d], periodic), \
+                        (name, d, kind)
+                else:
+                    # two periodic elements meet at both ends, where their
+                    # derivative entries cancel to 0.0; such an axis of at
+                    # most 33 points never takes windows
+                    assert h <= _csr_band(ref[kind])[0] and mesh.npts_1d[d] <= 33
+                checked += 1
+    assert checked == 3 * sum(mesh.dim for _, mesh in meshes)

@@ -31,7 +31,11 @@ derivative along x and along z of the dry state's first 2 and 6 rows
 into spare rows, bound once as the step plan binds its own products
 (`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`), and on
 the squall fine grid the modal filter of the dry state's rows into a
-spare state (`filter_us`), as each step applies it. Before any of that,
+spare state (`filter_us`), as each step applies it. It also times
+`build_case` of desk supercell `mmf`, squall `mmf` and squall `fine`
+(`supercell_mmf.desk.build_case_us`, `squall_mmf.desk.build_case_us`,
+`squall_fine.desk.build_case_us`), the set-up that perfbench's `setup_s`
+measures. Before any of that,
 per tree and alternating, `IMPORT_REPEATS` fresh child processes import
 `mmfsim.cli` and report the wall time of the import and their peak
 resident memory after it (`ru_maxrss`); the medians go under "imports"
@@ -75,6 +79,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 GRIDS = {"squall_ssp": "squall", "supercell_ssp": "supercell"}
+BUILDS = {"supercell_mmf": ("supercell", "mmf"), "squall_mmf": ("squall", "mmf"),
+          "squall_fine": ("squall", "fine")}
 ALONG_GRIDS = ("squall_ssp", "squall_fine")
 IMPORT_REPEATS = 5
 IMPORT_PROBE = ("import json, resource, time; t0 = time.perf_counter(); import mmfsim.cli; "
@@ -178,6 +184,9 @@ def _load(src):
                     f = states["dry"].data[:rows].copy()
                     calls[f"{grid}.dry.along_{axis}{rows}_us"] = plan.product(
                         mesh.weak_derivative_1d[d], d)(f, np.empty(f.shape))
+    for name, (case_id, tier) in BUILDS.items():
+        calls[f"{name}.desk.build_case_us"] = functools.partial(
+            build_case, case_id, tier=tier, preset="desk")
     return calls
 
 
