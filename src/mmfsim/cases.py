@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, Interval, check
+from .errors import (FINITE, NONNEGATIVE, POSITIVE, ConfigurationError, Interval, check,
+                     check_settings, setting)
 from .grid import build_box_mesh
 from .dynamics import (DEFAULT_CONSTANTS, PhysConstants, Sounding, SpongeConfig,
                        build_reference, read_sounding)
@@ -38,16 +39,15 @@ class BubbleSpec:
     normalized radius cutoff r_c and exactly zero outside.
     """
 
-    theta_c: float = 3.0      # K
-    r_c: float = 1.0
+    theta_c: float = setting(float, FINITE, 3.0)  # K
+    r_c: float = setting(float, POSITIVE, 1.0)
     center: tuple = (75e3, 2e3)      # m
     semi_axes: tuple = (10e3, 1.5e3)  # m
 
     def __post_init__(self):
+        check_settings(self)
         if len(self.center) != len(self.semi_axes):
             raise ConfigurationError("center and semi_axes lengths differ")
-        if not self.r_c > 0.0:
-            raise ConfigurationError(f"r_c must be positive, got {self.r_c}")
         if any(not a > 0.0 for a in self.semi_axes):
             raise ConfigurationError("bubble semi-axes must be positive")
 
@@ -79,13 +79,12 @@ class PerturbationSpec:
     non-positive theta_scale disables the envelope (weight 1 everywhere).
     """
 
-    amplitude: float = 0.3    # K
-    seed: int = 0
-    theta_scale: float = 3.0  # K, the bubble's theta_c
+    amplitude: float = setting(float, NONNEGATIVE, 0.3)  # K
+    seed: int = setting(int, SEEDS, 0)
+    theta_scale: float = setting(float, FINITE, 3.0)  # K, the bubble's theta_c
 
     def __post_init__(self):
-        check("perturbation amplitude", self.amplitude, float, Interval("[0, inf)"))
-        check("perturbation seed", self.seed, int, SEEDS)
+        check_settings(self)
 
 
 def perturbation_rng(seed: int, instance: int = 0) -> np.random.Generator:
@@ -130,8 +129,9 @@ def analytic_sounding(z_top: float = 26e3, dz: float = 100.0,
     from hydrostatic balance, iterated with the moisture since vapour
     feeds back on theta_v.
     """
-    if dz <= 0.0 or z_top <= dz:
-        raise ConfigurationError("need z_top > dz > 0")
+    check("dz", dz, float, POSITIVE)
+    if not z_top > dz:
+        raise ConfigurationError(f"z_top = {z_top}: expected above dz = {dz}")
     z = np.arange(0.0, z_top + 0.5 * dz, dz)
     theta = theta_surf * np.exp(brunt_vaisala_sq * z / constants.g)
     rh = np.where(z <= bl_depth, rh_bl,
@@ -264,14 +264,10 @@ def build_case(case_id: str, tier: str = "coarse", *,
     (bool), ssp_elems_x, ssp_elems_z, ssp_length.
     Unknown keys are rejected.
     """
-    if case_id not in CASE_IDS:
-        raise ConfigurationError(
-            f"unknown case {case_id!r}; expected one of {CASE_IDS}")
-    if tier not in TIERS:
-        raise ConfigurationError(
-            f"unknown tier {tier!r}; expected one of {TIERS}")
-    if preset not in (None, "desk"):
-        raise ConfigurationError(f"unknown preset {preset!r}")
+    check("case", case_id, str, CASE_IDS)
+    check("tier", tier, str, TIERS)
+    if preset is not None:
+        check("preset", preset, str, ("desk",))
     table = _DESK_CASES if preset == "desk" else _CASES
     dims = table[(case_id, tier)]
 
@@ -284,16 +280,18 @@ def build_case(case_id: str, tier: str = "coarse", *,
         raise ConfigurationError(
             f"unknown override(s): {sorted(unknown)}; allowed: {sorted(allowed)}")
 
-    dt = float(ov.get("dt", dims.dt))
-    duration = float(ov.get("duration", dims.duration))
-    nu = float(ov.get("nu", _NU))
-    filt = float(ov.get("filter_strength", dims.filter_strength))
+    # the other overrides are checked by the records they go into
+    dt, duration = ov.get("dt", dims.dt), ov.get("duration", dims.duration)
+    filt = ov.get("filter_strength", dims.filter_strength)
+    microphysics = ov.get("microphysics", True)
+    check("dt", dt, float, POSITIVE)
+    check("duration", duration, float, POSITIVE)
+    check("filter_strength", filt, float, Interval("[0, 1]"))
+    check("microphysics", microphysics, bool, (False, True))
     bubble = ov.get("bubble", dims.bubble)
-    amplitude = float(ov.get("amplitude", 0.3))
-    microphysics = bool(ov.get("microphysics", True))
 
     snd = _resolve_sounding(sounding)
-    constants = DEFAULT_CONSTANTS.with_nu(nu)
+    constants = DEFAULT_CONSTANTS.with_nu(ov.get("nu", _NU))
     dim = len(dims.extents)
     mesh = build_box_mesh(dims.extents, dims.elems, (_ORDER,) * dim,
                           periodicity=(True,) * (dim - 1))
@@ -320,12 +318,12 @@ def build_case(case_id: str, tier: str = "coarse", *,
         return CaseSetup(simulator=sim, dt=dt, duration=duration)
 
     cfg = MmfConfig(
-        ssp_length=float(ov.get("ssp_length", 8e3)),
-        ssp_elems_x=int(ov.get("ssp_elems_x", dims.ssp_elems_x)),
-        ssp_elems_z=int(ov.get("ssp_elems_z", dims.ssp_elems_z)),
+        ssp_length=ov.get("ssp_length", 8e3),
+        ssp_elems_x=ov.get("ssp_elems_x", dims.ssp_elems_x),
+        ssp_elems_z=ov.get("ssp_elems_z", dims.ssp_elems_z),
         ssp_order=_ORDER,
-        substeps=int(ov.get("substeps", dims.substeps)),
-        perturbation_amplitude=amplitude,
+        substeps=ov.get("substeps", dims.substeps),
+        perturbation_amplitude=ov.get("amplitude", 0.3),
         perturbation_theta_scale=bubble.theta_c,
     )
     instances = spawn_ssp_instances(sim, cfg, seed=seed, kessler=kessler)

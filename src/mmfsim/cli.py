@@ -8,7 +8,7 @@ import math
 import sys
 
 from . import driver
-from .errors import ConfigurationError
+from .errors import Interval, check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,8 +56,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    if not 0.0 <= args.tol:
-        raise ConfigurationError(f"--tol must be a non-negative number, got {args.tol}")
+    check("--tol", args.tol, float, Interval("[0, inf]"))
     rows = driver.diff_snapshots(args.a, args.b)
     diffs = [d for _, d in rows]
     # max() skips a NaN that is not first; a field that differs by NaN differs

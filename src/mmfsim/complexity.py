@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, Interval, check
+from .errors import COUNT, POSITIVE, ConfigurationError, Interval, check, check_settings, setting
 
 # model constants: flop kernel is Np^3 (FLOP_A * Np + FLOP_B) per element
 # per step, and each lateral boundary point moves BYTES_PER_POINT bytes
@@ -22,21 +22,12 @@ FLOP_B = 4635.0
 BYTES_PER_POINT = 784.0
 
 _MODES = ("standard", "mmf")
-
-# each CostModelInput field's (type, domain), in field order; the cost.*
-# config keys are checked against the same table
-INPUT_DOMAINS = {
-    "n_p": (int, Interval("[2, inf)")),
-    **dict.fromkeys(("l_x", "l_y", "l_z", "dx", "dy", "dz", "duration", "dt"),
-                    (float, Interval("(0, inf)"))),
-    **dict.fromkeys(("r_t", "r_x", "r_z"), (float, Interval("[1, inf)"))),
-    **dict.fromkeys(("n_rx", "n_ry"), (int, Interval("[1, inf)"))),
-}
+_RATIO = Interval("[1, inf)")
 
 
 @dataclass(frozen=True)
 class CostModelInput:
-    """Problem description for the closed-form cost model.
+    """Problem description for the closed-form cost model (the cost.* keys).
 
     Lengths and grid spacings are nodal (fine-grid) values in metres; the
     element width is ``(n_p - 1) * spacing``.  The refinement ratios
@@ -44,24 +35,23 @@ class CostModelInput:
     ``n_r = n_rx * n_ry``.
     """
 
-    n_p: int                 # points per element per direction
-    l_x: float               # domain lengths, m
-    l_y: float
-    l_z: float
-    dx: float                # fine nodal spacings, m
-    dy: float
-    dz: float
-    duration: float          # simulated time, s
-    dt: float                # fine time step, s
-    r_t: float = 1.0
-    r_x: float = 1.0
-    r_z: float = 1.0
-    n_rx: int = 1
-    n_ry: int = 1
+    n_p: int = setting(int, Interval("[2, inf)"), key="cost.n_p")  # points per element per direction
+    l_x: float = setting(float, POSITIVE, key="cost.l_x")         # domain lengths, m
+    l_y: float = setting(float, POSITIVE, key="cost.l_y")
+    l_z: float = setting(float, POSITIVE, key="cost.l_z")
+    dx: float = setting(float, POSITIVE, key="cost.dx")           # fine nodal spacings, m
+    dy: float = setting(float, POSITIVE, key="cost.dy")
+    dz: float = setting(float, POSITIVE, key="cost.dz")
+    duration: float = setting(float, POSITIVE, key="cost.duration")  # simulated time, s
+    dt: float = setting(float, POSITIVE, key="cost.dt")           # fine time step, s
+    r_t: float = setting(float, _RATIO, 1.0, "cost.r_t")
+    r_x: float = setting(float, _RATIO, 1.0, "cost.r_x")
+    r_z: float = setting(float, _RATIO, 1.0, "cost.r_z")
+    n_rx: int = setting(int, COUNT, 1, "cost.n_rx")
+    n_ry: int = setting(int, COUNT, 1, "cost.n_ry")
 
     def __post_init__(self):
-        for name, (typ, domain) in INPUT_DOMAINS.items():
-            check(name, getattr(self, name), typ, domain)
+        check_settings(self)
 
     @property
     def n_r(self) -> int:
@@ -70,11 +60,6 @@ class CostModelInput:
     @property
     def order(self) -> int:
         return self.n_p - 1
-
-
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def element_counts(inp: CostModelInput) -> tuple:
@@ -95,7 +80,7 @@ def step_counts(inp: CostModelInput) -> tuple:
 
 def flops(inp: CostModelInput, mode: str = "standard") -> float:
     """Total floating-point operations for the whole run."""
-    _check_mode(mode)
+    check("mode", mode, str, _MODES)
     ne_s, ne_m = element_counts(inp)
     nt_s, nt_m = step_counts(inp)
     kernel = inp.n_p ** 3 * (FLOP_A * inp.n_p + FLOP_B)
@@ -108,7 +93,7 @@ def flops(inp: CostModelInput, mode: str = "standard") -> float:
 
 def boundary_points(inp: CostModelInput, mode: str = "standard") -> float:
     """Modelled lateral-boundary point count per rank."""
-    _check_mode(mode)
+    check("mode", mode, str, _MODES)
     n = inp.order
     nez = inp.l_z / (n * inp.dz)
     nex = inp.l_x / (inp.n_rx * n * inp.dx)
@@ -120,7 +105,7 @@ def boundary_points(inp: CostModelInput, mode: str = "standard") -> float:
 
 def comm_bytes(inp: CostModelInput, mode: str = "standard") -> float:
     """Total bytes moved between ranks over the whole run."""
-    _check_mode(mode)
+    check("mode", mode, str, _MODES)
     nt_s, nt_m = step_counts(inp)
     nt = nt_s if mode == "standard" else nt_m
     return nt * inp.n_r * BYTES_PER_POINT * boundary_points(inp, mode)

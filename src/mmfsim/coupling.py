@@ -23,8 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ReferenceState, Sounding, apply_filter, build_reference, evaluate_rhs
-from .errors import ConfigurationError, Interval, SolverError, StateError, check
-from .grid import LglRule, Mesh, build_box_mesh, build_lgl_rule
+from .errors import (COUNT, FINITE, NONNEGATIVE, POSITIVE, ConfigurationError, SolverError,
+                     StateError, check, check_settings, setting)
+from .grid import ORDERS, LglRule, Mesh, build_box_mesh, build_lgl_rule
 from .microphysics import KesslerParams, apply_microphysics
 from .operators import PrognosticState
 from .timeint import ImexOperatorSplit, linear_moisture_rows, linear_operator, step_ark2
@@ -51,16 +52,16 @@ COUPLED_VARS = ("u", "theta_vp", "q_vp", "q_c", "q_r")
 
 @dataclass
 class MmfConfig:
-    ssp_length: float = 8000.0          # m
-    ssp_elems_x: int = 10
-    ssp_elems_z: int = 30
-    ssp_order: int = 4
-    substeps: int = 10                  # M; coarse step = M * fine step
-    perturbation_amplitude: float = 0.3  # K
-    perturbation_theta_scale: float = 3.0  # envelope normalization (bubble amplitude)
+    ssp_length: float = setting(float, POSITIVE, 8000.0)  # m
+    ssp_elems_x: int = setting(int, COUNT, 10)
+    ssp_elems_z: int = setting(int, COUNT, 30)
+    ssp_order: int = setting(int, ORDERS, 4)
+    substeps: int = setting(int, COUNT, 10)  # M; coarse step = M * fine step
+    perturbation_amplitude: float = setting(float, NONNEGATIVE, 0.3)  # K
+    perturbation_theta_scale: float = setting(float, FINITE, 3.0)  # K, the bubble's theta_c
 
     def __post_init__(self):
-        check("substeps", self.substeps, int, Interval("[1, inf)"))
+        check_settings(self)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,7 @@ def build_vertical_projection(order: int, n_sl: int) -> VerticalProjection:
 def _vertical_projection(rule: LglRule, n_sl: int) -> VerticalProjection:
     """The projection of `build_vertical_projection` on the order's
     `rule`, which a caller that holds it passes in."""
-    if n_sl < 1:
-        raise ConfigurationError(f"vertical refinement ratio must be >= 1, got {n_sl}")
+    check("vertical refinement ratio", n_sl, int, COUNT)
     order = rule.order
     Np = order + 1
     s = 1.0 / n_sl
@@ -390,6 +390,7 @@ def mmf_step(lsp: Simulator, instances: list, dT: float, M: int = None,
         cfg = MmfConfig()
     if M is None:
         M = cfg.substeps
+    check("M", M, int, COUNT)
     dt_f = dT / M
     mesh = lsp.mesh
     W = mesh.element_column_weights

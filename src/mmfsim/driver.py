@@ -13,18 +13,18 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, Interval, SolverError, StateError, check,
-                     describe, format_value)
+from .errors import (COUNT, NONNEGATIVE, POSITIVE, ConfigurationError, Interval, SolverError,
+                     StateError, check_settings, describe, format_value, setting)
 from .grid import Mesh
 from .operators import PrognosticState, integrate
 from .dynamics import SpongeConfig
-from .complexity import INPUT_DOMAINS, CostModelInput, CostReport, cost_report
+from .complexity import CostModelInput, CostReport, cost_report
 from .coupling import COUPLED_VARS, mmf_step
 from .cases import CASE_IDS, SEEDS, CaseSetup, build_case
 
@@ -54,12 +54,6 @@ def _fmt(x: float) -> str:
 # tuple of choices, an Interval, or None for a path. KEYS lists every key.
 Key = namedtuple("Key", "name attr type domain")
 
-
-def _key(name: str, typ: type, domain=None, default=None):
-    """A RunConfig field that config key `name` sets."""
-    return field(default=default, metadata={"key": Key(name, None, typ, domain)})
-
-
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _PARSERS = {str: str, bool: lambda s: _BOOLS[s.lower()], int: int, float: float}
 
@@ -74,36 +68,34 @@ class RunConfig:
     """Flat key=value run description (section prefixes, no nesting); each
     field gives its config key, the key's type and domain, and a default."""
 
-    mode: str = _key("run.mode", str, ("standard", "mmf", "analyze"), "standard")
-    case: str = _key("run.case", str, CASE_IDS, "squall")
-    preset: str = _key("run.preset", str, ("desk", "full"), "desk")
-    tier: str = _key("run.tier", str, ("fine", "coarse"), "coarse")  # standard mode only
-    seed: int = _key("run.seed", int, SEEDS, 0)
-    workers: int = _key("run.workers", int, Interval("[1, inf)"), 1)  # accepted, no effect
-    duration: Optional[float] = _key("run.duration", float, Interval("(0, inf)"))  # s
-    snapshot_interval: float = _key("run.snapshot_interval", float, Interval("[0, inf)"), 0.0)  # s
-    output_dir: str = _key("run.output_dir", str, None, "out")
-    sounding: Optional[str] = _key("run.sounding", str)
-    dt: Optional[float] = _key("time.dt", float, Interval("(0, inf)"))
-    substeps: Optional[int] = _key("mmf.substeps", int, Interval("[1, inf)"))
-    ssp_elems_x: Optional[int] = _key("mmf.ssp_elems_x", int, Interval("[1, inf)"))
-    ssp_elems_z: Optional[int] = _key("mmf.ssp_elems_z", int, Interval("[1, inf)"))
-    ssp_length: Optional[float] = _key("mmf.ssp_length", float, Interval("(0, inf)"))
-    amplitude: Optional[float] = _key("mmf.amplitude", float, Interval("[0, inf)"))
-    filter_strength: Optional[float] = _key("filter.strength", float, Interval("[0, 1]"))
-    nu: Optional[float] = _key("viscosity.nu", float, Interval("[0, inf)"))
-    microphysics: bool = _key("micro.enabled", bool, (False, True), True)
-    sponge_z_bottom: Optional[float] = _key("sponge.z_bottom", float, Interval("[0, inf)"))
-    sponge_z_top: Optional[float] = _key("sponge.z_top", float, Interval("(0, inf)"))
-    sponge_r_max: Optional[float] = _key("sponge.r_max", float, Interval("[0, inf)"))
+    mode: str = setting(str, ("standard", "mmf", "analyze"), "standard", "run.mode")
+    case: str = setting(str, CASE_IDS, "squall", "run.case")
+    preset: str = setting(str, ("desk", "full"), "desk", "run.preset")
+    tier: str = setting(str, ("fine", "coarse"), "coarse", "run.tier")  # standard mode only
+    seed: int = setting(int, SEEDS, 0, "run.seed")
+    workers: int = setting(int, COUNT, 1, "run.workers")  # accepted, no effect
+    duration: Optional[float] = setting(float, POSITIVE, None, "run.duration")  # s
+    snapshot_interval: float = setting(float, NONNEGATIVE, 0.0, "run.snapshot_interval")
+    output_dir: str = setting(str, None, "out", "run.output_dir")
+    sounding: Optional[str] = setting(str, None, None, "run.sounding")
+    dt: Optional[float] = setting(float, POSITIVE, None, "time.dt")
+    substeps: Optional[int] = setting(int, COUNT, None, "mmf.substeps")
+    ssp_elems_x: Optional[int] = setting(int, COUNT, None, "mmf.ssp_elems_x")
+    ssp_elems_z: Optional[int] = setting(int, COUNT, None, "mmf.ssp_elems_z")
+    ssp_length: Optional[float] = setting(float, POSITIVE, None, "mmf.ssp_length")
+    amplitude: Optional[float] = setting(float, NONNEGATIVE, None, "mmf.amplitude")
+    filter_strength: Optional[float] = setting(float, Interval("[0, 1]"), None, "filter.strength")
+    nu: Optional[float] = setting(float, NONNEGATIVE, None, "viscosity.nu")
+    microphysics: bool = setting(bool, (False, True), True, "micro.enabled")
+    sponge_z_bottom: Optional[float] = setting(float, NONNEGATIVE, None, "sponge.z_bottom")
+    sponge_z_top: Optional[float] = setting(float, POSITIVE, None, "sponge.z_top")
+    sponge_r_max: Optional[float] = setting(float, NONNEGATIVE, None, "sponge.r_max")
     # parse_config passes the cost.* values as a namespace of CostModelInput
-    # fields, so that they are checked here before the model is built
+    # fields, from which the model is built and checked here
     cost: Optional[CostModelInput] = None
 
     def __post_init__(self):
-        for key in KEYS:
-            if (v := _value(self, key)) is not None:
-                check(key.name, v, key.type, key.domain)
+        check_settings(self)
         if isinstance(self.cost, SimpleNamespace):
             given = vars(self.cost)
             missing = [f"cost.{f.name}" for f in fields(CostModelInput)
@@ -113,10 +105,9 @@ class RunConfig:
             self.cost = CostModelInput(**given)
 
 
-KEYS = (
-    *(f.metadata["key"]._replace(attr=f.name) for f in fields(RunConfig) if f.metadata),
-    *(Key(f"cost.{name}", name, *kind) for name, kind in INPUT_DOMAINS.items()),
-)
+KEYS = tuple(Key(key, f.name, typ, domain) for record in (RunConfig, CostModelInput)
+             for f in fields(record) if "setting" in f.metadata
+             for typ, domain, key in [f.metadata["setting"]])
 _BY_NAME = {key.name: key for key in KEYS}
 
 

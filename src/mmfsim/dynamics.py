@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, StateError
+from .errors import (NONNEGATIVE, POSITIVE, ConfigurationError, Interval, StateError, check,
+                     check_settings, setting)
 from .grid import Mesh, boyd_vandeven_transfer
 from .operators import PrognosticState, SemOps
 
@@ -46,13 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysConstants:
-    g: float = 9.81          # m/s2
-    R_d: float = 287.0       # J/(kg K)
-    R_v: float = 461.5       # J/(kg K)
-    c_p: float = 1004.0      # J/(kg K)
-    p00: float = 1.0e5       # Pa, Exner reference pressure
-    L_v: float = 2.5e6       # J/kg, latent heat of vaporization
-    nu: float = 0.0          # m2/s, artificial viscosity
+    g: float = setting(float, POSITIVE, 9.81)       # m/s2
+    R_d: float = setting(float, POSITIVE, 287.0)    # J/(kg K)
+    R_v: float = setting(float, POSITIVE, 461.5)    # J/(kg K)
+    c_p: float = setting(float, POSITIVE, 1004.0)   # J/(kg K)
+    p00: float = setting(float, POSITIVE, 1.0e5)    # Pa, Exner reference pressure
+    L_v: float = setting(float, POSITIVE, 2.5e6)    # J/kg, latent heat of vaporization
+    nu: float = setting(float, NONNEGATIVE, 0.0)    # m2/s, artificial viscosity
+
+    def __post_init__(self):
+        check_settings(self)
 
     @property
     def eps(self) -> float:
@@ -64,7 +68,7 @@ class PhysConstants:
         return self.c_p - self.R_d
 
     def with_nu(self, nu: float) -> "PhysConstants":
-        return replace(self, nu=float(nu))
+        return replace(self, nu=nu)
 
 
 DEFAULT_CONSTANTS = PhysConstants()
@@ -164,13 +168,14 @@ def exner_function(p, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
 
 @dataclass(frozen=True)
 class SpongeConfig:
-    z_b: float    # m, bottom of the damping layer
-    z_t: float    # m, top of the ramp (the model top in the cases)
-    R_max: float  # 1/s
+    z_b: float = setting(float, NONNEGATIVE)  # m, bottom of the damping layer
+    z_t: float = setting(float, POSITIVE)     # m, top of the ramp (the model top in the cases)
+    R_max: float = setting(float, NONNEGATIVE)  # 1/s
 
     def __post_init__(self):
-        if not (0.0 <= self.z_b < self.z_t) or not 0.0 <= self.R_max < np.inf:
-            raise ConfigurationError(f"bad sponge config {self}")
+        check_settings(self)
+        if not self.z_b < self.z_t:
+            raise ConfigurationError(f"SpongeConfig.z_b = {self.z_b}: expected below z_t = {self.z_t}")
 
 
 def sponge_profile(z, cfg: SpongeConfig):
@@ -445,8 +450,7 @@ def filter_field(mesh: Mesh, field: np.ndarray, strength: float, out=None) -> np
     preserved exactly. `field` may stack several fields on a leading
     axis. The result goes into `out` (which may be `field`) when given.
     """
-    if not 0.0 <= strength <= 1.0:
-        raise ConfigurationError(f"filter strength must lie in [0, 1], got {strength}")
+    check("filter strength", strength, float, Interval("[0, 1]"))
     if out is None:
         out = np.empty(field.shape)
     if strength == 0.0:

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared by all modules, and the check of a setting
-against the values it admits.
+"""Exception taxonomy shared by all modules, and the one check of a
+setting against the values it admits (`check`), which records apply to
+the fields they declare with `setting` (`check_settings`).
 
 `driver.exit_code_of` maps these onto process exit codes: configuration
 problems exit with 2, numerical failures (bad state, solver breakdown,
@@ -9,6 +10,7 @@ NaN) with 3, and IO errors with 4.
 import copy
 import numbers
 import os
+from dataclasses import MISSING, field, fields
 
 
 class MmfsimError(Exception):
@@ -47,6 +49,10 @@ class Interval(str):
         return (lo <= v if self[0] == "[" else lo < v) and (v <= hi if self[-1] == "]" else v < hi)
 
 
+# the domains most settings take
+POSITIVE, NONNEGATIVE = Interval("(0, inf)"), Interval("[0, inf)")
+COUNT, FINITE = Interval("[1, inf)"), Interval("(-inf, inf)")
+
 _KINDS = {str: (str, os.PathLike), bool: bool, int: numbers.Integral, float: numbers.Real}
 _NOUNS = {str: "a path", int: "an integer", float: "a number"}
 
@@ -68,7 +74,26 @@ def describe(typ: type, domain) -> str:
 
 def check(name: str, value, typ: type, domain) -> None:
     """Raise a ConfigurationError that names `name` and `value` unless the
-    value is of type `typ` and in `domain`."""
-    if not (isinstance(value, _KINDS[typ]) and (domain is None or value in domain)):
+    value is of type `typ` (True and False only of bool) and in `domain`."""
+    if not (isinstance(value, _KINDS[typ]) and (typ is bool or not isinstance(value, bool))
+            and (domain is None or value in domain)):
         raise ConfigurationError(
             f"{name} = {format_value(value)}: expected {describe(typ, domain)}")
+
+
+def setting(typ: type, domain=None, default=MISSING, key=None):
+    """A dataclass field holding a setting of type `typ` in `domain` (as
+    `check` takes them); `key` is the config key that sets it, which the
+    message then names instead of `Record.field`."""
+    return field(default=default, metadata={"setting": (typ, domain, key)})
+
+
+def check_settings(record) -> None:
+    """`check` every field of dataclass `record` declared with `setting`;
+    one whose default is None may also be None, which means unset."""
+    for f in fields(record):
+        if "setting" in f.metadata:
+            typ, domain, key = f.metadata["setting"]
+            value = getattr(record, f.name)
+            if value is not None or f.default is not None:
+                check(key or f"{type(record).__name__}.{f.name}", value, typ, domain)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import COUNT, POSITIVE, Interval, check
 
 __all__ = [
     "LglRule",
@@ -47,6 +47,9 @@ __all__ = [
     "dss_sum",
     "scatter_to_elements",
 ]
+
+# the basis orders build_lgl_rule makes
+ORDERS = Interval("[1, 16]")
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,7 @@ def build_lgl_rule(N: int) -> LglRule:
     barycentric form with the negative-sum trick on the diagonal so that
     constants differentiate to zero at machine precision.
     """
-    if not isinstance(N, (int, np.integer)) or not 1 <= N <= 16:
-        raise ConfigurationError(f"basis order must be an integer in [1, 16], got {N!r}")
+    check("LGL order", N, int, ORDERS)
     x = -np.cos(np.pi * np.arange(N + 1) / N)
     xold = 2.0 * np.ones_like(x)
     # Newton on x P_N - P_{N-1}, whose interior roots match (1-x^2) P_N'
@@ -399,24 +401,20 @@ def build_box_mesh(extents, elem_counts, orders, periodicity=None) -> Mesh:
     per direction; `periodicity` flags the lateral directions only (the
     vertical direction has boundaries).
     """
-    extents = tuple(float(v) for v in np.atleast_1d(extents))
-    elem_counts = tuple(int(v) for v in np.atleast_1d(elem_counts))
     dim = len(extents)
-    if dim not in (2, 3) or len(elem_counts) != dim:
-        raise ConfigurationError(f"need 2 or 3 matching extents/counts, got {extents}, {elem_counts}")
-    if not all(0.0 < v < math.inf for v in extents):
-        raise ConfigurationError(f"extents must be positive and finite, got {extents}")
-    if any(c < 1 for c in elem_counts):
-        raise ConfigurationError(f"element counts must be >= 1, got {elem_counts}")
-    if np.isscalar(orders):
-        orders = (int(orders),) * dim
-    else:
-        orders = tuple(int(v) for v in orders)
-    if periodicity is None:
-        periodicity = (False,) * (dim - 1)
-    periodic = tuple(bool(v) for v in np.atleast_1d(periodicity))
-    if len(periodic) != dim - 1:
-        raise ConfigurationError("periodicity flags cover the lateral directions only")
+    check("len(extents)", dim, int, (2, 3))
+    orders = (orders,) * dim if np.isscalar(orders) else orders
+    periodic = (False,) * (dim - 1) if periodicity is None else periodicity
+    for name, values, typ, domain, n in (
+            ("extents", extents, float, POSITIVE, dim),
+            ("elem_counts", elem_counts, int, COUNT, dim),
+            ("orders", orders, int, ORDERS, dim),
+            ("periodicity", periodic, bool, (False, True), dim - 1)):
+        check(f"len({name})", len(values), int, (n,))
+        for d, v in enumerate(values):
+            check(f"{name}[{d}]", v, typ, domain)
+    extents, periodic = tuple(map(float, extents)), tuple(periodic)
+    elem_counts, orders = tuple(map(int, elem_counts)), tuple(map(int, orders))
 
     by_order = {N: build_lgl_rule(N) for N in set(orders)}
     rules = tuple(by_order[N] for N in orders)

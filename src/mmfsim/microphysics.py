@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_CONSTANTS, PhysConstants, ReferenceState, equation_of_state, exner_function
-from .errors import StateError
+from .errors import COUNT, NONNEGATIVE, StateError, check_settings, setting
 from .grid import Mesh
 from .operators import PrognosticState
 
@@ -56,19 +56,19 @@ _T0 = 273.15
 _SCRATCH_ROWS = 17
 
 
+
 @dataclass(frozen=True)
 class KesslerParams:
-    autoconversion_rate: float = 0.001     # k1, 1/s
-    autoconversion_threshold: float = 0.001  # a, kg/kg
-    accretion_rate: float = 2.2            # k2, 1/s
-    fall_speed_coeff: float = 36.34        # V_r prefactor, m/s over (g/cm^3)^0.1364
-    fall_speed_exponent: float = 0.1364
-    newton_iterations: int = 30
+    autoconversion_rate: float = setting(float, NONNEGATIVE, 0.001)       # k1, 1/s
+    autoconversion_threshold: float = setting(float, NONNEGATIVE, 0.001)  # a, kg/kg
+    accretion_rate: float = setting(float, NONNEGATIVE, 2.2)              # k2, 1/s
+    # V_r prefactor, m/s over (g/cm^3)^0.1364
+    fall_speed_coeff: float = setting(float, NONNEGATIVE, 36.34)
+    fall_speed_exponent: float = setting(float, NONNEGATIVE, 0.1364)
+    newton_iterations: int = setting(int, COUNT, 30)
 
     def __post_init__(self):
-        if min(self.autoconversion_rate, self.autoconversion_threshold,
-               self.accretion_rate, self.fall_speed_coeff) < 0.0:
-            raise ValueError("Kessler rates must be nonnegative")
+        check_settings(self)
 
 
 @dataclass

@@ -60,12 +60,12 @@ class StepPlan:
         self.operator_rows = _operator_rows(self, self.coupled, mesh.ncols)
 
     def product(self, A, d):
-        """A's product along direction d, made on first use and kept; the
-        plan holds A, so its id names no other matrix meanwhile."""
+        """A's product along direction d, made on first use and kept with
+        A, so that A's id names no other matrix meanwhile."""
         key = (id(A), d)
         if key not in self._products:
-            self._products[key] = _product(A, d, self.npts_1d)
-        return self._products[key]
+            self._products[key] = (A, _product(A, d, self.npts_1d))
+        return self._products[key][1]
 
     def field_products(self, fields):
         """S's derivative and Laplacian of its field rows per direction,

@@ -43,7 +43,8 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dgemv
 
 from .dynamics import PhysConstants
-from .errors import ConfigurationError, SolverError
+from .errors import (COUNT, POSITIVE, ConfigurationError, Interval, SolverError, check,
+                     check_settings, setting)
 from .grid import Mesh
 from .operators import _DOT_CHUNK, PrognosticState, fixed_order_dot
 
@@ -130,16 +131,13 @@ _ARK2 = ark2_tableau()
 
 @dataclass(frozen=True)
 class GmresConfig:
-    tol: float = 1e-6        # relative residual target
-    restart: int = 30
-    maxiter: int = 300       # Arnoldi matvecs across restarts; the restart
-                             # residuals and the final check are not counted
+    tol: float = setting(float, Interval("(0, 1)"), 1e-6)  # relative residual target
+    restart: int = setting(int, COUNT, 30)
+    maxiter: int = setting(int, COUNT, 300)  # Arnoldi matvecs across restarts; the restart
+                                             # residuals and the final check are not counted
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ConfigurationError(f"GMRES tolerance must be in (0,1), got {self.tol}")
-        if self.restart < 1 or self.maxiter < 1:
-            raise ConfigurationError("GMRES restart and maxiter must be >= 1")
+        check_settings(self)
 
 
 def _owned(a: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -375,14 +373,13 @@ class ImexOperatorSplit:
 
     s: Callable[[PrognosticState], PrognosticState]
     lin: Callable[[PrognosticState], PrognosticState]
-    delta: int = 1
+    delta: int = setting(int, (0, 1), 1)
     coupling: Optional[PrognosticState] = None
     implicit_rows: Optional[int] = None
     lin_rest: Optional[Callable[[PrognosticState, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.delta not in (0, 1):
-            raise ConfigurationError(f"delta must be 0 or 1, got {self.delta}")
+        check_settings(self)
         if (self.implicit_rows is None) != (self.lin_rest is None):
             raise ConfigurationError("implicit_rows and lin_rest must be given together")
 
@@ -440,8 +437,7 @@ def step_ark2(state: PrognosticState, dt: float, split: ImexOperatorSplit,
     The stage vectors are the rows of `stages`, a (4, state size)
     array (made when None); `basis` is handed to the implicit solves.
     """
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    check("dt", dt, float, POSITIVE)
     dim = state.dim
     ae, ai, b = _ARK2.a_explicit, _ARK2.a_implicit, _ARK2.b
     delta = split.delta

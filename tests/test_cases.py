@@ -239,3 +239,10 @@ def test_build_case_keeps_nothing_across_calls():
     # within one build, the directions of one order share their mesh's rule
     for mesh in first[0]:
         assert len({id(rule) for rule in mesh.rules}) == 1
+
+
+def test_analytic_sounding_checks_its_spacing():
+    with pytest.raises(ConfigurationError, match=r"^dz = 0.0: expected a number in \(0, inf\)"):
+        analytic_sounding(dz=0.0)
+    with pytest.raises(ConfigurationError, match="^z_top = 50.0: expected above dz = 100.0"):
+        analytic_sounding(z_top=50.0, dz=100.0)

@@ -1,13 +1,20 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from mmfsim import driver
+from mmfsim import cases, complexity, coupling, driver, dynamics, microphysics, timeint
+from mmfsim.cases import BubbleSpec, PerturbationSpec
 from mmfsim.cli import main
-from mmfsim.driver import KEYS, read_snapshot, write_snapshot
-from mmfsim.errors import Interval
+from mmfsim.complexity import CostModelInput
+from mmfsim.coupling import MmfConfig
+from mmfsim.driver import KEYS, RunConfig, read_snapshot, write_snapshot
+from mmfsim.dynamics import PhysConstants, SpongeConfig
+from mmfsim.errors import ConfigurationError, Interval, format_value
+from mmfsim.microphysics import KesslerParams
+from mmfsim.timeint import GmresConfig, ImexOperatorSplit
 from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState
 
@@ -125,23 +132,56 @@ COST_BASE = ("cost.n_p = 5\ncost.l_x = 100e3\ncost.l_y = 100e3\n"
              "cost.dz = 250\ncost.duration = 600\ncost.dt = 1\n")
 
 
-def out_of_domain_lines():
-    """For every numeric key: NaN and both infinities, each open finite
-    edge of its domain, and the nearest value outside each closed edge."""
-    for key in KEYS:
-        if not isinstance(key.domain, Interval):
+def outside(typ, domain):
+    """Config texts of values outside a setting's domain. For a number:
+    NaN and both infinities, each open finite edge of its domain, the
+    nearest value outside each closed edge, and true; for choices, one
+    that is not among them; for a path, a number."""
+    if domain is None:
+        return ["5", "true"]
+    if isinstance(domain, tuple):
+        if typ is int:
+            return [str(max(domain) + 1), "true"]
+        return ["bogus", "5"] if typ is str else ["1", "yes"]
+    lo, hi = domain[1:-1].split(", ")
+    values = ["nan", "inf", "-inf"]
+    for edge, closed, outward in ((lo, domain[0] == "[", -math.inf),
+                                  (hi, domain[-1] == "]", math.inf)):
+        if closed:
+            values.append(str(int(edge) + (1 if outward > 0 else -1)) if typ is int
+                          else repr(float(np.nextafter(float(edge), outward))))
+        elif edge not in ("inf", "-inf"):
+            values.append(edge if typ is int else repr(float(edge)))
+    return values + ["true"]
+
+
+def inside(typ, domain):
+    """Config texts of values in a setting's domain: every choice, or the
+    nearest value inside each finite edge, or a path."""
+    if domain is None:
+        return ["some/dir"]
+    if isinstance(domain, tuple):
+        return [format_value(v) for v in domain]
+    lo, hi = domain[1:-1].split(", ")
+    values = []
+    for edge, closed, inward in ((lo, domain[0] == "[", math.inf),
+                                 (hi, domain[-1] == "]", -math.inf)):
+        if edge in ("inf", "-inf"):
             continue
-        lo, hi = key.domain[1:-1].split(", ")
-        values = ["nan", "inf", "-inf"]
-        for edge, closed, outward in ((lo, key.domain[0] == "[", -math.inf),
-                                      (hi, key.domain[-1] == "]", math.inf)):
-            if closed:
-                values.append(str(int(edge) + (1 if outward > 0 else -1)) if key.type is int
-                              else repr(float(np.nextafter(float(edge), outward))))
-            elif edge != "inf":
-                values.append(edge if key.type is int else repr(float(edge)))
-        for v in values:
-            yield pytest.param(key.name, v, id=f"{key.name} = {v}")
+        if closed:
+            values.append(edge if typ is int else repr(float(edge)))
+        else:
+            values.append(str(int(edge) + (1 if inward > 0 else -1)) if typ is int
+                          else repr(float(np.nextafter(float(edge), inward))))
+    return values
+
+
+def out_of_domain_lines():
+    """For every numeric key, each value of `outside`."""
+    for key in KEYS:
+        if isinstance(key.domain, Interval):
+            for v in outside(key.type, key.domain):
+                yield pytest.param(key.name, v, id=f"{key.name} = {v}")
 
 
 @pytest.mark.parametrize("name, value", out_of_domain_lines())
@@ -154,6 +194,71 @@ def test_run_rejects_every_value_outside_a_key_domain(tmp_path, capsys, name, va
     err = capsys.readouterr().err
     assert err.startswith("error[config]: ") and f"{name} = {value}" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+# every record whose fields are declared settings, with the arguments it
+# needs besides its defaults
+RECORDS = {
+    RunConfig: {},
+    CostModelInput: dict(n_p=5, l_x=100e3, l_y=100e3, l_z=20e3, dx=250.0, dy=250.0,
+                         dz=250.0, duration=600.0, dt=1.0),
+    GmresConfig: {},
+    ImexOperatorSplit: dict(s=abs, lin=abs),
+    KesslerParams: {},
+    MmfConfig: {},
+    PerturbationSpec: {},
+    PhysConstants: {},
+    SpongeConfig: dict(z_b=18e3, z_t=24e3, R_max=0.25),
+    BubbleSpec: {},
+}
+
+
+def _library_value(text):
+    """A config text of `outside` as a library caller would pass it."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return True if text == "true" else text
+
+
+def record_settings():
+    """Every declared setting of every record, with each value of
+    `outside`, and the name its message must give."""
+    for record in RECORDS:
+        for f in dataclasses.fields(record):
+            if "setting" in f.metadata:
+                typ, domain, key = f.metadata["setting"]
+                name = key or f"{record.__name__}.{f.name}"
+                for text in outside(typ, domain):
+                    value = _library_value(text)
+                    yield pytest.param(record, f.name, value, name,
+                                       id=f"{name} = {format_value(value)}")
+
+
+@pytest.mark.parametrize("record, field, value, name", record_settings())
+def test_every_record_setting_rejects_values_outside_its_domain(record, field, value, name):
+    with pytest.raises(ConfigurationError) as exc:
+        record(**dict(RECORDS[record], **{field: value}))
+    assert str(exc.value).startswith(f"{name} = {format_value(value)}: expected ")
+
+
+def test_every_record_with_declared_settings_is_listed():
+    modules = (cases, complexity, coupling, driver, dynamics, microphysics, timeint)
+    found = {obj for module in modules for obj in vars(module).values()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and any("setting" in f.metadata for f in dataclasses.fields(obj))}
+    assert found == set(RECORDS)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(key.name, v, id=f"{key.name} = {v}")
+    for key in KEYS for v in inside(key.type, key.domain)])
+def test_config_round_trips_every_value_next_to_a_key_edge(name, value):
+    cfg = driver.parse_config((COST_BASE if name.startswith("cost.") else "")
+                              + f"{name} = {value}\n")
+    assert driver.parse_config(driver.format_config(cfg)) == cfg
 
 
 SOUNDING = os.path.join(os.path.dirname(__file__), os.pardir, "configs",

@@ -734,3 +734,13 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
     assert counts == {"step": steps, "step_ark2": steps, "gmres_solve": 2 * steps,
                       "evaluate_rhs": 3 * steps}
     assert all(callable(getattr(SemOps, name)) for name in ("grad", "div", "laplacian"))
+
+
+@pytest.mark.parametrize("M", [0, -1, 2.5, True])
+def test_mmf_step_rejects_a_substep_count_below_one(M):
+    """M = 0 used to raise ZeroDivisionError from dT / M."""
+    lsp, cfg, instances = make_mmf()
+    before = lsp.state.data.copy()
+    with pytest.raises(ConfigurationError, match=r"^M = .*: expected an integer in \[1, inf\)"):
+        mmf_step(lsp, instances, 2.0, M=M, cfg=cfg)
+    assert np.array_equal(lsp.state.data, before)

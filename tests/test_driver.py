@@ -494,3 +494,12 @@ def test_residual_rows_match_per_row_writer(tmp_path, monkeypatch, case):
     text = (tmp_path / "out" / "coupling_residuals.csv").read_text()
     assert text == ("time,instance,variable,level,abs_residual,abs_q\n"
                     + _old_residual_rows(steps))
+
+
+def test_run_config_refuses_a_bool_for_a_number():
+    """RunConfig(seed=True) used to be accepted, and format_config then
+    wrote `run.seed = true`, which parse_config rejects."""
+    for field, key in (("seed", "run.seed"), ("workers", "run.workers"),
+                       ("duration", "run.duration")):
+        with pytest.raises(ConfigurationError, match=f"^{key} = true: expected a"):
+            RunConfig(**{field: True})

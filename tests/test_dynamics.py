@@ -7,7 +7,7 @@ from scipy.interpolate import PchipInterpolator
 
 from mmfsim import cases
 from mmfsim.cases import analytic_sounding, build_case
-from mmfsim.dynamics import (DEFAULT_CONSTANTS, _pchip, SpongeConfig, apply_filter,
+from mmfsim.dynamics import (DEFAULT_CONSTANTS, _pchip, PhysConstants, SpongeConfig, apply_filter,
                              boyd_vandeven_transfer, build_reference,
                              equation_of_state, evaluate_rhs, exner_function,
                              filter_field, read_sounding, sponge_profile,
@@ -497,3 +497,13 @@ def test_apply_filter_hits_every_field(small_mesh):
     assert out.u.shape == st.u.shape
     assert apply_filter(st, 0.5, small_mesh, out=st) is st
     assert np.array_equal(st.data, out.data)
+
+
+def test_phys_constants_are_checked():
+    """A negative viscosity used to be accepted."""
+    with pytest.raises(ConfigurationError, match=r"^PhysConstants.nu = -5.0: expected a number"):
+        PhysConstants(nu=-5.0)
+    with pytest.raises(ConfigurationError, match="^PhysConstants.nu = -5.0"):
+        DEFAULT_CONSTANTS.with_nu(-5.0)
+    with pytest.raises(ConfigurationError, match="^PhysConstants.g = 0.0"):
+        PhysConstants(g=0.0)

@@ -276,3 +276,36 @@ def test_transfer_is_unchanged_from_scipy_erfc(N):
     scipy's erfc gave."""
     eta = np.arange(N + 1) / N
     assert same_bits(boyd_vandeven_transfer(eta), _transfer_with_scipy(eta))
+
+
+@pytest.mark.parametrize("args, message", [
+    (((2.0, 1.0), (4, 3), (3,)), "len(orders) = 1: expected one of 2"),
+    (((2.0, 1.0), (4, 3), (3, 3, 3)), "len(orders) = 3: expected one of 2"),
+    (((2.0, 1.0), (2.7, 3), 3), "elem_counts[0] = 2.7: expected an integer in [1, inf)"),
+    (((2.0, 1.0), (4, 3, 2), 3), "len(elem_counts) = 3: expected one of 2"),
+    (((2.0, 1.0), (True, 3), 3), "elem_counts[0] = true: expected an integer in [1, inf)"),
+    (((2.0, 1.0), (4, 3), (3, 2.0)), "orders[1] = 2.0: expected an integer in [1, 16]"),
+    (((2.0, float("inf")), (4, 3), 3), "extents[1] = inf: expected a number in (0, inf)"),
+    (((2.0,), (4,), 3), "len(extents) = 1: expected one of 2, 3"),
+], ids=["short_orders", "long_orders", "fractional_count", "long_counts", "bool_count",
+        "float_order", "infinite_extent", "1d"])
+def test_box_mesh_rejects_each_bad_argument_by_name(args, message):
+    """Too few orders used to raise IndexError, a third order of a 2D mesh
+    was kept, and an element count of 2.7 was truncated to 2."""
+    with pytest.raises(ConfigurationError) as exc:
+        build_box_mesh(*args)
+    assert str(exc.value) == message
+
+
+def test_box_mesh_checks_the_periodicity_flags():
+    for periodicity, message in (((True, True), "len(periodicity) = 2: expected one of 1"),
+                                 ((1,), "periodicity[0] = 1: expected one of false, true")):
+        with pytest.raises(ConfigurationError) as exc:
+            build_box_mesh((2.0, 1.0), (4, 3), 3, periodicity=periodicity)
+        assert str(exc.value) == message
+
+
+def test_lgl_rejects_an_order_that_is_not_an_integer():
+    for order in (4.0, True):
+        with pytest.raises(ConfigurationError, match="^LGL order = "):
+            build_lgl_rule(order)

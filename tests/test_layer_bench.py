@@ -2,10 +2,13 @@
 it reaches into `plan`, `operators`, `grid` and the cases by name, so a
 rename there must fail here rather than in the next BENCH run."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import mmfsim
 
@@ -40,3 +43,23 @@ def test_layer_bench_loads_this_tree_and_makes_every_call():
                                                         "substep", "filter")} <= keys
     assert {f"{grid}.dry.along_{axis}{rows}_us" for grid in ("squall_ssp", "squall_fine")
             for axis in "xz" for rows in (2, 6)} <= keys
+
+
+def test_compare_takes_a_list_of_seeds(monkeypatch):
+    """`compare --e2e-seed 1,3` runs its end-to-end pairs per seed; the
+    list keeps its order and refuses repeats, negatives and non-integers."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import layer_bench
+    assert layer_bench.seed_list("1,3") == [1, 3]
+    assert layer_bench.seed_list("3, 1") == [3, 1]
+    for bad in ("1,1", "-1", "1,x", "", "1,,3", "1.5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            layer_bench.seed_list(bad)
+    runs = []
+    monkeypatch.setattr(layer_bench, "compare", runs.append)
+    args = ["compare", "--before", "b", "--after", "a", "--topic", "t"]
+    layer_bench.main(args)
+    layer_bench.main(args + ["--e2e-seed", "1,3"])
+    assert [r.e2e_seed for r in runs] == [[1], [1, 3]]
+    with pytest.raises(SystemExit):
+        layer_bench.main(args + ["--e2e-seed", "1,1"])

@@ -7,7 +7,7 @@ import pytest
 from mmfsim import microphysics
 from mmfsim.coupling import Simulator
 from mmfsim.dynamics import DEFAULT_CONSTANTS, build_reference, equation_of_state, exner_function
-from mmfsim.errors import StateError
+from mmfsim.errors import ConfigurationError, StateError
 from mmfsim.grid import build_box_mesh
 from mmfsim.microphysics import (ColumnView, KesslerParams, apply_microphysics,
                                  kessler_column_step, saturation_mixing_ratio)
@@ -233,7 +233,7 @@ def test_batch_rejects_pressure_at_or_below_saturation(small_mesh, small_referen
 
 
 def test_params_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^KesslerParams.accretion_rate = -1.0: expected"):
         KesslerParams(accretion_rate=-1.0)
 
 
@@ -482,3 +482,11 @@ def test_warm_in_place_update_allocates_less_than_a_field():
         tracemalloc.stop()
     assert peak - start < st.rho_p.nbytes
     assert mesh.plan.kessler_scratch.base is mesh.plan.kernel
+
+
+def test_newton_iterations_below_one_are_rejected():
+    """With no Newton iteration the saturation adjustment used to be
+    skipped silently: a supersaturated column kept q_c = 0."""
+    with pytest.raises(ConfigurationError,
+                       match=r"^KesslerParams.newton_iterations = 0: expected an integer"):
+        KesslerParams(newton_iterations=0)

@@ -765,3 +765,21 @@ def test_numpy_assembly_is_the_csr_assembly_bit_for_bit():
                     assert h <= _csr_band(ref[kind])[0] and mesh.npts_1d[d] <= 33
                 checked += 1
     assert checked == 3 * sum(mesh.dim for _, mesh in meshes)
+
+
+def test_plan_products_of_fresh_matrices_are_their_own():
+    """The step plan keys its products by id(A) and keeps A with each, so
+    a fresh matrix never gets the product of a freed one made at the same
+    address: fresh matrices along desk squall fine's windowed x axis,
+    each bit for bit against a freshly made `operators._product`."""
+    from mmfsim.cases import build_case
+    mesh = build_case("squall", "fine", preset="desk").simulator.mesh
+    D = mesh.weak_derivative_1d[0]
+    assert D.shape[0] > DENSE_MAX     # the axis takes windows
+    ops = SemOps(mesh)
+    f = np.random.default_rng(7).standard_normal((2, mesh.npts))
+    want = np.empty_like(f)
+    for k in range(40):
+        A = D * (2 + k)
+        operators._product(A, 0, mesh.npts_1d)(f, want)()
+        assert ops.along(A, f, 0).tobytes() == want.tobytes(), k

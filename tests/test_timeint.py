@@ -758,3 +758,11 @@ def test_linear_operator_leaves_its_input_alone(operator_case):
     got = linear_operator(q, ref, mesh)
     assert not np.shares_memory(got.data, q.data)
     assert np.array_equal(q.data, before)
+
+
+@pytest.mark.parametrize("field, value", [("restart", 2.5), ("maxiter", 0), ("tol", 1.0),
+                                          ("restart", True)])
+def test_gmres_config_is_checked(field, value):
+    """A fractional restart used to be accepted."""
+    with pytest.raises(ConfigurationError, match=f"^GmresConfig.{field} = "):
+        GmresConfig(**{field: value})

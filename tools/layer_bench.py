@@ -4,7 +4,7 @@ before/after comparison of two source trees that writes a BENCH file.
     python3 tools/layer_bench.py layers [--src DIR [--src DIR ...]]
     python3 tools/layer_bench.py cloudrun [--src DIR] [--steps 600]
     python3 tools/layer_bench.py compare --before TREE --after TREE \\
-        --topic implicit_stage [--rounds 7] [--e2e-pairs 10] [--e2e-seed 1] \\
+        --topic implicit_stage [--rounds 7] [--e2e-pairs 10] [--e2e-seed 1,3] \\
         [--traced-pairs 3] [--cloud-steps 600] \\
         [--workloads squall_mmf,supercell_mmf,squall_fine]
 
@@ -55,11 +55,14 @@ shares of the points that hold cloud and rain at the end.
 
 `compare` runs `layers` on both trees in a fresh, single-threaded child
 process, `--rounds` times, alternating which tree goes first, and then,
-per workload and in each tree's own directory, `--e2e-pairs` alternating
-pairs of `perfbench/run.py --workload W --seed S --seconds 30 --trace 0`
-and `--traced-pairs` alternating pairs of the same with `--seconds 15
---trace 1`. Each end-to-end pair also compares the sha256 of every run's
-`snapshot_final.dat` between the trees, seed by seed. Last it runs the
+per workload, per seed S of the comma-separated `--e2e-seed` list and in
+each tree's own directory, `--e2e-pairs` alternating pairs of
+`perfbench/run.py --workload W --seed S --seconds 30 --trace 0`, and at
+the list's first seed `--traced-pairs` alternating pairs of the same
+with `--seconds 15 --trace 1`. Each end-to-end pair also compares the
+sha256 of every run's `snapshot_final.dat` between the trees, seed by
+seed (perfbench's reference seed included). The layer rounds, and what
+follows, run once for all seeds. Last it runs the
 acceptance gate (`tests/test_acceptance.py`) and `cloudrun` in each tree
 and compares their printed lines and digests. Every child runs with one
 BLAS thread. The result goes to `BENCH_<topic>.json` in the after tree.
@@ -68,6 +71,7 @@ BLAS thread. The result goes to `BENCH_<topic>.json` in the after tree.
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -352,6 +356,17 @@ def _snapshot_shas(tree, workload):
     return {seed: sorted(v) for seed, v in shas.items()}
 
 
+def seed_list(text):
+    """The seeds of a comma-separated `--e2e-seed` list, in order, once each."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of seeds: {text!r}")
+    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct seeds >= 0: {text!r}")
+    return seeds
+
+
 def compare(a):
     trees = {"before": os.path.abspath(a.before), "after": os.path.abspath(a.after)}
     me = os.path.abspath(__file__)
@@ -392,18 +407,18 @@ def compare(a):
             "ratio": round(statistics.median(r[key] for r in ratios), 4),
             "ratio_rounds": [round(r[key], 4) for r in ratios]}
 
-    e2e = {"method": f"perfbench/run.py --workload W --seed {a.e2e_seed} --seconds 30 "
-                     f"--trace 0 in each tree's directory, one after another, which runs first "
-                     f"alternating by pair; metrics are perfbench's (speed-scaled times); "
-                     f"after_better counts pairs where the change read better; iqr is q3 - q1 "
-                     f"of the runs; snapshot_sha_equal compares snapshot_final.dat of every "
-                     f"run, seed by seed, between the trees in each pair",
-           "workloads": {}}
+    e2e = {"method": "perfbench/run.py --workload W --seed S --seconds 30 --trace 0 in each "
+                     "tree's directory, one after another, which runs first alternating by "
+                     "pair; per workload and seed S; metrics are perfbench's (speed-scaled "
+                     "times); after_better counts pairs where the change read better; iqr is "
+                     "q3 - q1 of the runs; snapshot_sha_equal compares snapshot_final.dat of "
+                     "every run, seed by seed, between the trees in each pair",
+           "seeds": a.e2e_seed, "workloads": {}}
     workloads = a.workloads.split(",")
-    for w in workloads if a.e2e_pairs > 0 else ():
-        def run(k, w=w):
+    for w, seed in itertools.product(workloads, a.e2e_seed if a.e2e_pairs > 0 else ()):
+        def run(k, w=w, seed=seed):
             res = _child([sys.executable, "perfbench/run.py", "--workload", w, "--seed",
-                          str(a.e2e_seed), "--seconds", "30", "--trace", "0"], cwd=trees[k])
+                          str(seed), "--seconds", "30", "--trace", "0"], cwd=trees[k])
             return res, _snapshot_shas(trees[k], w)
         pairs, first_in_pair = _pairs(trees, a.e2e_pairs, run)
         runs = {k: [res for res, _ in v] for k, v in pairs.items()}
@@ -420,9 +435,9 @@ def compare(a):
         for m, better in E2E_METRICS.items():
             entry[m] = _summary([r["metrics"][m]["value"] for r in runs["before"]],
                                 [r["metrics"][m]["value"] for r in runs["after"]], better)
-        e2e["workloads"][w] = entry
+        e2e["workloads"].setdefault(w, {})[str(seed)] = entry
 
-    traced = {"method": f"perfbench/run.py --workload W --seed {a.e2e_seed} --seconds 15 "
+    traced = {"method": f"perfbench/run.py --workload W --seed {a.e2e_seed[0]} --seconds 15 "
                         f"--trace 1 in each tree's directory, {a.traced_pairs} pairs, which "
                         f"runs first alternating by pair; raw wall ms per coarse step, not "
                         f"speed-scaled, so single runs spread by +-20% on a shared host (the "
@@ -433,7 +448,7 @@ def compare(a):
               "workloads": {}}
     for w in workloads if a.traced_pairs > 0 else ():
         runs, first_in_pair = _pairs(trees, a.traced_pairs, lambda k, w=w: _child(
-            [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(a.e2e_seed),
+            [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(a.e2e_seed[0]),
              "--seconds", "15", "--trace", "1"], cwd=trees[k]))
         entry = {"first_in_pair": first_in_pair}
         for k, rs in runs.items():
@@ -496,7 +511,8 @@ def main(argv=None):
     cp.add_argument("--parent", default="")
     cp.add_argument("--rounds", type=int, default=7)
     cp.add_argument("--e2e-pairs", type=int, default=10)
-    cp.add_argument("--e2e-seed", type=int, default=1)
+    cp.add_argument("--e2e-seed", type=seed_list, default=[1],
+                    help="comma-separated seeds; the end-to-end pairs run per seed")
     cp.add_argument("--traced-pairs", type=int, default=3)
     cp.add_argument("--cloud-steps", type=int, default=600)
     cp.add_argument("--workloads", default="squall_mmf,supercell_mmf,squall_fine")
