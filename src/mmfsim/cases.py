@@ -26,6 +26,8 @@ from .operators import PrognosticState
 from .coupling import MmfConfig, Simulator, spawn_ssp_instances
 
 CASE_IDS = ("squall", "supercell")
+# the overrides of the embedded grids, which only the mmf tier has
+MMF_OVERRIDES = ("amplitude", "substeps", "ssp_elems_x", "ssp_elems_z", "ssp_length")
 TIERS = ("fine", "coarse", "mmf")
 SEEDS = Interval("[0, 18446744073709551616)")  # a Philox key word has 64 bits
 
@@ -259,10 +261,9 @@ def build_case(case_id: str, tier: str = "coarse", *,
     """Construct a ready-to-run case.
 
     ``sounding`` may be None (analytic default), a path, or a Sounding.
-    ``overrides`` accepts: duration, dt, nu, filter_strength, amplitude,
-    substeps, sponge (SpongeConfig), bubble (BubbleSpec), microphysics
-    (bool), ssp_elems_x, ssp_elems_z, ssp_length.
-    Unknown keys are rejected.
+    ``overrides`` accepts: duration, dt, nu, filter_strength, sponge
+    (SpongeConfig), bubble (BubbleSpec), microphysics (bool), and on the
+    mmf tier alone `MMF_OVERRIDES`. Other keys are rejected.
     """
     check("case", case_id, str, CASE_IDS)
     check("tier", tier, str, TIERS)
@@ -272,13 +273,16 @@ def build_case(case_id: str, tier: str = "coarse", *,
     dims = table[(case_id, tier)]
 
     ov = dict(overrides or {})
-    allowed = {"duration", "dt", "nu", "filter_strength", "amplitude",
-               "substeps", "sponge", "bubble", "microphysics",
-               "ssp_elems_x", "ssp_elems_z", "ssp_length"}
+    allowed = {"duration", "dt", "nu", "filter_strength", "sponge", "bubble",
+               "microphysics", *MMF_OVERRIDES}
     unknown = set(ov) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown override(s): {sorted(unknown)}; allowed: {sorted(allowed)}")
+    mmf_only = set(ov) & set(MMF_OVERRIDES)
+    if mmf_only and tier != "mmf":
+        raise ConfigurationError(
+            f"override(s) {sorted(mmf_only)}: only the mmf tier takes them, not {tier}")
 
     # the other overrides are checked by the records they go into
     dt, duration = ov.get("dt", dims.dt), ov.get("duration", dims.duration)

@@ -147,6 +147,12 @@ _SPONGE_KEYS = "sponge.z_bottom, sponge.z_top, sponge.r_max"
 
 
 def _case_overrides(cfg: RunConfig) -> dict:
+    if cfg.mode != "mmf":
+        # the embedded grids' keys; a standard run has no embedded grids
+        given = [f"{key.name} = {format_value(v)}" for key in KEYS
+                 if key.name.startswith("mmf.") and (v := _value(cfg, key)) is not None]
+        if given:
+            raise ConfigurationError(f"{', '.join(given)}: only run.mode = mmf takes mmf.* keys")
     names = ("duration", "dt", "substeps", "ssp_elems_x", "ssp_elems_z",
              "ssp_length", "amplitude", "nu", "microphysics", "filter_strength")
     ov = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}

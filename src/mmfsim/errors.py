@@ -42,11 +42,18 @@ class SolverError(MmfsimError):
 
 class Interval(str):
     """An interval in the usual notation, "(0, inf)" or "[0, 1]": a square
-    bracket puts its end in the interval, a round one leaves it out."""
+    bracket puts its end in the interval, a round one leaves it out. The
+    ends are read once, here."""
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.lo, self.hi = (float(end) for end in text[1:-1].split(","))
+        self.closed = (text[0] == "[", text[-1] == "]")
+        return self
 
     def __contains__(self, v) -> bool:
-        lo, hi = (float(end) for end in self[1:-1].split(","))
-        return (lo <= v if self[0] == "[" else lo < v) and (v <= hi if self[-1] == "]" else v < hi)
+        lo_in, hi_in = self.closed
+        return (self.lo <= v if lo_in else self.lo < v) and (v <= self.hi if hi_in else v < self.hi)
 
 
 # the domains most settings take

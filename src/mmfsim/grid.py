@@ -115,10 +115,10 @@ _FILTER_ORDER = 12
 # (`operators._windowed`). Per point the whole product costs O(n)
 # multiply-adds and the windows O(window width), but the windows pay more
 # calls and, along x, strided reads; measured along x at 121 levels for 2
-# rows on one BLAS thread, whole against windows: 18-20 us against 57-66
-# at 40 points, 41-50 against 80-93 at 64, 70-78 against 87-95 at 68,
-# 200-224 against 130-149 at 128 and 680-900 against 200-264 at 252. The
-# bound stays at 64, below the crossover, so no short axis changes form
+# rows on one BLAS thread, whole against windows: 14 us against 25-28 at
+# 40 points, 31-32 against 29-31 at 64, 51-53 against 31-32 at 68,
+# 158-184 against 44-47 at 128 and 571-598 against 73-75 at 252. The
+# bound stays at 64, at the crossover, so no short axis changes form
 DENSE_MAX = 64
 
 # y and z products go through numpy's matmul, whose OpenBLAS has its own
@@ -259,9 +259,10 @@ class Mesh:
         """(elements, points) along direction d: each element's weights
         h/2 w on its global 1D nodes, periodic duplicates summed."""
         g, n = _index_1d(self.elem_counts[d], self.orders[d], (self.periodic + (False,))[d])
-        W = np.zeros((g.shape[0], n))
-        np.add.at(W, (np.arange(g.shape[0])[:, None], g), self._elem_weights(d))
-        return W
+        ne = g.shape[0]
+        w = np.broadcast_to(self._elem_weights(d), g.shape)
+        return np.bincount((np.arange(ne)[:, None] * n + g).ravel(), weights=w.ravel(),
+                           minlength=ne * n).reshape(ne, n)
 
     @cached_property
     def lumped_1d(self) -> tuple:
@@ -310,9 +311,10 @@ class Mesh:
         """
         N = self.orders[d]
         g, n = _index_1d(self.elem_counts[d], N, (self.periodic + (False,))[d])
-        A = np.zeros((n, n), order="F")
-        np.add.at(A, (np.repeat(g, N + 1, axis=1).ravel(), np.tile(g, (1, N + 1)).ravel()),
-                  np.tile(local.ravel(), g.shape[0]))
+        # entry (i, j) at i + n j, its place in Fortran order
+        flat = np.repeat(g, N + 1, axis=1).ravel() + n * np.tile(g, (1, N + 1)).ravel()
+        A = np.bincount(flat, weights=np.tile(local.ravel(), g.shape[0]),
+                        minlength=n * n).reshape((n, n), order="F")
         A *= (1.0 / self.lumped_1d[d])[:, None]
         return A
 

@@ -229,15 +229,16 @@ def _product(A, d, npts_1d):
     return bind
 
 
-# window rows, in half-bandwidths: along x a window is a strip of lines
-# that lie n points apart, of which each gemm reads a few doubles per
-# cache line, so wider windows pay; along y and z the window's rows are
-# contiguous and narrow windows waste the fewest multiply-adds. Both are at
-# least 2, so that no window on a periodic axis reads a point twice
-_WINDOW_X, _WINDOW_YZ = 8, 2
-# lines per x gemm: all windows pass over one batch of lines while it is
-# in cache (32 lines of 252 points are 64 KB), and the batches run on
-# through memory in order
+# window rows, in half-bandwidths: narrow windows waste the fewest
+# multiply-adds, and at least 2, so that no window on a periodic axis
+# reads a point twice
+_WINDOW = 2
+# lines per x gemm: a gemm reads its lines n points apart, so all windows
+# pass over one batch of lines while it is in cache (32 lines of 252
+# points are 64 KB), and the batches run on through memory in order. In
+# a desk squall fine step, one BLAS thread, the x window gemms took
+# 5.3-5.7 ms in batches of 32 lines, 5.5 in batches of 16, 8.0-8.5 with
+# all 121 lines in one gemm, and 6.2-6.9 with windows of 4h rows
 _X_LINES = 32
 
 
@@ -248,27 +249,34 @@ def _windowed(A, d, npts_1d):
     A couples a point only to points at most h away (h, its half-bandwidth,
     read from its nonzero pattern by `_bandwidth`), so a window of b rows
     reads b + 2h adjacent points; each window's dense block is copied
-    from A once, here. A gemm multiplies a block with a batch of
-    columns: along x a batch of at most `_X_LINES` lines, along y and z a
-    line of the axis, and never more columns than keep the gemm within
-    `DENSE_BLOCK_MAX` multiply-adds, so it runs on one BLAS thread and
-    gives the same bits at any thread count. All interior windows of all
-    batches of a stack are one numpy matmul over a strided view of it, and
-    the first and last windows one more each; on a periodic axis those two
-    read the points they wrap to from a gather buffer that the bind makes.
-    Along x the lines left over from the whole batches make these calls
-    again. A call allocates nothing. Each entry is a BLAS dot over its
-    window, which agrees with `A @ x` to rounding.
+    from A once, here. A gemm multiplies a block with a batch of lines:
+    along x the block's transpose from the right, with the (lines, b + 2h)
+    points of at most `_X_LINES` lines of a row of the stack, and along y
+    and z the block from the left, with the (b + 2h, stride) points of a
+    line of the axis. A batch is narrower where a wider one would take a
+    gemm over `DENSE_BLOCK_MAX` multiply-adds, so that the gemm runs on
+    one BLAS thread and gives the same bits at any thread count. All
+    interior windows of all batches of a stack are one numpy matmul over
+    a strided view of it, and the first and last windows one more each;
+    on a periodic axis those two read the points they wrap to from a
+    gather buffer that the bind makes. Along x the lines left over from
+    the whole batches make these calls again. A call allocates nothing.
+    Each entry is a BLAS dot over its window, which agrees with `A @ x`
+    to rounding.
     """
     n = A.shape[0]
     stride = math.prod(npts_1d[:d])
     lines = math.prod(npts_1d) // n
     h, wrap = _bandwidth(A)
-    b = max(h, 1) * (_WINDOW_X if d == 0 else _WINDOW_YZ)
+    b = max(h, 1) * _WINDOW
+    # the axis of a point in the views that `parts` cuts
+    axis = 3 if d == 0 else 2
 
     def block(rows, c0, c1):
-        # A[rows, (c0 .. c1 - 1) mod n] as a new C-ordered array
-        return np.ascontiguousarray(A[rows][:, np.arange(c0, c1) % n])
+        # A[rows, (c0 .. c1 - 1) mod n], or along x its transpose, as a new
+        # C-ordered array: a gemm takes a transposed operand slower
+        W = A[rows][:, np.arange(c0, c1) % n]
+        return np.ascontiguousarray(W if d else W.T)
 
     if n < b + 2 * h:
         # too short for one interior window: the whole axis is one block
@@ -279,9 +287,9 @@ def _windowed(A, d, npts_1d):
         tail = b + b * len(starts)
         regions = [(slice(0, b), -h if wrap else 0, b + h),
                    (slice(tail, n), tail - h, n + h if wrap else n)]
-    edges = [(rows, block(rows, c0, c1)) for rows, c0, c1 in regions]
+    edges = [(rows, c1 - c0, block(rows, c0, c1)) for rows, c0, c1 in regions]
     inner = np.stack([block(slice(s, s + b), s - h, s + b + h) for s in starts]) if starts else None
-    largest = max([W.size for _, W in edges] + [b * (b + 2 * h)])
+    largest = max([W.size for _, _, W in edges] + [b * (b + 2 * h)])
     width = max(1, DENSE_BLOCK_MAX // largest)
     if d == 0:
         width = min(width, _X_LINES, lines)
@@ -289,14 +297,21 @@ def _windowed(A, d, npts_1d):
     else:
         chunks = [slice(q, q + width) for q in range(0, stride, width)]
 
+    def cut(v, points):
+        return v[..., points] if d == 0 else v[:, :, points]
+
+    def gemm(W, x, y):
+        return partial(np.matmul, *((W, x) if d else (x, W)), out=y)
+
     def parts(rows):
-        # (rows, npts) as (rows, batch, n, columns) views, the columns of a
-        # batch going to one gemm; splitting the point axis never copies
+        # (rows, npts) as (rows, batches, lines, n) views along x and
+        # (rows, blocks, n, columns) along y and z, the lines or columns
+        # of a batch going to one gemm; splitting the point axis never copies
         if d == 0:
             batched = [rows[:, :whole * n].reshape(len(rows), -1, width, n)]
             if whole < lines:
                 batched.append(rows[:, whole * n:].reshape(len(rows), 1, -1, n))
-            return [v.swapaxes(2, 3) for v in batched]
+            return batched
         v = rows.reshape(len(rows), -1, n, stride)
         return [v] if len(chunks) == 1 else [v[..., q] for q in chunks]
 
@@ -305,22 +320,18 @@ def _windowed(A, d, npts_1d):
         for x, y in zip(parts(_rows_of(f)), parts(_rows_of(out))):
             if wrap:
                 # the tail window's points and the head window's, in the
-                # order they wrap around in: tail - h .. n - 1, 0 .. b + h - 1,
-                # laid out as x is, so that every gemm takes its operands alike
-                gw = n - tail + b + 2 * h
-                g = (np.empty(x.shape[:2] + (x.shape[3], gw)).swapaxes(2, 3) if d == 0 else
-                     np.empty(x.shape[:2] + (gw, x.shape[3])))
-                calls += [partial(np.copyto, g[:, :, :n - tail + h], x[:, :, tail - h:]),
-                          partial(np.copyto, g[:, :, n - tail + h:], x[:, :, :b + h])]
-                sources = (g[:, :, n - tail:], g)
+                # order they wrap around in: tail - h .. n - 1, 0 .. b + h - 1
+                g = np.empty(x.shape[:axis] + (n - tail + b + 2 * h,) + x.shape[axis + 1:])
+                calls += [partial(np.copyto, cut(g, slice(n - tail + h)), cut(x, slice(tail - h, n))),
+                          partial(np.copyto, cut(g, slice(n - tail + h, None)), cut(x, slice(b + h)))]
+                sources = (cut(g, slice(n - tail, None)), g)
             else:
-                sources = [x[:, :, c0:] for _, c0, _ in regions]
-            for (rows, W), src in zip(edges, sources):
-                calls.append(partial(np.matmul, W, src[:, :, :W.shape[1]], out=y[:, :, rows]))
+                sources = [cut(x, slice(c0, n)) for _, c0, _ in regions]
+            for (rows, k, W), src in zip(edges, sources):
+                calls.append(gemm(W, cut(src, slice(k)), cut(y, rows)))
             if starts:
-                windows = y[:, :, starts[0]:starts[-1] + b]
-                calls.append(partial(np.matmul, inner, _windows(x, starts[0] - h, len(starts), b, b + 2 * h),
-                                     out=windows.reshape(windows.shape[:2] + (len(starts), b, -1))))
+                calls.append(gemm(inner, _windows(x, axis, starts[0] - h, len(starts), b, b + 2 * h),
+                                  _windows(y, axis, starts[0], len(starts), b, b)))
         return _in_turn(calls)
     return bind
 
@@ -337,14 +348,15 @@ def _bandwidth(A):
     return h, bool(dist.max(initial=0) > h)
 
 
-def _windows(v, start, count, step, width):
-    """Of a (rows, batch, n, cols) view, `count` windows of `width` points
-    along n, one every `step` points from point `start` on: a (rows,
-    batch, count, width, cols) view, whose windows overlap where width >
-    step."""
+def _windows(v, axis, start, count, step, width):
+    """Of a (rows, batches, ...) view, `count` windows of `width` points
+    along its axis `axis`, one every `step` points from point `start` on:
+    a (rows, batches, count, ...) view whose axis `axis` + 1 runs over a
+    window's points, and whose windows overlap where width > step."""
     s = v.strides
-    return as_strided(v[:, :, start:], v.shape[:2] + (count, width, v.shape[3]),
-                      s[:2] + (step * s[2],) + s[2:])
+    shape = v.shape[:axis] + (width,) + v.shape[axis + 1:]
+    return as_strided(v[(slice(None),) * axis + (slice(start, None),)],
+                      shape[:2] + (count,) + shape[2:], s[:2] + (step * s[axis],) + s[2:])
 
 
 def _in_turn(calls):

@@ -54,18 +54,26 @@ class StepPlan:
         self.kessler_rho, self.kessler_scratch = levels[0], levels[1:1 + _SCRATCH_ROWS]
 
         self._products, self._field_products = {}, {}
+        # the mesh's own matrices, which live as long as it and so keep
+        # their ids: its derivative and Laplacian, and the filters it caches
+        self._own = {id(M) for M in mesh.weak_derivative_1d + mesh.weak_laplacian_1d}
+        self._filters = mesh._filters
         self.derivative = tuple(map(self.product, mesh.weak_derivative_1d, range(dim)))
         self.laplacian = tuple(map(self.product, mesh.weak_laplacian_1d, range(dim)))
         self.rhs_pair = tuple(D(self.pair, self.rhs_rows[2]) for D in self.derivative)
         self.operator_rows = _operator_rows(self, self.coupled, mesh.ncols)
 
     def product(self, A, d):
-        """A's product along direction d, made on first use and kept with
-        A, so that A's id names no other matrix meanwhile."""
+        """A's product along direction d: for one of the mesh's own
+        matrices made on first use and kept, for any other made for this
+        call alone."""
         key = (id(A), d)
-        if key not in self._products:
-            self._products[key] = (A, _product(A, d, self.npts_1d))
-        return self._products[key][1]
+        product = self._products.get(key)
+        if product is None:
+            product = _product(A, d, self.npts_1d)
+            if id(A) in self._own or any(A is M for mats in self._filters.values() for M in mats):
+                self._products[key] = product
+        return product
 
     def field_products(self, fields):
         """S's derivative and Laplacian of its field rows per direction,

@@ -200,6 +200,16 @@ def test_case_overrides():
         build_case("squall", preset="desk", overrides={"elems": (3, 15)})
 
 
+@pytest.mark.parametrize("tier", ["fine", "coarse"])
+@pytest.mark.parametrize("key, value", [("substeps", 7), ("ssp_elems_x", 4), ("ssp_elems_z", 12),
+                                        ("ssp_length", 8e3), ("amplitude", 0.1)])
+def test_embedded_grid_overrides_need_the_mmf_tier(tier, key, value):
+    """A tier without embedded grids refuses their overrides, naming the
+    override, rather than dropping them."""
+    with pytest.raises(ConfigurationError, match=key):
+        build_case("squall", tier=tier, preset="desk", overrides={key: value})
+
+
 def test_case_id_validation():
     assert set(CASE_IDS) == {"squall", "supercell"}
     assert set(TIERS) == {"fine", "coarse", "mmf"}

@@ -106,6 +106,26 @@ def test_step_bound_counts_rounded_steps(tmp_path, capsys, monkeypatch):
     assert "give 5 steps, more than the 4 a run may take" in capsys.readouterr().err
 
 
+def test_standard_run_rejects_mmf_keys(tmp_path, capsys):
+    """A standard run has no embedded grids: an mmf.* key in it exits 2,
+    naming the key, before any output, and the shipped desk squall coarse
+    config, which sets none, still runs."""
+    cfg = write_cfg(tmp_path, "run.mode = standard\nrun.preset = desk\n"
+                              "run.duration = 4\nmmf.substeps = 7\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "mmf.substeps = 7" in err
+    assert not out.exists() or list(out.iterdir()) == []
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "desk_squall_coarse.cfg"), encoding="utf-8") as fh:
+        shipped = fh.read()
+    cfg = write_cfg(tmp_path, shipped + "run.duration = 4\n")
+    out = tmp_path / "shipped"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert (out / "snapshot_final.dat").exists()
+
+
 @pytest.mark.parametrize("line", [
     "filter.strength = nan", "filter.strength = 2", "viscosity.nu = -200",
     "viscosity.nu = nan", "mmf.ssp_length = nan", "mmf.amplitude = inf",

@@ -43,6 +43,7 @@ def test_layer_bench_loads_this_tree_and_makes_every_call():
                                                         "substep", "filter")} <= keys
     assert {f"{grid}.dry.along_{axis}{rows}_us" for grid in ("squall_ssp", "squall_fine")
             for axis in "xz" for rows in (2, 6)} <= keys
+    assert "squall_fine.dry.along_x7_us" in keys
 
 
 def test_compare_takes_a_list_of_seeds(monkeypatch):

@@ -237,16 +237,16 @@ def _dense_axis(mesh, d):
 def _windows(A, d):
     """The windows of A along d without a dense form, as (rows, columns)
     ranges of point indices, the columns taken modulo n: b rows each,
-    b = `operators._WINDOW_X` (x) or `_WINDOW_YZ` (y, z) times the
-    half-bandwidth h, every window reading h points past either end; the
-    last takes the rows left after the last whole window that stays h
-    points short of the end, and only on a periodic axis do the first and
-    last wrap around. An axis shorter than b + 2h is one window."""
+    b = `operators._WINDOW` times the half-bandwidth h, every window
+    reading h points past either end; the last takes the rows left after
+    the last whole window that stays h points short of the end, and only
+    on a periodic axis do the first and last wrap around. An axis shorter
+    than b + 2h is one window."""
     n = A.shape[0]
     rows, cols = np.nonzero(A)
     dist = np.abs(rows - cols)
     h = int(np.minimum(dist, n - dist).max())
-    b = max(h, 1) * (operators._WINDOW_X if d == 0 else operators._WINDOW_YZ)
+    b = max(h, 1) * operators._WINDOW
     if n < b + 2 * h:
         return [(range(n), range(n))]
     wrap = dist.max() > h
@@ -261,11 +261,11 @@ def _window_oracle(mesh, A, f, d):
     contiguous copy of the points the window reads, in the batches of
     columns the window form hands one gemm: along x the copy is (lines,
     columns) for a batch of `operators._X_LINES` lines, fewer for the last
-    batch of a field, and the block's transpose multiplies it from the
-    right; along y and z the block multiplies the (columns, stride) copy
-    of each line of the axis. A batch is narrower where a wider one would
-    take a gemm over DENSE_BLOCK_MAX multiply-adds. These are the bits the
-    window form must write."""
+    batch of a field, and a C-ordered copy of the block's transpose
+    multiplies it from the right; along y and z the block multiplies the
+    (columns, stride) copy of each line of the axis. A batch is narrower
+    where a wider one would take a gemm over DENSE_BLOCK_MAX
+    multiply-adds. These are the bits the window form must write."""
     n = A.shape[0]
     stride = math.prod(mesh.npts_1d[:d])
     windows = [(list(rows), [c % n for c in cols]) for rows, cols in _windows(A, d)]
@@ -280,7 +280,8 @@ def _window_oracle(mesh, A, f, d):
         block = np.ascontiguousarray(A[np.ix_(rows, cols)])
         for q in range(0, g.shape[-1] if d else g.shape[1], width):
             if d == 0:
-                y[:, q:q + width, rows] = np.ascontiguousarray(g[:, q:q + width][:, :, cols]) @ block.T
+                y[:, q:q + width, rows] = (np.ascontiguousarray(g[:, q:q + width][:, :, cols])
+                                           @ np.ascontiguousarray(block.T))
             else:
                 y[:, rows, q:q + width] = block @ np.ascontiguousarray(g[:, cols, q:q + width])
     return out
@@ -308,6 +309,11 @@ OUT_MESHES = {
     # windows along a 67-point z, a 68-point periodic x and a 69-point y
     "2d_long": ((2.0, 1.0), (17, 22), (4, 3), (True,)),
     "3d_long_y": ((1.0, 2.0, 1.5), (2, 17, 2), (2, 4, 3), (True, False)),
+    # windows along a 69-point walled x
+    "2d_long_walled_x": ((2.0, 1.0), (17, 4), (4, 3), (False,)),
+    # windows along a 68-point periodic x of 11 x 13 = 143 lines: four
+    # batches of 32 lines and one of the 15 left over
+    "3d_long_x": ((2.0, 1.0, 1.5), (17, 5, 4), (4, 2, 3), (True, False)),
 }
 
 
@@ -538,8 +544,10 @@ def test_dense_x_product_independent_of_blas_threads():
     along y and z on the desk supercell coarse grid (12 x 8 x 49) and
     embedded grid (16 x 49). Windows, for stacks of 1, 2 and 6 fields:
     along the desk squall fine grid's periodic 252-point x and its
-    121-point z, the embedded squall grid's z and the z of a 12 x 12 x 49
-    grid, whose 49 x 49 x 144 block is over DENSE_BLOCK_MAX."""
+    121-point z, the embedded squall grid's z, the z of a 12 x 12 x 49
+    grid, whose 49 x 49 x 144 block is over DENSE_BLOCK_MAX, and the
+    periodic 68-point x of a 68 x 11 x 13 grid, whose 143 lines take
+    five gemms per window."""
     script = (
         "import sys, numpy as np\n"
         "from mmfsim.cases import build_case\n"
@@ -554,7 +562,8 @@ def test_dense_x_product_independent_of_blas_threads():
         "            (setup.instances[0].sim.mesh, 1)]\n"
         "fine = build_case('squall', 'fine', preset='desk').simulator.mesh\n"
         "block = build_box_mesh((2e3, 3e3, 10e3), (3, 3, 12), 4, periodicity=(True, True))\n"
-        "windows = [(fine, 0), (fine, 1), (embedded, 1), (block, 2)]\n"
+        "long_x = build_box_mesh((2.0, 1.0, 1.5), (17, 5, 4), (4, 2, 3), periodicity=(True, False))\n"
+        "windows = [(fine, 0), (fine, 1), (embedded, 1), (block, 2), (long_x, 0)]\n"
         "for (mesh, d), stacks in [(p, (2, 6)) for p in products] + [(w, (1, 2, 6)) for w in windows]:\n"
         "    A = mesh.weak_derivative_1d[d]\n"
         "    for nf in stacks:\n"
@@ -571,7 +580,7 @@ def test_dense_x_product_independent_of_blas_threads():
                               capture_output=True, check=True, timeout=120)
         outputs.append(proc.stdout)
     dense = (2 + 6) * (40 * 121 + 2 * 12 * 8 * 49 + 16 * 49)
-    windows = (1 + 2 + 6) * (2 * 252 * 121 + 40 * 121 + 12 * 12 * 49)
+    windows = (1 + 2 + 6) * (2 * 252 * 121 + 40 * 121 + 12 * 12 * 49 + 68 * 11 * 13)
     assert len(outputs[0]) == (dense + windows) * 8
     assert outputs[0] == outputs[1]
 
@@ -768,10 +777,12 @@ def test_numpy_assembly_is_the_csr_assembly_bit_for_bit():
 
 
 def test_plan_products_of_fresh_matrices_are_their_own():
-    """The step plan keys its products by id(A) and keeps A with each, so
-    a fresh matrix never gets the product of a freed one made at the same
-    address: fresh matrices along desk squall fine's windowed x axis,
-    each bit for bit against a freshly made `operators._product`."""
+    """The step plan keys its products by id(A) and keeps them only for
+    the mesh's own matrices, which live as long as it does, so a fresh
+    matrix never gets the product of a freed one made at the same
+    address, and is not kept: fresh matrices along desk squall fine's
+    windowed x axis, each bit for bit against a freshly made
+    `operators._product`, leave the plan's cache as it was."""
     from mmfsim.cases import build_case
     mesh = build_case("squall", "fine", preset="desk").simulator.mesh
     D = mesh.weak_derivative_1d[0]
@@ -779,7 +790,9 @@ def test_plan_products_of_fresh_matrices_are_their_own():
     ops = SemOps(mesh)
     f = np.random.default_rng(7).standard_normal((2, mesh.npts))
     want = np.empty_like(f)
+    kept = len(ops.plan._products)
     for k in range(40):
         A = D * (2 + k)
         operators._product(A, 0, mesh.npts_1d)(f, want)()
         assert ops.along(A, f, 0).tobytes() == want.tobytes(), k
+    assert len(ops.plan._products) == kept

@@ -31,7 +31,8 @@ derivative along x and along z of the dry state's first 2 and 6 rows
 into spare rows, bound once as the step plan binds its own products
 (`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`), and on
 the squall fine grid the modal filter of the dry state's rows into a
-spare state (`filter_us`), as each step applies it. It also times
+spare state (`filter_us`), as each step applies it, and its x matrix
+alone on the 7 rows into spare rows (`along_x7_us`). It also times
 `build_case` of desk supercell `mmf`, squall `mmf` and squall `fine`
 (`supercell_mmf.desk.build_case_us`, `squall_mmf.desk.build_case_us`,
 `squall_fine.desk.build_case_us`), the set-up that perfbench's `setup_s`
@@ -188,6 +189,10 @@ def _load(src):
                     f = states["dry"].data[:rows].copy()
                     calls[f"{grid}.dry.along_{axis}{rows}_us"] = plan.product(
                         mesh.weak_derivative_1d[d], d)(f, np.empty(f.shape))
+        if grid == "squall_fine":
+            f = states["dry"].data.copy()
+            calls[f"{grid}.dry.along_x7_us"] = plan.product(
+                mesh.modal_filter_1d(sim.filter_strength)[0], 0)(f, np.empty(f.shape))
     for name, (case_id, tier) in BUILDS.items():
         calls[f"{name}.desk.build_case_us"] = functools.partial(
             build_case, case_id, tier=tier, preset="desk")
