@@ -356,17 +356,26 @@ def run(cfg: RunConfig) -> int:
 
 
 def _run(cfg: RunConfig) -> int:
+    # each mode makes the output directory once its configuration is checked
     out_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
     if cfg.mode == "analyze":
         return _run_analyze(cfg, out_dir)
     return _run_sim(cfg, out_dir)
 
 
 def _run_analyze(cfg: RunConfig, out_dir: str) -> int:
+    # a key at its default changes nothing, so only the others are named
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    given = [f"{key.name} = {format_value(v)}" for key in KEYS
+             if not key.name.startswith("cost.") and key.name not in ("run.mode", "run.output_dir")
+             and (v := _value(cfg, key)) != defaults[key.attr]]
+    if given:
+        raise ConfigurationError(f"{', '.join(given)}: run.mode = analyze takes only "
+                                 "run.output_dir and the cost.* keys")
     if cfg.cost is None:
         raise ConfigurationError("analyze mode needs the cost.* keys")
     report = cost_report(cfg.cost)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "cost_report.csv")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("quantity,standard,mmf,ratio_mmf_over_standard\n")
@@ -401,6 +410,7 @@ def _run_sim(cfg: RunConfig, out_dir: str) -> int:
                                  f"more than the {MAX_STEPS} a run may take")
     n_steps = max(1, int(round(steps)))
     instances = setup.instances or []
+    os.makedirs(out_dir, exist_ok=True)
 
     def advance():
         """One coarse step: (coupling diagnostics, precipitation by grid key)."""

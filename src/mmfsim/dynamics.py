@@ -144,12 +144,18 @@ def write_sounding(snd: Sounding, path) -> None:
 def equation_of_state(rho, theta_v, constants: PhysConstants = DEFAULT_CONSTANTS, out=None):
     """Pressure of moist air from density and theta_v, by the Exner
     inversion p = p00 (rho R_d theta_v / p00)^(c_p/c_v); written into
-    `out` when given."""
+    `out` when given. A non-positive density is a StateError."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise StateError("non-positive density in equation of state")
     if out is None:
         out = np.empty(np.broadcast(rho, theta_v).shape)
+    return _pressure(rho, theta_v, constants, out)
+
+
+def _pressure(rho, theta_v, constants: PhysConstants, out):
+    """`equation_of_state` into `out`, for callers that have checked the
+    density themselves."""
     np.multiply(rho, constants.R_d, out=out)
     out *= theta_v
     out /= constants.p00
@@ -382,7 +388,7 @@ def evaluate_rhs(state: PrognosticState, reference: ReferenceState, mesh: Mesh, 
     if np.min(rho) <= 0.0:
         raise StateError("vacuum: rho0 + rho' <= 0 somewhere")
     np.add(reference.theta_v0, state.theta_vp, out=tmp)
-    equation_of_state(rho, theta_v=tmp, constants=constants, out=p_prime)
+    _pressure(rho, tmp, constants, p_prime)
     p_prime -= reference.p0
 
     # per direction, the derivative of the pair (p', rho u_d) gives the

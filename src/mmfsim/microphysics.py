@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_CONSTANTS, PhysConstants, ReferenceState, equation_of_state, exner_function
+from .dynamics import DEFAULT_CONSTANTS, PhysConstants, ReferenceState, _pressure, exner_function
 from .errors import COUNT, NONNEGATIVE, StateError, check_settings, setting
 from .grid import Mesh
 from .operators import PrognosticState
@@ -215,7 +215,7 @@ def _saturation_adjust(theta_v, q_v, q_c, rho, p_in, exner_in, params, constants
             np.multiply(A, delta, out=th)
             th += theta_v
             np.subtract(q_v, delta, out=qv)
-            equation_of_state(rho, theta_v=th, constants=constants, out=p)
+            _pressure(rho, th, constants, p)
             exner_function(p, constants, out=pi)
         _saturation(th, pi, qv, p, constants, T, es, tmb, qvs, den, pme)
         # chain rule in delta: p ~ th^(cp/cv), Pi follows p, T follows both
@@ -345,7 +345,7 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
         q_c -= tmp
         q_r += tmp
 
-    equation_of_state(rho, theta_v=theta_v, constants=constants, out=p)
+    _pressure(rho, theta_v, constants, p)
     exner_function(p, constants, out=exner)
     # with no cloud anywhere and every point below its entry q_vs, the
     # Newton's first step clips every increment to -q_c = 0, and stops
@@ -357,7 +357,7 @@ def _kessler_batch(masses, rho, theta_v, q_v, q_c, q_r, rho_surf, dt, params, co
         # evaporation sees the post-adjustment diagnostic pressure, which
         # is the entry one when nothing condensed or evaporated
         if adjust and delta.any():
-            equation_of_state(rho, theta_v=theta_v, constants=constants, out=p)
+            _pressure(rho, theta_v, constants, p)
             exner_function(p, constants, out=exner)
         ern = _rain_evaporation(theta_v, q_v, q_r, rho, p, exner, dt, constants, delta, scratch,
                                 wet)

@@ -350,6 +350,48 @@ def test_analyze_rejects_non_finite_cost_values(tmp_path, capsys, line):
     assert not (out / "cost_report.csv").exists()
 
 
+SHIPPED_ANALYZE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "analyze_squall.cfg")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "run.mode = standard\nrun.preset = desk\nrun.duration = 4\nmmf.substeps = 7\n"),
+    ("run", "run.mode = mmf\nrun.preset = desk\nrun.duration = 4\nsponge.z_top = 20000\n"),
+    ("run", "run.mode = standard\nrun.preset = desk\ntime.dt = 1e-7\n"),
+    ("run", "run.mode = standard\nrun.preset = desk\nrun.duration = 4\n"
+            "run.sounding = missing_sounding.txt\n"),
+    ("analyze", "run.mode = analyze\n"),
+    ("analyze", COST_BASE + "time.dt = 3\n")])
+def test_a_configuration_error_leaves_no_output_directory(tmp_path, capsys, command, text):
+    """Each mode makes its output directory only once its configuration
+    is checked, so a run that exits 2 leaves none behind."""
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, f"run.output_dir = {out}\n" + text)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "run"])
+@pytest.mark.parametrize("line", ["mmf.substeps = 7", "time.dt = 3.0", "run.case = supercell",
+                                  "micro.enabled = false", "run.seed = 4"])
+def test_analyze_refuses_simulation_keys(tmp_path, capsys, monkeypatch, command, line):
+    """The cost model reads only the cost.* keys: any other key of a
+    simulation in an analyze config exits 2, naming the key, before any
+    output, whether `mmfsim analyze` or `mmfsim run` reads it; the shipped
+    analyze config, which sets none, still exits 0."""
+    out = tmp_path / "o"
+    monkeypatch.setenv(driver.OUTPUT_DIR_ENV, str(out))
+    with open(SHIPPED_ANALYZE, encoding="utf-8") as fh:
+        shipped = fh.read()
+    assert main([command, "--config", write_cfg(tmp_path, shipped + line + "\n")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and line in err
+    assert not out.exists()
+    assert main([command, "--config", SHIPPED_ANALYZE]) == 0
+    assert (out / "cost_report.csv").exists()
+
+
 def snapshots_for_diff(tmp_path, bump=0.0):
     mesh = build_box_mesh((1.0, 1.0), (2, 2), (2, 2))
     st = PrognosticState.zeros(mesh)

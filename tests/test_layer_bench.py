@@ -38,9 +38,10 @@ def test_layer_bench_loads_this_tree_and_makes_every_call():
     for grid in ("squall_ssp", "supercell_ssp"):
         assert {f"{grid}.{state}.{layer}_us" for state in ("dry", "patchy", "cloudy")
                 for layer in ("kessler", "evaluate_rhs")} <= keys
-        assert {f"{grid}.dry.{layer}_us" for layer in ("linear_operator", "solves", "substep")} <= keys
-    assert {f"squall_fine.dry.{layer}_us" for layer in ("linear_operator", "evaluate_rhs",
-                                                        "substep", "filter")} <= keys
+    for grid in ("squall_ssp", "supercell_ssp", "squall_fine"):
+        assert {f"{grid}.dry.{layer}_us" for layer in ("linear_operator", "matvec", "solves",
+                                                       "substep")} <= keys
+    assert {f"squall_fine.dry.{layer}_us" for layer in ("evaluate_rhs", "filter")} <= keys
     assert {f"{grid}.dry.along_{axis}{rows}_us" for grid in ("squall_ssp", "squall_fine")
             for axis in "xz" for rows in (2, 6)} <= keys
     assert "squall_fine.dry.along_x7_us" in keys

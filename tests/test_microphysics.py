@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmfsim import microphysics
+from mmfsim import dynamics, microphysics
 from mmfsim.coupling import Simulator
 from mmfsim.dynamics import DEFAULT_CONSTANTS, build_reference, equation_of_state, exner_function
 from mmfsim.errors import ConfigurationError, StateError
@@ -83,7 +83,9 @@ def test_dry_column_untouched():
 def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference, monkeypatch):
     """Nothing condenses, evaporates or falls, so theta_v and q_v come
     back bit for bit and the entry pressure serves the whole update:
-    one equation-of-state call, where a cloudy batch needs more."""
+    one pressure diagnosis, where a cloudy batch needs more. Kessler
+    checks its density on entry and diagnoses pressure by the unchecked
+    kernel of `equation_of_state`, which is what is counted."""
     ref, rng = small_reference, np.random.default_rng(3)
     st = PrognosticState.zeros(small_mesh)
     st.theta_vp = rng.uniform(-1.0, 1.0, small_mesh.npts)
@@ -92,9 +94,9 @@ def test_subsaturated_cloud_free_batch_is_left_alone(small_mesh, small_reference
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return equation_of_state(*args, **kwargs)
+        return dynamics._pressure(*args, **kwargs)
 
-    monkeypatch.setattr(microphysics, "equation_of_state", counted)
+    monkeypatch.setattr(microphysics, "_pressure", counted)
     out, precip = apply_microphysics(st, ref, small_mesh, 5.0, P)
     assert np.array_equal(out.theta_vp, (ref.theta_v0 + st.theta_vp) - ref.theta_v0)
     assert np.array_equal(out.q_vp, (ref.q_v0 + st.q_vp) - ref.q_v0)

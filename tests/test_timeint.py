@@ -15,7 +15,7 @@ from mmfsim.errors import ConfigurationError, SolverError
 from mmfsim.grid import build_box_mesh
 from mmfsim.operators import PrognosticState, SemOps, fixed_order_dot
 from mmfsim.timeint import (Ark2Tableau, GmresConfig, ImexOperatorSplit,
-                            ark2_tableau, gmres_solve, linear_operator,
+                            ark2_tableau, gmres_solve, linear_moisture_rows, linear_operator,
                             solve_implicit, stability_function, step_ark2)
 
 from conftest import isothermal_sounding
@@ -457,6 +457,82 @@ def test_gmres_operator_returning_a_view_of_its_input(view):
     b = np.random.default_rng(7).standard_normal(25)
     x = gmres_solve(view, b, GmresConfig(tol=1e-12))
     assert np.allclose(view(x), b, rtol=0.0, atol=1e-12)
+
+
+def test_gmres_copies_a_basis_aliasing_result_on_a_later_matvec():
+    """The sharing test runs once per distinct result array, so a result
+    that aliases the Krylov basis, returned after the operator's own
+    buffer, is still copied: GMRES does not write into it, and the
+    solution has the bits of an operator that returns fresh arrays. The
+    aliasing results are basis rows that this cycle has not reached."""
+    rng = np.random.default_rng(8)
+    n, cfg = 40, GmresConfig(tol=1e-12, restart=20)
+    A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    basis = np.empty((cfg.restart + 1) * n)
+    rows, start = basis.reshape(-1, n), basis.__array_interface__["data"][0]
+    buf, returned = np.empty(n), []
+
+    def aliasing(v):
+        if returned and returned[-1][0] is not buf:
+            row, values = returned[-1]
+            assert np.array_equal(row, values), "GMRES wrote into a basis-aliasing result"
+        i = (v.__array_interface__["data"][0] - start) // (8 * n)
+        if len(returned) < 2 or not np.shares_memory(v, basis) or i + 2 > cfg.restart:
+            np.matmul(A, v, out=buf)
+            returned.append((buf, None))
+            return buf
+        np.matmul(A, v, out=rows[i + 2])
+        returned.append((rows[i + 2], rows[i + 2].copy()))
+        return rows[i + 2]
+
+    x = gmres_solve(aliasing, b, cfg, basis=basis)
+    assert sum(r is not buf for r, _ in returned) > 3
+    assert np.array_equal(x, gmres_solve(lambda v: A @ v, b, cfg))
+
+
+@pytest.fixture(scope="module")
+def dense_case():
+    """A small 2D mesh whose reference has vapor and a sponge, the
+    matrix of L on the flat state assembled from unit increments, and a
+    random right-hand side."""
+    snd = isothermal_sounding()
+    snd = dataclasses.replace(snd, qv=0.014 * np.exp(-snd.z / 2500.0))
+    mesh = build_box_mesh((12e3, 10e3), (2, 4), (3, 3), periodicity=(True,))
+    ref = build_reference(snd, mesh, DEFAULT_CONSTANTS, SpongeConfig(6e3, 10e3, 0.25))
+    size = (5 + mesh.dim) * mesh.npts
+    L = np.stack([linear_operator(PrognosticState.from_vector(e, mesh.dim), ref, mesh).as_vector()
+                  for e in np.eye(size)], axis=1)
+    b = PrognosticState.from_vector(np.random.default_rng(4).standard_normal(size), mesh.dim)
+    return mesh, ref, L, b
+
+
+def _implicit_split(mesh, ref, reduced):
+    if not reduced:
+        return ImexOperatorSplit(s=abs, lin=lambda q: linear_operator(q, ref, mesh))
+    return ImexOperatorSplit(s=abs, lin=lambda q: linear_operator(q, ref, mesh),
+                             implicit_rows=2 + mesh.dim,
+                             lin_rest=lambda q, out: linear_moisture_rows(q.u[-1], ref, out))
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full_state", "implicit_rows"])
+def test_solve_implicit_matches_a_dense_solve(dense_case, reduced):
+    """The shifted-system solve gives the x of (I - shift L) x = b that a
+    dense solve of the assembled matrix gives, on the full-state path and
+    on the coupled rows with the moisture rows by substitution."""
+    mesh, ref, L, b = dense_case
+    shift = 0.5 * ark2_tableau().gamma
+    expect = np.linalg.solve(np.eye(len(L)) - shift * L, b.as_vector())
+    x = solve_implicit(_implicit_split(mesh, ref, reduced), shift, b,
+                       GmresConfig(tol=1e-12, restart=100, maxiter=2000))
+    assert np.linalg.norm(x.as_vector() - expect) <= 1e-9 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.5, math.nan, math.inf])
+def test_solve_implicit_checks_its_shift(dense_case, shift):
+    mesh, ref, _, b = dense_case
+    with pytest.raises(ConfigurationError, match="^implicit shift = "):
+        solve_implicit(_implicit_split(mesh, ref, True), shift, b)
 
 
 def test_gmres_config_validation():

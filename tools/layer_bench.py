@@ -21,12 +21,14 @@ points), each in three states:
 - `cloudy`: cloud, rain and supersaturated vapor at every point.
 On the dry state it also times the implicit stage's layers: one
 `linear_operator` call on the coupled rows into the plan's, as GMRES
-makes it (`linear_operator_us`); the two GMRES solves of one substep,
-captured from a step and made again into spare arrays (`solves_us`);
-and the whole substep, `Simulator.step` (`substep_us`). On the desk
-squall `fine` grid (252 x 121 points, `squall_fine`) it times
-`linear_operator_us`, `evaluate_rhs_us` and `substep_us` (there a whole
-step) of the dry first state. On both squall grids it times the weak
+makes it (`linear_operator_us`); one GMRES matvec, the operator that
+`solve_implicit` hands GMRES applied to a unit vector (`matvec_us`);
+the two GMRES solves of one substep, captured from a step and made
+again into spare arrays (`solves_us`); and the whole substep,
+`Simulator.step` (`substep_us`). On the desk squall `fine` grid (252 x
+121 points, `squall_fine`) it times the same layers and
+`evaluate_rhs_us` of the dry first state, where a substep is a whole
+step. On both squall grids it times the weak
 derivative along x and along z of the dry state's first 2 and 6 rows
 into spare rows, bound once as the step plan binds its own products
 (`along_x2_us`, `along_x6_us`, `along_z2_us`, `along_z6_us`), and on
@@ -165,8 +167,10 @@ def _load(src):
         coupled = sim.state.data[:len(plan.coupled)].copy()
         calls[f"{grid}.dry.linear_operator_us"] = functools.partial(
             timeint.linear_operator, coupled, ref, mesh, out=plan.coupled)
-        if grid != "squall_fine":
-            calls[f"{grid}.dry.solves_us"] = _captured_solves(timeint, sim, dt, np)
+        solves = _captured_solves(timeint, sim, dt, np)
+        calls[f"{grid}.dry.solves_us"] = functools.partial(_solve_all, timeint.gmres_solve, solves)
+        apply_A, b = solves[0][:2]
+        calls[f"{grid}.dry.matvec_us"] = functools.partial(apply_A, b / np.linalg.norm(b))
         calls[f"{grid}.dry.substep_us"] = functools.partial(sim.step, dt)
         states = _states(mesh, ref, sim.state)
         if grid == "squall_fine":
@@ -200,8 +204,8 @@ def _load(src):
 
 
 def _captured_solves(timeint, sim, dt, np):
-    """A call that makes again the two GMRES solves of one substep of
-    `sim` from its state, as the step made them, into spare arrays."""
+    """The two GMRES solves of one step of `sim` from its state, as the
+    step made them: (operator, b, config, basis, spare out) each."""
     real, solves = timeint.gmres_solve, []
 
     def capture(apply_A, b, config=timeint.GmresConfig(), basis=None, out=None):
@@ -213,11 +217,13 @@ def _captured_solves(timeint, sim, dt, np):
         sim.step(dt)
     finally:
         timeint.gmres_solve = real
+    return solves
 
-    def run():
-        for apply_A, b, config, basis, out in solves:
-            real(apply_A, b, config, basis=basis, out=out)
-    return run
+
+def _solve_all(gmres_solve, solves):
+    """Make the captured solves again, into their spare arrays."""
+    for apply_A, b, config, basis, out in solves:
+        gmres_solve(apply_A, b, config, basis=basis, out=out)
 
 
 def _prepare(call):
